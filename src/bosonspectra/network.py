@@ -79,15 +79,16 @@ def submatrix(interferometer: Interferometer, output_occ, input_occ) -> np.ndarr
     is irrelevant to permanents but keeps results byte-stable.
     """
     m = interferometer.m
-    s = as_occupation(output_occ, m)
-    t = as_occupation(input_occ, m)
+    return _submatrix(interferometer, as_occupation(output_occ, m), as_occupation(input_occ, m))
+
+
+def _submatrix(interferometer: Interferometer, s: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
+    # s and t are already validated occupations of the interferometer's modes.
     if sum(s) != sum(t):
         raise ConfigurationError(
             f"photon count mismatch: output has {sum(s)}, input has {sum(t)}"
         )
-    rows = _repeat_indices(s)
-    cols = _repeat_indices(t)
-    return interferometer.matrix[np.ix_(rows, cols)]
+    return interferometer.matrix[np.ix_(_repeat_indices(s), _repeat_indices(t))]
 
 
 def amplitude_ideal(interferometer: Interferometer, output_occ, input_occ) -> complex:
@@ -100,7 +101,7 @@ def amplitude_ideal(interferometer: Interferometer, output_occ, input_occ) -> co
     m = interferometer.m
     s = as_occupation(output_occ, m)
     t = as_occupation(input_occ, m)
-    per = permanent_ryser(submatrix(interferometer, s, t))
+    per = permanent_ryser(_submatrix(interferometer, s, t))
     norm = math.prod(math.factorial(c) for c in s) * math.prod(math.factorial(c) for c in t)
     return complex(per / math.sqrt(norm))
 

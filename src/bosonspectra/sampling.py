@@ -174,9 +174,10 @@ def _occupations(total: int, caps: tuple[int, ...]):
         if total == 0:
             yield ()
         return
-    first_cap = min(caps[0], total)
-    for c in range(first_cap + 1):
-        for rest in _occupations(total - c, caps[1:]):
+    rest_caps = caps[1:]
+    # Counts below total - sum(rest_caps) leave more than the rest can hold.
+    for c in range(max(0, total - sum(rest_caps)), min(caps[0], total) + 1):
+        for rest in _occupations(total - c, rest_caps):
             yield (c,) + rest
 
 

@@ -139,6 +139,11 @@ class TestAmplitude:
         total = sum(abs(amplitude_ideal(u, s, t)) ** 2 for s in all_outputs(n, m))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_photon_count_mismatch_rejected(self):
+        u = make_random_unitary(3, 0)
+        with pytest.raises(ConfigurationError):
+            amplitude_ideal(u, (1, 0, 0), (1, 1, 0))
+
     def test_collision_input_completeness(self):
         # Factorial normalization is what keeps collision inputs normalized.
         u = make_random_unitary(3, 7)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosonspectra import CapacityError, DimensionError, permanent_naive, permanent_ryser
+from bosonspectra.permanent import BLOCK_BITS
 
 
 def test_1x1_is_the_entry():
@@ -96,3 +98,45 @@ def test_dimension_caps():
     assert permanent_ryser(np.eye(4), cap=4) == pytest.approx(1.0)
     with pytest.raises(CapacityError):
         permanent_ryser(np.eye(5), cap=4)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_all_ones_is_factorial_exactly(k):
+    assert permanent_ryser(np.ones((k, k))) == math.factorial(k)
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("k", [BLOCK_BITS + 1, BLOCK_BITS + 2, 16])
+def test_rank_one_closed_form(rng, k):
+    # Per(u v^T) = k! prod(u) prod(v): every permutation contributes the same term.
+    u = _random_complex(rng, k)
+    v = _random_complex(rng, k)
+    expected = math.factorial(k) * np.prod(u) * np.prod(v)
+    assert abs(permanent_ryser(np.outer(u, v)) - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("k", [BLOCK_BITS + 1, BLOCK_BITS + 2, 16])
+def test_block_diagonal_is_product_of_blocks(rng, k):
+    sizes = [k // 2, k - k // 2]
+    blocks = [_random_complex(rng, d, d) for d in sizes]
+    expected = np.prod([permanent_naive(b) for b in blocks])
+    a = np.zeros((k, k), dtype=np.complex128)
+    a[: sizes[0], : sizes[0]] = blocks[0]
+    a[sizes[0] :, sizes[0] :] = blocks[1]
+    # Mix rows and columns so the blocks straddle the low and high sign columns.
+    a = a[rng.permutation(k)][:, rng.permutation(k)]
+    assert abs(permanent_ryser(a) - expected) <= 1e-10 * abs(expected)
+
+
+def test_block_memory_is_bounded(rng):
+    a = _random_complex(rng, 18, 18)
+    tracemalloc.start()
+    try:
+        permanent_ryser(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024

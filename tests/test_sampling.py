@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from bosonspectra import (
     probability_nonresolved,
     probability_resolved,
 )
+from bosonspectra.sampling import _occupations
 from conftest import hom_lambda, random_unit_rows
 
 
@@ -109,6 +111,11 @@ class TestEnumeratePartitions:
             assert tuple(sum(col) for col in zip(*parts)) == sig
             assert tuple(sum(p) for p in parts) == profile
 
+    def test_large_signature_single_split(self):
+        # One spectral part must take the whole signature: exactly one outcome.
+        sig = (1,) * 16 + (0,) * 4
+        assert list(enumerate_partitions(sig, (16,))) == [(sig,)]
+
     def test_total_count_over_profiles(self):
         # Summed over all profiles, the partitions of M factorize into
         # independent splits of each mode's photons.
@@ -120,6 +127,21 @@ class TestEnumeratePartitions:
             total += len(list(enumerate_partitions(sig, (k1, k2))))
         expected = math.comb(2 + nb - 1, 2) * math.comb(1 + nb - 1, 1)
         assert total == expected
+
+
+class TestOccupations:
+    @pytest.mark.parametrize(
+        "total,caps",
+        [(0, ()), (1, ()), (0, (0, 0)), (2, (0, 0)), (3, (2, 0, 1)), (4, (1, 1)),
+         (4, (4, 0, 3, 2)), (5, (2, 2, 2)), (3, (3, 3, 3, 3)), (2, (0, 2, 0))],
+    )
+    def test_matches_filtered_product_in_order(self, total, caps):
+        brute = [
+            occ
+            for occ in itertools.product(*(range(c + 1) for c in caps))
+            if sum(occ) == total
+        ]
+        assert list(_occupations(total, caps)) == brute
 
 
 class TestProbabilityNonresolved:
