@@ -24,7 +24,7 @@ from .network import (
     submatrix,
 )
 from .oracle import FockState, fock_evolve, oracle_probability, verify_against_oracle
-from .permanent import permanent_naive, permanent_ryser
+from .permanent import permanent_naive, permanent_ryser, permanent_stack
 from .sampling import (
     MixedPhotonSource,
     amplitude_resolved,
@@ -44,13 +44,10 @@ from .spectra import (
     CoefficientSpectrum,
     GaussianWavepacket,
     LambdaMatrix,
-    chi,
-    enumerate_configurations,
     gram_matrix,
     lambda_from_photons,
     orthonormal_decomposition,
     overlap,
-    t_sets,
 )
 
 __version__ = "0.1.0"
@@ -74,6 +71,7 @@ __all__ = [
     "verify_against_oracle",
     "permanent_naive",
     "permanent_ryser",
+    "permanent_stack",
     "MixedPhotonSource",
     "amplitude_resolved",
     "default_input_modes",
@@ -90,11 +88,8 @@ __all__ = [
     "CoefficientSpectrum",
     "GaussianWavepacket",
     "LambdaMatrix",
-    "chi",
-    "enumerate_configurations",
     "gram_matrix",
     "lambda_from_photons",
     "orthonormal_decomposition",
     "overlap",
-    "t_sets",
 ]

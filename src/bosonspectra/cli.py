@@ -17,8 +17,10 @@ taken as real)::
       "detector": "nonresolved",        # or "resolved"
       "query": "distribution"           # or {"signature": [...]}
                                         # or {"resolved": [[...], ...]}
-      "eps": 0.0                        # optional enumeration threshold
     }
+
+Keys outside this schema, counts that are not integers and the literals
+NaN and Infinity are rejected, at every level of the config.
 
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
@@ -55,13 +57,7 @@ from .sampling import (
     probability_nonresolved,
     probability_resolved,
 )
-from .spectra import (
-    CoefficientSpectrum,
-    GaussianWavepacket,
-    LambdaMatrix,
-    enumerate_configurations,
-    lambda_from_photons,
-)
+from .spectra import CoefficientSpectrum, GaussianWavepacket, LambdaMatrix, lambda_from_photons
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -75,6 +71,41 @@ DEFAULT_RANDOM_SEED = 0
 def _sig15(x: float) -> float:
     """Round to 15 significant digits, the document's probability precision."""
     return float(f"{float(x):.15g}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"non-finite number {text} is not allowed")
+    return value
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _check_keys(data: dict, allowed, where: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _parse_int(value, where: str) -> int:
+    """A JSON integer; integral floats such as 2.0 pass, booleans never do."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_counts(data, where: str) -> tuple[int, ...]:
+    if not isinstance(data, list):
+        raise ConfigurationError(f"{where}: expected a list of integers, got {data!r}")
+    return tuple(_parse_int(c, where) for c in data)
 
 
 def _parse_complex(entry, where: str) -> complex:
@@ -105,6 +136,9 @@ def _parse_matrix(data, where: str) -> np.ndarray:
 def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
     if not isinstance(data, dict):
         raise ConfigurationError("config 'network' must be an object")
+    form = "unitary" if "unitary" in data else data.get("preset")
+    allowed = {"unitary": {"unitary", "modes"}, "random": {"preset", "modes", "seed"}}
+    _check_keys(data, allowed.get(form, {"preset", "modes"}), "network")
     if "unitary" in data:
         u = Interferometer(_parse_matrix(data["unitary"], "network.unitary"))
         echo = {
@@ -119,7 +153,7 @@ def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
     if preset == "dft":
         if "modes" not in data:
             raise ConfigurationError("network preset 'dft' needs 'modes'")
-        u = make_dft(int(data["modes"]))
+        u = make_dft(_parse_int(data["modes"], "network.modes"))
         return u, {"preset": "dft", "modes": u.m}
     if preset == "random":
         if "modes" not in data:
@@ -127,20 +161,24 @@ def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
         seed = data.get("seed", seed_flag)
         if seed is None:
             seed = DEFAULT_RANDOM_SEED
-        u = make_random_unitary(int(data["modes"]), int(seed))
-        return u, {"preset": "random", "modes": u.m, "seed": int(seed)}
+        seed = _parse_int(seed, "network.seed")
+        u = make_random_unitary(_parse_int(data["modes"], "network.modes"), seed)
+        return u, {"preset": "random", "modes": u.m, "seed": seed}
     raise ConfigurationError(
         f"network needs 'unitary' or a preset in ('beamsplitter', 'dft', 'random'), got {data!r}"
     )
 
 
-def _parse_pure_spec(data, where: str):
+def _parse_pure_spec(data, where: str, extra_keys=()):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where}: photon spec must be an object")
+    kind = "gaussian" if "gaussian" in data else "coefficients"
+    _check_keys(data, {kind, *extra_keys}, where)
     if "gaussian" in data:
         g = data["gaussian"]
         if not isinstance(g, dict) or "mu" not in g or "sigma" not in g:
             raise ConfigurationError(f"{where}: gaussian spec needs 'mu' and 'sigma'")
+        _check_keys(g, {"mu", "sigma", "tau"}, f"{where}.gaussian")
         spec = GaussianWavepacket(float(g["mu"]), float(g["sigma"]), float(g.get("tau", 0.0)))
         echo = {"gaussian": {"mu": spec.mu, "sigma": spec.sigma, "tau": spec.tau}}
         return spec, echo
@@ -154,6 +192,7 @@ def _parse_pure_spec(data, where: str):
 
 def _parse_photon(data, where: str):
     if isinstance(data, dict) and "mixture" in data:
+        _check_keys(data, {"mixture"}, where)
         comps = data["mixture"]
         if not isinstance(comps, list) or not comps:
             raise ConfigurationError(f"{where}: 'mixture' must be a non-empty list")
@@ -162,7 +201,7 @@ def _parse_photon(data, where: str):
         for ci, comp in enumerate(comps):
             if not isinstance(comp, dict) or "probability" not in comp:
                 raise ConfigurationError(f"{where}.mixture[{ci}]: needs 'probability'")
-            spec, echo = _parse_pure_spec(comp, f"{where}.mixture[{ci}]")
+            spec, echo = _parse_pure_spec(comp, f"{where}.mixture[{ci}]", {"probability"})
             p = float(comp["probability"])
             parsed.append((p, spec))
             echoes.append({"probability": p, **echo})
@@ -174,18 +213,23 @@ def _parse_query(data, n: int, m: int, detector: str):
     if data is None or data == "distribution":
         return ("distribution", None), "distribution"
     if isinstance(data, dict) and "signature" in data:
+        _check_keys(data, {"signature"}, "query")
         if detector != "nonresolved":
             raise ConfigurationError("signature queries need detector 'nonresolved'")
-        sig = tuple(int(c) for c in data["signature"])
+        sig = _parse_counts(data["signature"], "query.signature")
         if len(sig) != m or any(c < 0 for c in sig) or sum(sig) != n:
             raise ConfigurationError(
                 f"signature must hold {n} photons over {m} modes, got {list(sig)}"
             )
         return ("signature", sig), {"signature": list(sig)}
     if isinstance(data, dict) and "resolved" in data:
+        _check_keys(data, {"resolved"}, "query")
         if detector != "resolved":
             raise ConfigurationError("resolved-outcome queries need detector 'resolved'")
-        parts = tuple(tuple(int(c) for c in part) for part in data["resolved"])
+        parts = data["resolved"]
+        if not isinstance(parts, list):
+            raise ConfigurationError(f"query.resolved: expected a list of parts, got {parts!r}")
+        parts = tuple(_parse_counts(part, "query.resolved") for part in parts)
         if any(len(p) != m for p in parts) or sum(sum(p) for p in parts) != n:
             raise ConfigurationError(
                 f"resolved outcome must hold {n} photons over {m} modes per spectral part"
@@ -203,23 +247,16 @@ class ExperimentConfig:
     input_modes: tuple
     detector: str
     query: tuple
-    eps: float
     mixed: bool
     echo: dict
 
 
-def load_config(path: str, eps_flag=None, seed_flag=None) -> ExperimentConfig:
+def load_config(path: str, seed_flag=None) -> ExperimentConfig:
     """Parse and validate an experiment config file, materializing defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top-level config must be an object")
-    unknown = set(data) - {"network", "photons", "input_modes", "detector", "query", "eps"}
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(data, {"network", "photons", "input_modes", "detector", "query"}, "config")
 
     if "network" not in data or "photons" not in data:
         raise ConfigurationError("config needs 'network' and 'photons'")
@@ -241,17 +278,13 @@ def load_config(path: str, eps_flag=None, seed_flag=None) -> ExperimentConfig:
         if n > m:
             raise ConfigurationError(f"{n} photons do not fit the default modes 1..{m}")
         input_modes = list(range(1, n + 1))
-    input_modes = tuple(int(x) for x in input_modes)
+    input_modes = _parse_counts(input_modes, "input_modes")
 
     detector = data.get("detector", "nonresolved")
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"detector must be 'resolved' or 'nonresolved', got {detector!r}")
 
     query, query_echo = _parse_query(data.get("query"), n, m, detector)
-
-    eps = float(data.get("eps", 0.0)) if eps_flag is None else float(eps_flag)
-    if eps < 0:
-        raise ConfigurationError(f"eps must be >= 0, got {eps}")
 
     mixed = any(isinstance(p, MixedPhotonSource) for p in photons)
     echo = {
@@ -260,7 +293,6 @@ def load_config(path: str, eps_flag=None, seed_flag=None) -> ExperimentConfig:
         "input_modes": list(input_modes),
         "detector": detector,
         "query": query_echo,
-        "eps": eps,
     }
     return ExperimentConfig(
         interferometer=interferometer,
@@ -268,7 +300,6 @@ def load_config(path: str, eps_flag=None, seed_flag=None) -> ExperimentConfig:
         input_modes=input_modes,
         detector=detector,
         query=query,
-        eps=eps,
         mixed=mixed,
         echo=echo,
     )
@@ -280,25 +311,11 @@ def _outcome_json(outcome):
     return list(outcome)
 
 
-def _count_configurations(cfg: ExperimentConfig) -> tuple[int, int]:
-    """(total spectral configurations visited, mixture combinations)."""
-    total = 0
-    terms = 0
-    for _, specs in mixture_tuples(cfg.photons):
-        lam = lambda_from_photons(specs)
-        total += sum(1 for _ in enumerate_configurations(lam, cfg.eps))
-        terms += 1
-    return total, terms
-
-
 def _metadata(cfg: ExperimentConfig) -> dict:
-    visited, terms = _count_configurations(cfg)
-    return {
-        "engine": f"bosonspectra {__version__}",
-        "eps": cfg.eps,
-        "spectral_configurations": visited,
-        "mixture_terms": terms,
-    }
+    terms = math.prod(
+        len(p.components) if isinstance(p, MixedPhotonSource) else 1 for p in cfg.photons
+    )
+    return {"engine": f"bosonspectra {__version__}", "mixture_terms": terms}
 
 
 def _signature_space(n: int, m: int):
@@ -321,29 +338,26 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
             )
         if kind == "distribution":
             pairs = [
-                (sig, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                        sig, "nonresolved", cfg.eps))
+                (sig, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes, sig))
                 for sig in _signature_space(n, m)
             ]
         else:
             pairs = [
                 (value, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                          value, cfg.detector, cfg.eps))
+                                          value, cfg.detector))
             ]
     else:
         lam = lambda_from_photons(cfg.photons)
         if kind == "distribution":
             if cfg.detector == "nonresolved":
-                dist = distribution_nonresolved(cfg.interferometer, lam, cfg.input_modes, cfg.eps)
+                dist = distribution_nonresolved(cfg.interferometer, lam, cfg.input_modes)
             else:
-                dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes, cfg.eps)
+                dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes)
             pairs = list(dist.items())
         elif kind == "signature":
-            pairs = [(value, probability_nonresolved(cfg.interferometer, lam, cfg.input_modes,
-                                                     value, cfg.eps))]
+            pairs = [(value, probability_nonresolved(cfg.interferometer, lam, cfg.input_modes, value))]
         else:
-            pairs = [(value, probability_resolved(cfg.interferometer, lam, cfg.input_modes,
-                                                  value, cfg.eps))]
+            pairs = [(value, probability_resolved(cfg.interferometer, lam, cfg.input_modes, value))]
 
     outcomes = [
         {"outcome": _outcome_json(outcome), "probability": _sig15(p)} for outcome, p in pairs
@@ -373,7 +387,7 @@ def _run_verify(cfg: ExperimentConfig) -> dict:
                 "resolved verification sweeps are not defined for mixed sources"
             )
         lam = weighted_states[0][1]
-        dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes, cfg.eps)
+        dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes)
         outcome_space = list(dist.keys())
 
     rows = []
@@ -381,7 +395,7 @@ def _run_verify(cfg: ExperimentConfig) -> dict:
     for outcome in outcome_space:
         if cfg.mixed:
             engine_p = probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                         outcome, cfg.detector, cfg.eps)
+                                         outcome, cfg.detector)
             oracle_p = sum(
                 w * oracle_probability(state, outcome, cfg.detector)
                 for w, _, state in weighted_states
@@ -389,11 +403,9 @@ def _run_verify(cfg: ExperimentConfig) -> dict:
         else:
             _, lam, state = weighted_states[0]
             if cfg.detector == "nonresolved":
-                engine_p = probability_nonresolved(cfg.interferometer, lam, cfg.input_modes,
-                                                   outcome, cfg.eps)
+                engine_p = probability_nonresolved(cfg.interferometer, lam, cfg.input_modes, outcome)
             else:
-                engine_p = probability_resolved(cfg.interferometer, lam, cfg.input_modes,
-                                                outcome, cfg.eps)
+                engine_p = probability_resolved(cfg.interferometer, lam, cfg.input_modes, outcome)
             oracle_p = oracle_probability(state, outcome, cfg.detector)
         dev = abs(engine_p - oracle_p)
         max_dev = max(max_dev, dev)
@@ -456,19 +468,14 @@ def _run_hom_scan(grid_text: str) -> dict:
             "detector": "nonresolved",
             "signature": [1, 1],
         },
-        "metadata": {"engine": f"bosonspectra {__version__}", "eps": 0.0},
+        "metadata": {"engine": f"bosonspectra {__version__}"},
         "outcomes": results,
         "max_abs_difference": _sig15(max_diff),
     }
 
 
 def _run_permanent(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    matrix = _parse_matrix(data, path)
+    matrix = _parse_matrix(_load_json(path), path)
     value = permanent_ryser(matrix)
     return _complex_pair(value)
 
@@ -493,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distribution", help="outcome probabilities for a config")
     p_dist.add_argument("--config", required=True, help="experiment config JSON path")
     p_dist.add_argument("--output", default="-", help="results path or '-' for stdout")
-    p_dist.add_argument("--eps", type=float, default=None, help="override enumeration threshold")
     p_dist.add_argument("--seed", type=int, default=None, help="seed for the 'random' network preset")
 
     p_hom = sub.add_parser("hom-scan", help="two-photon coincidence dip vs distinguishability")
@@ -503,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="engine vs brute-force Fock oracle")
     p_verify.add_argument("--config", required=True, help="experiment config JSON path")
     p_verify.add_argument("--output", default="-", help="results path or '-' for stdout")
-    p_verify.add_argument("--eps", type=float, default=None, help="override enumeration threshold")
     p_verify.add_argument("--seed", type=int, default=None, help="seed for the 'random' network preset")
 
     p_perm = sub.add_parser("permanent", help="permanent of a complex matrix file")
@@ -517,14 +522,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "distribution":
-            cfg = load_config(args.config, args.eps, args.seed)
+            cfg = load_config(args.config, args.seed)
             _write_document(_run_distribution(cfg), args.output)
             return EXIT_OK
         if args.command == "hom-scan":
             _write_document(_run_hom_scan(args.alpha_grid), args.output)
             return EXIT_OK
         if args.command == "verify":
-            cfg = load_config(args.config, args.eps, args.seed)
+            cfg = load_config(args.config, args.seed)
             doc = _run_verify(cfg)
             _write_document(doc, args.output)
             return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAILURE

@@ -133,7 +133,6 @@ def verify_against_oracle(
     lam: LambdaMatrix,
     input_modes=None,
     detector: str = "nonresolved",
-    eps: float = 0.0,
 ):
     """Compare the engine against the Fock oracle on every outcome.
 
@@ -142,9 +141,9 @@ def verify_against_oracle(
     """
     state = fock_evolve(interferometer, lam, input_modes)
     if detector == "resolved":
-        dist = distribution_resolved(interferometer, lam, input_modes, eps)
+        dist = distribution_resolved(interferometer, lam, input_modes)
     elif detector == "nonresolved":
-        dist = distribution_nonresolved(interferometer, lam, input_modes, eps)
+        dist = distribution_nonresolved(interferometer, lam, input_modes)
     else:
         raise ConfigurationError(f"unknown detector model {detector!r}")
 

@@ -3,22 +3,28 @@
 The permanent is the numerical kernel behind every interferometer
 amplitude in this package. Two independent routes are provided:
 
-* :func:`permanent_ryser` -- the production path. Despite its historical
-  name it evaluates Glynn's formula (Glynn, Eur. J. Combin. 31 (2010)
-  1887), which cancels less than Ryser's, in numpy:
+* :func:`permanent_stack` and :func:`permanent_ryser` -- the production
+  path, for a (batch, k, k) stack of matrices and for one matrix (a
+  stack of one). Despite its historical name, permanent_ryser evaluates
+  Glynn's formula (Glynn, Eur. J. Combin. 31 (2010) 1887), which
+  cancels less than Ryser's, in numpy:
 
       Per(A) = 2^(1-k) sum_{delta in {+1,-1}^k, delta_0 = +1}
                (prod_j delta_j) prod_i sum_j delta_j A[i, j].
 
   The 2^b sign patterns over the low b <= BLOCK_BITS free columns are a
-  cached table, so one matmul gives a whole block of row sums. A Python
-  loop walks the 2^(k-1-b) patterns of the high columns in Gray-code
-  order; each adds one shift column to the block, then takes the row
-  products and their signed sum. Working memory is two k x 2^b blocks
-  (80 kB each at k = 20), whatever k is. k <= 3 uses closed forms.
-  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), per call:
-  5-8 us for k <= 3, 20-35 us for k = 4..8, 0.3 ms at k = 13, 3 ms at
-  k = 16, 14 ms at k = 18 and 60 ms at k = 20.
+  cached table, so one matmul gives a whole block of row sums for every
+  matrix of a chunk of the stack. A Python loop walks the 2^(k-1-b)
+  patterns of the high columns in Gray-code order; each adds one shift
+  column to the block, then takes the row products and their signed
+  sum. A chunk holds at most STACK_ELEMENTS block entries, so working
+  memory is bounded whatever the batch and k (two k x 2^b blocks, 80 kB
+  each, at k = 20). k <= 3 uses closed forms, evaluated elementwise over
+  the stack. Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), one
+  matrix per call takes 10-35 us for k <= 3, 35-55 us for k = 4..8, 0.4 ms
+  at k = 13, 3.2 ms at k = 16, 14 ms at k = 18 and 60 ms at k = 20; in a
+  stack of 256 a matrix takes 0.2 us at k = 3, 0.7 us at k = 4, 3 us at
+  k = 6 and 13 us at k = 8.
 * :func:`permanent_naive` -- direct sum over all k! permutations. Kept
   deliberately simple so it can serve as an oracle for the fast path.
 
@@ -42,11 +48,19 @@ NAIVE_DIMENSION_CAP = 10
 # by 0.6 % with 2^8, 1.7 % with 2^10, 11 % with 2^12 and 40 % with 2^14.
 BLOCK_BITS = 8
 
+# Block entries per chunk of a stack. A chunk's first matmul then needs at
+# most 2^13 * BLOCK_BITS = 2^16 multiply-adds, the size up to which
+# OpenBLAS stays on one thread: on a 2-core VM, threaded complex matmuls
+# just above it took 16 ms instead of 20 us in about half the calls.
+STACK_ELEMENTS = 1 << 13
 
-def _as_square(matrix) -> np.ndarray:
+
+def _as_square(matrix, ndim: int = 2) -> np.ndarray:
+    """matrix as complex128 with ndim axes, the last two of equal length."""
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"permanent needs a square matrix, got shape {a.shape}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        shape = "a square matrix" if ndim == 2 else "a (batch, k, k) stack"
+        raise DimensionError(f"permanent needs {shape}, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise DimensionError("matrix entries must be finite (no NaN/Inf)")
     return a
@@ -64,44 +78,85 @@ def _sign_block(b: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, signs
 
 
-def _small_permanent(a: list) -> complex:
+def _stack_chunk(k: int) -> int:
+    """Matrices per Glynn pass, so that a k x 2^b block per matrix stays
+    within STACK_ELEMENTS entries."""
+    b = min(BLOCK_BITS, k - 1)
+    return max(1, STACK_ELEMENTS // (k << b))
+
+
+def _small_permanent(a):
+    # a[i][j] is entry (i, j), or the vector of entries (i, j) over a stack.
     if len(a) == 1:
-        return complex(a[0][0])
+        return a[0][0]
     if len(a) == 2:
         (p, q), (r, s) = a
-        return complex(p * s + q * r)
+        return p * s + q * r
     (p, q, r), (s, t, u), (v, w, x) = a
-    return complex(p * (t * x + u * w) + q * (s * x + u * v) + r * (s * w + t * v))
+    return p * (t * x + u * w) + q * (s * x + u * v) + r * (s * w + t * v)
 
 
-def _glynn(a: np.ndarray) -> complex:
-    k = a.shape[0]
+def _glynn(a: np.ndarray) -> np.ndarray:
+    batch, k = a.shape[0], a.shape[1]
     b = min(BLOCK_BITS, k - 1)
     deltas, signs = _sign_block(b)
-    high = a[:, b + 1 :]
-    # Row sums of the block's sign vectors, column 0 and every high column at +1.
-    base = a[:, 1 : b + 1] @ deltas
-    base += (a[:, 0] + high.sum(axis=1))[:, None]
+    high = a[:, :, b + 1 :]
+    # Row sums of the block's sign vectors, column 0 and every high column
+    # at +1, as one (batch * k) x 2^b matrix product: numpy's batched matmul
+    # of many small matrices is far slower than one flat GEMM.
+    base = (a[:, :, 1 : b + 1].reshape(batch * k, b) @ deltas).reshape(batch, k, 1 << b)
+    base += (a[:, :, 0] + high.sum(axis=2))[:, :, None]
     flips = -2.0 * high  # adding column j turns the sign of high column j to -1
-    shift = np.zeros((k, 1), dtype=np.complex128)
+    shift = np.zeros((batch, k, 1), dtype=np.complex128)
     rows = np.empty_like(base)
-    prods = np.empty(base.shape[1], dtype=np.complex128)
-    total = 0.0 + 0.0j
+    prods = np.empty((batch, 1 << b), dtype=np.complex128)
+    total = np.zeros(batch, dtype=np.complex128)
     gray = 0
     for t in range(1 << (k - 1 - b)):
         if t:
             new_gray = t ^ (t >> 1)
             j = (new_gray ^ gray).bit_length() - 1
             if new_gray > gray:
-                shift[:, 0] += flips[:, j]
+                shift[:, :, 0] += flips[:, :, j]
             else:
-                shift[:, 0] -= flips[:, j]
+                shift[:, :, 0] -= flips[:, :, j]
             gray = new_gray
         np.add(base, shift, out=rows)
-        term = complex(np.prod(rows, axis=0, out=prods) @ signs)
+        term = np.prod(rows, axis=1, out=prods) @ signs
         # One high sign flips per Gray-code step, so their product is (-1)^t.
-        total = total - term if t & 1 else total + term
+        if t & 1:
+            total -= term
+        else:
+            total += term
     return total / (1 << (k - 1))
+
+
+def _permanents(a: np.ndarray, cap: int) -> np.ndarray:
+    batch, k = a.shape[0], a.shape[1]
+    if k > cap:
+        raise CapacityError(f"permanent dimension {k} exceeds cap {cap} (2^{k - 1} sign vectors)")
+    if k == 0:
+        return np.ones(batch, dtype=np.complex128)
+    if k <= 3:
+        return np.array(_small_permanent(np.moveaxis(a, 0, -1)))
+    out = np.empty(batch, dtype=np.complex128)
+    step = _stack_chunk(k)
+    for start in range(0, batch, step):
+        out[start : start + step] = _glynn(a[start : start + step])
+    return out
+
+
+def permanent_stack(stack, cap: int = RYSER_DIMENSION_CAP) -> np.ndarray:
+    """Permanents of a stack of same-size complex square matrices.
+
+    Args:
+        stack: array-like of shape (batch, k, k) with finite entries.
+        cap: hard dimension limit on k, as for permanent_ryser.
+
+    Returns:
+        complex128 array of length batch; entry i is Per(stack[i]).
+    """
+    return _permanents(_as_square(stack, ndim=3), cap)
 
 
 def permanent_ryser(matrix, cap: int = RYSER_DIMENSION_CAP) -> complex:
@@ -119,15 +174,7 @@ def permanent_ryser(matrix, cap: int = RYSER_DIMENSION_CAP) -> complex:
     Returns:
         Per(matrix) as a Python complex. The 0x0 permanent is 1.
     """
-    a = _as_square(matrix)
-    k = a.shape[0]
-    if k == 0:
-        return complex(1.0)
-    if k > cap:
-        raise CapacityError(f"permanent dimension {k} exceeds cap {cap} (2^{k - 1} sign vectors)")
-    if k <= 3:
-        return _small_permanent(a.tolist())
-    return _glynn(a)
+    return complex(_permanents(_as_square(matrix)[None], cap)[0])
 
 
 def permanent_naive(matrix, cap: int = NAIVE_DIMENSION_CAP) -> complex:

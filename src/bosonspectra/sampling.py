@@ -1,20 +1,34 @@
 """Exact output statistics for partially distinguishable photons.
 
-The engine expands the input over spectral configurations v (weights
-chi(v)), feeds each basis function's share of the photons through the
-permanent rule, and recombines:
+Photon j enters spatial mode T_j with the unit-norm coefficient row
+lambda[j] over orthonormal basis functions xi_1 .. xi_r. Every
+probability is a sum of permanents in one of two closed forms:
 
-* spectrally resolving detectors see a full outcome S_vec, one
-  occupation configuration per basis function, with amplitude
-  sum_v chi(v) * prod_i amp(S^(i) <- T(v, i));
-* non-resolving detectors see only the spatial signature M, whose
-  probability sums |amplitude|^2 over all partitions of M into
-  per-basis configurations.
+* Spectrally resolving detectors see a full outcome S_vec, one
+  occupation configuration per basis function. Its amplitude is one
+  permanent of an n x n joint-mode matrix,
 
-Configurations v are bucketed by their per-basis photon-count profile:
-terms whose profile differs from the outcome's contribute zero
-permanents and are skipped.
+      amp(S_vec) = Per(A_S) / sqrt(prod S_vec!),
+      A[(i, k), j] = U[k, T_j] * lambda[j, i],
 
+  with row (i, k) repeated S_vec[i][k] times. Expanding Per(A_S) by the
+  row blocks of each basis function gives back the paper's sum over
+  spectral configurations v (photon j in basis function v_j), each
+  weighted by prod_j lambda[j, v_j] and carrying one permanent of U per
+  basis function.
+* Non-resolving detectors see only the spatial signature M. Either the
+  tau-sum (Shchesnovich, PRA 91, 013844; Tichy, PRA 91, 022316)
+
+      P(M) = (1 / prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau])),
+
+  with G = lambda lambda^dag, B = U_{M,T} and o the entrywise product,
+  skipping tau whose product of G entries is zero; or the split sum
+  P(M) = sum_{S_vec |- M} |amp(S_vec)|^2 over every split of M between
+  the basis functions. The tau-sum has n! terms, the split sum
+  prod_k C(M_k + r - 1, r - 1); each signature takes the one with fewer,
+  the tau-sum on a tie.
+
+Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
 1-based and must be distinct (one photon per input port).
@@ -27,18 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError
-from .network import Interferometer, amplitude_ideal, as_occupation, submatrix
-from .permanent import permanent_ryser
-from .spectra import (
-    LambdaMatrix,
-    enumerate_configurations,
-    lambda_from_photons,
-    t_sets,
-)
+from .network import Interferometer, _repeat_indices, amplitude_ideal, as_occupation, submatrix
+from .permanent import permanent_ryser, permanent_stack
+from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
 MIXTURE_TERM_CAP = 10**5
 MIXTURE_WEIGHT_TOL = 1e-10
+# Matrices per kernel call: bounds working memory on n! tau terms and on
+# sweeps over thousands of resolved outcomes.
+STACK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -55,8 +67,8 @@ class MixedPhotonSource:
         comps = tuple((float(p), spec) for p, spec in self.components)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
-        if any(p < 0 for p, _ in comps):
-            raise ConfigurationError("mixture weights must be non-negative")
+        if not all(math.isfinite(p) and p >= 0 for p, _ in comps):
+            raise ConfigurationError("mixture weights must be finite and non-negative")
         total = sum(p for p, _ in comps)
         if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
             raise ConfigurationError(f"mixture weights must sum to 1, got {total!r}")
@@ -91,81 +103,61 @@ def as_resolved_outcome(outcome, m: int, basis_size: int) -> tuple[tuple[int, ..
     return parts
 
 
-def _profile_of_configuration(v: tuple[int, ...], basis_size: int) -> tuple[int, ...]:
-    counts = [0] * basis_size
-    for i in v:
-        counts[i - 1] += 1
-    return tuple(counts)
+def _chunks(items):
+    items = iter(items)
+    while chunk := list(itertools.islice(items, STACK_SIZE)):
+        yield chunk
 
 
-class _Engine:
-    """Shared state for one (interferometer, lambda, inputs) instance.
+def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> np.ndarray:
+    """The (basis_size * m) x n matrix with row i * m + k equal to U[k, T_j] * lambda[j, i]."""
+    cols = interferometer.matrix[:, [x - 1 for x in inputs]]
+    return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
 
-    Groups spectral configurations by profile once and memoizes the
-    per-spectral-mode amplitudes, which repeat heavily across outcomes
-    in distribution sweeps.
-    """
 
-    def __init__(self, interferometer: Interferometer, lam: LambdaMatrix, input_modes, eps: float):
-        self.interferometer = interferometer
-        self.lam = lam
-        self.m = interferometer.m
-        self.n = lam.n
-        self.basis_size = lam.basis_size
-        self.inputs = _validated_inputs(input_modes, self.n, self.m)
-        self.eps = float(eps)
+def _resolved_amplitudes(joint: np.ndarray, outcomes):
+    """Yield Per(A_S) / sqrt(prod S_vec!) for each resolved outcome, in order."""
+    for chunk in _chunks(outcomes):
+        counts = np.array([sum(parts, ()) for parts in chunk])
+        rows = np.repeat(np.tile(np.arange(counts.shape[1]), len(chunk)), counts.ravel())
+        pers = permanent_stack(joint[rows.reshape(len(chunk), -1)])
+        for per, occ in zip(pers.tolist(), counts.tolist()):
+            yield per / math.sqrt(math.prod(math.factorial(c) for c in occ))
 
-        self.groups: dict[tuple[int, ...], list] = {}
-        for v, weight in enumerate_configurations(lam, self.eps):
-            tmap = t_sets(v, self.inputs, self.m, self.basis_size)
-            profile = _profile_of_configuration(v, self.basis_size)
-            self.groups.setdefault(profile, []).append((v, weight, tmap))
-        self._amp_cache: dict = {}
 
-    def _amp(self, s_occ: tuple[int, ...], t_occ: tuple[int, ...]) -> complex:
-        key = (s_occ, t_occ)
-        try:
-            return self._amp_cache[key]
-        except KeyError:
-            amp = amplitude_ideal(self.interferometer, s_occ, t_occ)
-            self._amp_cache[key] = amp
-            return amp
+def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
+    """P(M) = (1/prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau]))."""
+    n = lam.n
+    gram = lam.matrix @ lam.matrix.conj().T
+    b = interferometer.matrix[np.ix_(_repeat_indices(sig), [x - 1 for x in inputs])]
+    total = 0.0 + 0.0j
+    for chunk in _chunks(itertools.permutations(range(n))):
+        taus = np.array(chunk)
+        weights = np.prod(gram[np.arange(n), taus], axis=1)
+        keep = weights != 0.0
+        if keep.any():
+            stack = b * b[:, taus[keep]].conj().transpose(1, 0, 2)
+            total += weights[keep] @ permanent_stack(stack)
+    return float(total.real) / math.prod(math.factorial(c) for c in sig)
 
-    def amplitude_resolved(self, outcome) -> complex:
-        parts = as_resolved_outcome(outcome, self.m, self.basis_size)
-        total_photons = sum(sum(p) for p in parts)
-        if total_photons != self.n:
-            raise ConfigurationError(
-                f"resolved outcome holds {total_photons} photons, expected {self.n}"
-            )
-        profile = tuple(sum(p) for p in parts)
-        total = 0.0 + 0.0j
-        for _, weight, tmap in self.groups.get(profile, ()):
-            term = weight
-            for i in range(1, self.basis_size + 1):
-                term *= self._amp(parts[i - 1], tmap[i])
-                if term == 0.0:
-                    break
-            total += term
-        return complex(total)
 
-    def probability_nonresolved(self, signature) -> float:
-        sig = as_occupation(signature, self.m)
-        if sum(sig) != self.n:
-            raise ConfigurationError(f"signature holds {sum(sig)} photons, expected {self.n}")
-        total = 0.0
-        for profile, terms in self.groups.items():
-            for parts in enumerate_partitions(sig, profile):
-                amp = 0.0 + 0.0j
-                for _, weight, tmap in terms:
-                    term = weight
-                    for i in range(1, self.basis_size + 1):
-                        term *= self._amp(parts[i - 1], tmap[i])
-                        if term == 0.0:
-                            break
-                    amp += term
-                total += abs(amp) ** 2
-        return float(total)
+def _split_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
+    """P(M) = sum of |amp(S_vec)|^2 over every split S_vec of M between basis functions."""
+    n, r = lam.n, lam.basis_size
+    splits = (
+        parts
+        for profile in _occupations(n, (n,) * r)
+        for parts in enumerate_partitions(sig, profile)
+    )
+    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), splits)
+    return float(sum(abs(amp) ** 2 for amp in amps))
+
+
+def _probability_nonresolved(interferometer, lam, inputs, sig) -> float:
+    r = lam.basis_size
+    if math.factorial(lam.n) <= math.prod(math.comb(c + r - 1, r - 1) for c in sig):
+        return _tau_sum(interferometer, lam, inputs, sig)
+    return _split_sum(interferometer, lam, inputs, sig)
 
 
 def _occupations(total: int, caps: tuple[int, ...]):
@@ -208,28 +200,40 @@ def enumerate_partitions(signature, profile):
 
 
 def amplitude_resolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, outcome=None, eps: float = 0.0
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, outcome=None
 ) -> complex:
     """Amplitude of a spectrally resolved outcome.
 
     outcome is a sequence of basis_size occupation configurations, one
     per basis function xi_i.
     """
-    return _Engine(interferometer, lam, input_modes, eps).amplitude_resolved(outcome)
+    m = interferometer.m
+    inputs = _validated_inputs(input_modes, lam.n, m)
+    parts = as_resolved_outcome(outcome, m, lam.basis_size)
+    total_photons = sum(sum(p) for p in parts)
+    if total_photons != lam.n:
+        raise ConfigurationError(
+            f"resolved outcome holds {total_photons} photons, expected {lam.n}"
+        )
+    return next(_resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), [parts]))
 
 
 def probability_resolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, outcome=None, eps: float = 0.0
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, outcome=None
 ) -> float:
     """Probability of a spectrally resolved outcome."""
-    return abs(amplitude_resolved(interferometer, lam, input_modes, outcome, eps)) ** 2
+    return abs(amplitude_resolved(interferometer, lam, input_modes, outcome)) ** 2
 
 
 def probability_nonresolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, signature=None, eps: float = 0.0
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, signature=None
 ) -> float:
     """Probability that non-resolving detectors report the signature M."""
-    return _Engine(interferometer, lam, input_modes, eps).probability_nonresolved(signature)
+    inputs = _validated_inputs(input_modes, lam.n, interferometer.m)
+    sig = as_occupation(signature, interferometer.m)
+    if sum(sig) != lam.n:
+        raise ConfigurationError(f"signature holds {sum(sig)} photons, expected {lam.n}")
+    return _probability_nonresolved(interferometer, lam, inputs, sig)
 
 
 def probability_indistinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
@@ -257,17 +261,20 @@ def probability_distinguishable_fast(interferometer: Interferometer, signature, 
 
 
 def distribution_nonresolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, eps: float = 0.0
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
 ) -> dict[tuple[int, ...], float]:
     """Probability of every signature M with sum(M) = n, in lexicographic order."""
-    engine = _Engine(interferometer, lam, input_modes, eps)
-    n, m = engine.n, engine.m
+    n, m = lam.n, interferometer.m
+    inputs = _validated_inputs(input_modes, n, m)
     count = math.comb(n + m - 1, n)
     if count > DISTRIBUTION_OUTCOME_CAP:
         raise CapacityError(
             f"{count} output signatures exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
         )
-    return {sig: engine.probability_nonresolved(sig) for sig in _occupations(n, (n,) * m)}
+    return {
+        sig: _probability_nonresolved(interferometer, lam, inputs, sig)
+        for sig in _occupations(n, (n,) * m)
+    }
 
 
 def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
@@ -282,20 +289,19 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
 
 
 def distribution_resolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, eps: float = 0.0
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
 ) -> dict[tuple[tuple[int, ...], ...], float]:
     """Probability of every spectrally resolved outcome."""
-    engine = _Engine(interferometer, lam, input_modes, eps)
-    n, m, nb = engine.n, engine.m, engine.basis_size
+    n, m, nb = lam.n, interferometer.m, lam.basis_size
+    inputs = _validated_inputs(input_modes, n, m)
     count = math.comb(m * nb + n - 1, n)
     if count > DISTRIBUTION_OUTCOME_CAP:
         raise CapacityError(
             f"{count} resolved outcomes exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
         )
-    return {
-        outcome: float(abs(engine.amplitude_resolved(outcome)) ** 2)
-        for outcome in enumerate_resolved_outcomes(n, m, nb)
-    }
+    outcomes = list(enumerate_resolved_outcomes(n, m, nb))
+    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), outcomes)
+    return {outcome: abs(amp) ** 2 for outcome, amp in zip(outcomes, amps)}
 
 
 def _as_mixture(photon) -> MixedPhotonSource:
@@ -325,7 +331,6 @@ def probability_mixed(
     input_modes=None,
     outcome=None,
     detector: str = "nonresolved",
-    eps: float = 0.0,
 ) -> float:
     """Outcome probability for spectrally mixed photons.
 
@@ -345,14 +350,14 @@ def probability_mixed(
     for weight, specs in mixture_tuples(photons):
         lam = lambda_from_photons(specs)
         if detector == "nonresolved":
-            p = probability_nonresolved(interferometer, lam, input_modes, outcome, eps)
+            p = probability_nonresolved(interferometer, lam, input_modes, outcome)
         else:
-            p = _resolved_probability_padded(interferometer, lam, input_modes, outcome, eps)
+            p = _resolved_probability_padded(interferometer, lam, input_modes, outcome)
         total += weight * p
     return float(total)
 
 
-def _resolved_probability_padded(interferometer, lam, input_modes, outcome, eps) -> float:
+def _resolved_probability_padded(interferometer, lam, input_modes, outcome) -> float:
     parts = tuple(as_occupation(part, interferometer.m) for part in outcome)
     if len(parts) < lam.basis_size:
         raise ConfigurationError(
@@ -361,4 +366,4 @@ def _resolved_probability_padded(interferometer, lam, input_modes, outcome, eps)
         )
     if any(sum(extra) != 0 for extra in parts[lam.basis_size :]):
         return 0.0
-    return probability_resolved(interferometer, lam, input_modes, parts[: lam.basis_size], eps)
+    return probability_resolved(interferometer, lam, input_modes, parts[: lam.basis_size])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RepresentationError
-from .network import as_occupation
 
 ROW_NORM_TOL = 1e-10
 GRAM_PSD_TOL = 1e-9
@@ -200,7 +199,7 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
             lam[a, j] = (g[a, p] - lam[a, :j] @ lam[p, :j].conj()) / lam[p, j].real
         r = len(pivots)
         # Diagonal residual of the Cholesky step. A linearly dependent
-        # photon leaves cancellation noise of order eps here, so the
+        # photon leaves cancellation noise of rounding size here, so the
         # rank cut must act on the residual itself, not its square root.
         residual = g[a, a].real - float(np.linalg.norm(lam[a, :r]) ** 2)
         if residual > RANK_TOL:
@@ -227,75 +226,3 @@ def lambda_from_photons(photons) -> LambdaMatrix:
     if all(isinstance(p, GaussianWavepacket) for p in photons):
         return orthonormal_decomposition(gram_matrix(photons))
     raise RepresentationError("photons mix Gaussian and explicit-row specs; no shared basis")
-
-
-def chi(lam: LambdaMatrix, v) -> complex:
-    """Weight of one spectral configuration: prod_j lambda[j, v_j].
-
-    v assigns basis index v_j (1-based) to photon j.
-    """
-    v = tuple(int(i) for i in v)
-    if len(v) != lam.n:
-        raise ConfigurationError(f"configuration length {len(v)} != photon count {lam.n}")
-    if any(i < 1 or i > lam.basis_size for i in v):
-        raise ConfigurationError(f"basis indices must lie in 1..{lam.basis_size}, got {v}")
-    out = 1.0 + 0.0j
-    for j, i in enumerate(v):
-        out *= lam.matrix[j, i - 1]
-    return complex(out)
-
-
-def enumerate_configurations(lam: LambdaMatrix, eps: float = 0.0):
-    """Yield (v, chi(v)) for every spectral configuration with |chi(v)| > eps.
-
-    Iteration is lexicographic in v and visits only per-photon nonzero
-    coefficients, so the cost is the product of row support sizes rather
-    than a blind N^n scan. Rows have unit norm, hence every coefficient
-    magnitude is <= 1 and a partial product that has already dropped to
-    eps can be pruned.
-    """
-    if eps < 0:
-        raise ConfigurationError(f"eps must be >= 0, got {eps}")
-    supports = [
-        [(int(i) + 1, complex(lam.matrix[j, i])) for i in np.nonzero(lam.matrix[j])[0]]
-        for j in range(lam.n)
-    ]
-
-    def walk(j: int, prefix: tuple[int, ...], weight: complex):
-        if j == lam.n:
-            if abs(weight) > eps:
-                yield prefix, weight
-            return
-        for i, coeff in supports[j]:
-            w = weight * coeff
-            if abs(w) <= eps and eps > 0.0:
-                continue
-            yield from walk(j + 1, prefix + (i,), w)
-
-    yield from walk(0, (), 1.0 + 0.0j)
-
-
-def t_sets(v, input_modes, m: int, basis_size: int | None = None) -> dict[int, tuple[int, ...]]:
-    """Input occupation carried by each basis function under configuration v.
-
-    Photon j sits in spatial mode input_modes[j] (1-based) and carries
-    basis function xi_{v_j}; the result maps every basis index i in
-    1..basis_size to the occupation configuration over the m spatial
-    modes of the photons with v_j = i. The union over i reproduces the
-    full input configuration.
-    """
-    v = tuple(int(i) for i in v)
-    modes = tuple(int(x) for x in input_modes)
-    if len(v) != len(modes):
-        raise ConfigurationError(f"configuration length {len(v)} != photon count {len(modes)}")
-    if any(x < 1 or x > m for x in modes):
-        raise ConfigurationError(f"input modes must lie in 1..{m}, got {modes}")
-    if basis_size is None:
-        basis_size = max(v)
-    if any(i < 1 or i > basis_size for i in v):
-        raise ConfigurationError(f"basis indices must lie in 1..{basis_size}, got {v}")
-
-    counts = {i: [0] * m for i in range(1, basis_size + 1)}
-    for mode, i in zip(modes, v):
-        counts[i][mode - 1] += 1
-    return {i: as_occupation(c) for i, c in counts.items()}

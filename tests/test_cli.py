@@ -72,11 +72,12 @@ class TestDistribution:
         echo = doc["config"]
         assert echo["input_modes"] == [1]
         assert echo["detector"] == "nonresolved"
-        assert echo["eps"] == 0.0
         assert echo["query"] == "distribution"
         assert echo["network"]["seed"] == 0
         assert echo["photons"][0]["gaussian"]["tau"] == 0.0
-        assert doc["metadata"]["spectral_configurations"] == 1
+        assert "eps" not in echo
+        assert set(doc["metadata"]) == {"engine", "mixture_terms"}
+        assert doc["metadata"]["mixture_terms"] == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -146,17 +147,6 @@ class TestDistribution:
         assert doc["metadata"]["mixture_terms"] == 2
         assert doc["sum"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_eps_flag_overrides_and_is_echoed(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5))
-        out = tmp_path / "out.json"
-        code = main(["distribution", "--config", cfg, "--eps", "0.7",
-                     "--output", str(out)])
-        assert code == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["config"]["eps"] == 0.7
-        # eps=0.7 prunes the chi=0.5 configuration; sqrt(1-0.25)=0.866 survives
-        assert doc["metadata"]["spectral_configurations"] == 1
-
 
 class TestErrors:
     def test_invalid_json_exits_2(self, tmp_path):
@@ -169,6 +159,15 @@ class TestErrors:
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, typo=1))
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
+    def test_eps_flag_and_key_exit_2(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5))
+        for command in ("distribution", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg, "--eps", "0.7"])
+            assert exc.value.code == EXIT_INPUT_ERROR
+        cfg = write_json(tmp_path / "eps.json", hom_config(0.5, eps=0.0))
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
     def test_inconsistent_query_detector_exits_2(self, tmp_path):
@@ -188,6 +187,76 @@ class TestErrors:
             "network": {"preset": "beamsplitter"},
             "photons": [{"coefficients": [[1.0, 0.0]]}] * 3,
         })
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
+
+class TestStrictInputs:
+    """Every config value is used exactly as written or rejected with exit 2."""
+
+    @pytest.mark.parametrize("config", [
+        # Non-integral and boolean counts used to be truncated by int().
+        {"network": {"preset": "dft", "modes": 3},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}] * 2,
+         "query": {"signature": [1.9, 0.1, 1]}},
+        {"network": {"preset": "dft", "modes": 2.7},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "random", "modes": 3, "seed": 1.5},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        hom_config(0.5, input_modes=[True, 2]),
+        hom_config(0.5, detector="resolved", query={"resolved": [[True, 1], [0, 0]]}),
+        hom_config(0.5, query={"signature": 2}),
+    ])
+    def test_non_integer_counts_exit_2(self, tmp_path, config):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, query={"signature": [1.0, 1]}))
+        code, doc = run(tmp_path, ["distribution", "--config", cfg])
+        assert code == EXIT_OK
+        assert doc["config"]["query"] == {"signature": [1, 1]}
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literals_exit_2(self, tmp_path, capsys, literal):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "network": {"preset": "beamsplitter"},
+            "photons": [
+                {"coefficients": [[1.0, 0.0], [0.0, 0.0]]},
+                {"mixture": [
+                    {"probability": "P", "coefficients": [[1.0, 0.0], [0.0, 0.0]]},
+                    {"probability": 0.5, "coefficients": [[0.0, 0.0], [1.0, 0.0]]},
+                ]},
+            ],
+        }).replace('"P"', literal))
+        assert main(["distribution", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        matrix = tmp_path / "m.json"
+        matrix.write_text(f"[[{literal}]]")
+        assert main(["permanent", str(matrix)]) == EXIT_INPUT_ERROR
+        # Both are refused while the JSON is read, before any later check.
+        assert capsys.readouterr().err.count(f"non-finite number {literal}") == 2
+
+    @pytest.mark.parametrize("config", [
+        hom_config(0.5, network={"preset": "beamsplitter", "mode": 2}),
+        hom_config(0.5, network={"preset": "dft", "modes": 2, "seed": 3}),
+        hom_config(0.5, query={"signature": [1, 1], "resolved": [[1, 1], [0, 0]]}),
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0, "tua": 3.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}, "label": "a"},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0},
+                      "coefficients": [[1.0, 0.0]]},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}},
+                     {"mixture": [{"probability": 1.0, "weight": 1.0,
+                                   "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]},
+    ])
+    def test_unknown_nested_keys_exit_2(self, tmp_path, config):
+        cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
 

@@ -4,8 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bosonspectra import CapacityError, DimensionError, permanent_naive, permanent_ryser
-from bosonspectra.permanent import BLOCK_BITS
+from bosonspectra import (
+    CapacityError,
+    DimensionError,
+    permanent_naive,
+    permanent_ryser,
+    permanent_stack,
+)
+from bosonspectra.permanent import BLOCK_BITS, _stack_chunk
 
 
 def test_1x1_is_the_entry():
@@ -140,3 +146,37 @@ def test_block_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_stack_across_chunk_boundary(rng, k):
+    # One more matrix than a chunk holds, so the last one lands in a second chunk.
+    batch = _stack_chunk(k) + 1 if k > 3 else 5
+    stack = _random_complex(rng, batch, k, k)
+    got = permanent_stack(stack)
+    assert got.shape == (batch,)
+    naive = permanent_naive(stack[-1])
+    assert abs(got[-1] - naive) <= 1e-10 * abs(naive)
+    singles = np.array([permanent_ryser(a) for a in stack])
+    assert np.max(np.abs(got - singles) / np.abs(singles)) <= 1e-12
+
+
+def test_stack_edge_shapes():
+    assert permanent_stack(np.zeros((0, 4, 4))).shape == (0,)
+    assert np.array_equal(permanent_stack(np.zeros((3, 0, 0))), np.ones(3))
+    assert np.array_equal(permanent_stack([np.ones((4, 4))] * 2), [24.0, 24.0])
+    with pytest.raises(DimensionError):
+        permanent_stack(np.ones((4, 4)))
+    with pytest.raises(DimensionError):
+        permanent_stack(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        permanent_stack([[[np.inf]]])
+    with pytest.raises(CapacityError):
+        permanent_stack(np.ones((1, 5, 5)), cap=4)
+
+
+def test_stack_does_not_alias_input(rng):
+    stack = _random_complex(rng, 3, 1, 1)
+    got = permanent_stack(stack)
+    stack[:] = 0.0
+    assert np.all(got != 0.0)

@@ -16,6 +16,7 @@ from bosonspectra import (
     distribution_nonresolved,
     distribution_resolved,
     enumerate_partitions,
+    enumerate_resolved_outcomes,
     lambda_from_photons,
     make_beamsplitter_50_50,
     make_random_unitary,
@@ -25,7 +26,8 @@ from bosonspectra import (
     probability_nonresolved,
     probability_resolved,
 )
-from bosonspectra.sampling import _occupations
+from bosonspectra.sampling import _occupations, _split_sum, _tau_sum
+import chi_reference
 from conftest import hom_lambda, random_unit_rows
 
 
@@ -84,6 +86,46 @@ class TestAmplitudeResolved:
         lam = random_unit_rows(rng, 2, 2)
         for outcome, p in distribution_resolved(u, lam).items():
             assert -1e-12 <= p <= 1.0 + 1e-12
+
+
+def expansion_instances():
+    """Seeded (interferometer, lambda, inputs) with n <= 4 for the closed-form checks."""
+    rng = np.random.default_rng(4_669_201)
+    rank_deficient = random_unit_rows(rng, 2, 3).matrix
+    return [
+        (make_random_unitary(3, 61), random_unit_rows(rng, 2, 4), (3, 1)),  # basis_size > n
+        (make_random_unitary(4, 62), random_unit_rows(rng, 3, 3), (1, 2, 4)),
+        (make_random_unitary(4, 63), LambdaMatrix(rank_deficient[[0, 1, 0]]), (2, 3, 4)),
+        (make_random_unitary(4, 64), random_unit_rows(rng, 4, 2), (4, 2, 1, 3)),
+        (make_random_unitary(3, 65), hom_lambda(0.6), None),
+    ]
+
+
+class TestPaperExpansion:
+    """The closed forms against the paper's sum over spectral configurations."""
+
+    def test_resolved_amplitudes_match_configuration_sum(self):
+        for u, lam, inputs in expansion_instances():
+            modes = inputs or tuple(range(1, lam.n + 1))
+            outcomes = enumerate_resolved_outcomes(lam.n, u.m, lam.basis_size)
+            for outcome in itertools.islice(outcomes, 0, None, 7):
+                got = amplitude_resolved(u, lam, inputs, outcome)
+                expected = chi_reference.amplitude_resolved(u, lam, modes, outcome)
+                assert abs(got - expected) <= 1e-12
+
+    def test_nonresolved_probabilities_match_configuration_sum(self):
+        for u, lam, inputs in expansion_instances():
+            modes = inputs or tuple(range(1, lam.n + 1))
+            for sig in _occupations(lam.n, (lam.n,) * u.m):
+                got = probability_nonresolved(u, lam, inputs, sig)
+                expected = chi_reference.probability_nonresolved(u, lam, modes, sig)
+                assert abs(got - expected) <= 1e-12
+
+    def test_tau_sum_equals_split_sum(self):
+        for u, lam, inputs in expansion_instances():
+            modes = inputs or tuple(range(1, lam.n + 1))
+            for sig in _occupations(lam.n, (lam.n,) * u.m):
+                assert abs(_tau_sum(u, lam, modes, sig) - _split_sum(u, lam, modes, sig)) <= 1e-12
 
 
 class TestEnumeratePartitions:
@@ -331,6 +373,12 @@ class TestProbabilityMixed:
             MixedPhotonSource(((0.5, psi), (0.6, psi)))
         with pytest.raises(ConfigurationError):
             MixedPhotonSource(((-0.1, psi), (1.1, psi)))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        psi = GaussianWavepacket(0.0, 1.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            MixedPhotonSource(((weight, psi), (1.0, psi)))
 
     def test_combination_capacity_guard(self):
         bs = make_beamsplitter_50_50()
