@@ -102,6 +102,13 @@ def _parse_int(value, where: str) -> int:
     return int(value)
 
 
+def _parse_real(value, where: str) -> float:
+    """A JSON number; strings, lists and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_counts(data, where: str) -> tuple[int, ...]:
     if not isinstance(data, list):
         raise ConfigurationError(f"{where}: expected a list of integers, got {data!r}")
@@ -136,9 +143,13 @@ def _parse_matrix(data, where: str) -> np.ndarray:
 def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
     if not isinstance(data, dict):
         raise ConfigurationError("config 'network' must be an object")
-    form = "unitary" if "unitary" in data else data.get("preset")
-    allowed = {"unitary": {"unitary", "modes"}, "random": {"preset", "modes", "seed"}}
-    _check_keys(data, allowed.get(form, {"preset", "modes"}), "network")
+    if "unitary" in data:
+        allowed = {"unitary", "modes"}
+    elif data.get("preset") == "random":
+        allowed = {"preset", "modes", "seed"}
+    else:
+        allowed = {"preset", "modes"}
+    _check_keys(data, allowed, "network")
     if "unitary" in data:
         u = Interferometer(_parse_matrix(data["unitary"], "network.unitary"))
         echo = {
@@ -179,10 +190,15 @@ def _parse_pure_spec(data, where: str, extra_keys=()):
         if not isinstance(g, dict) or "mu" not in g or "sigma" not in g:
             raise ConfigurationError(f"{where}: gaussian spec needs 'mu' and 'sigma'")
         _check_keys(g, {"mu", "sigma", "tau"}, f"{where}.gaussian")
-        spec = GaussianWavepacket(float(g["mu"]), float(g["sigma"]), float(g.get("tau", 0.0)))
+        mu, sigma, tau = (
+            _parse_real(g.get(key, 0.0), f"{where}.gaussian.{key}") for key in ("mu", "sigma", "tau")
+        )
+        spec = GaussianWavepacket(mu, sigma, tau)
         echo = {"gaussian": {"mu": spec.mu, "sigma": spec.sigma, "tau": spec.tau}}
         return spec, echo
     if "coefficients" in data:
+        if not isinstance(data["coefficients"], list):
+            raise ConfigurationError(f"{where}.coefficients: expected a list")
         coeffs = [_parse_complex(e, f"{where}.coefficients") for e in data["coefficients"]]
         spec = CoefficientSpectrum(np.array(coeffs))
         echo = {"coefficients": [_complex_pair(z) for z in spec.coefficients]}
@@ -202,7 +218,7 @@ def _parse_photon(data, where: str):
             if not isinstance(comp, dict) or "probability" not in comp:
                 raise ConfigurationError(f"{where}.mixture[{ci}]: needs 'probability'")
             spec, echo = _parse_pure_spec(comp, f"{where}.mixture[{ci}]", {"probability"})
-            p = float(comp["probability"])
+            p = _parse_real(comp["probability"], f"{where}.mixture[{ci}].probability")
             parsed.append((p, spec))
             echoes.append({"probability": p, **echo})
         return MixedPhotonSource(tuple(parsed)), {"mixture": echoes}

@@ -19,11 +19,12 @@ amplitude in this package. Two independent routes are provided:
   column to the block, then takes the row products and their signed
   sum. A chunk holds at most STACK_ELEMENTS block entries, so working
   memory is bounded whatever the batch and k (two k x 2^b blocks, 80 kB
-  each, at k = 20). k <= 3 uses closed forms, evaluated elementwise over
-  the stack. Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), one
-  matrix per call takes 10-35 us for k <= 3, 35-55 us for k = 4..8, 0.4 ms
+  each, at k = 20). k <= 3 uses closed forms in Python scalars, one
+  matrix at a time, so a stack gives bit for bit what its matrices give
+  alone. Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), one
+  matrix per call takes 7-9 us for k <= 3, 45-60 us for k = 4..8, 0.5 ms
   at k = 13, 3.2 ms at k = 16, 14 ms at k = 18 and 60 ms at k = 20; in a
-  stack of 256 a matrix takes 0.2 us at k = 3, 0.7 us at k = 4, 3 us at
+  stack of 256 a matrix takes 1.5 us at k = 3, 0.7 us at k = 4, 3 us at
   k = 6 and 13 us at k = 8.
 * :func:`permanent_naive` -- direct sum over all k! permutations. Kept
   deliberately simple so it can serve as an oracle for the fast path.
@@ -86,7 +87,6 @@ def _stack_chunk(k: int) -> int:
 
 
 def _small_permanent(a):
-    # a[i][j] is entry (i, j), or the vector of entries (i, j) over a stack.
     if len(a) == 1:
         return a[0][0]
     if len(a) == 2:
@@ -138,7 +138,9 @@ def _permanents(a: np.ndarray, cap: int) -> np.ndarray:
     if k == 0:
         return np.ones(batch, dtype=np.complex128)
     if k <= 3:
-        return np.array(_small_permanent(np.moveaxis(a, 0, -1)))
+        # One matrix at a time in Python scalars: cheaper than a numpy pass
+        # for a single matrix, and a stack gives its matrices' values bit for bit.
+        return np.array([_small_permanent(m) for m in a.tolist()], dtype=np.complex128)
     out = np.empty(batch, dtype=np.complex128)
     step = _stack_chunk(k)
     for start in range(0, batch, step):
@@ -146,17 +148,17 @@ def _permanents(a: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def permanent_stack(stack, cap: int = RYSER_DIMENSION_CAP) -> np.ndarray:
+def permanent_stack(stack) -> np.ndarray:
     """Permanents of a stack of same-size complex square matrices.
 
     Args:
-        stack: array-like of shape (batch, k, k) with finite entries.
-        cap: hard dimension limit on k, as for permanent_ryser.
+        stack: array-like of shape (batch, k, k) with finite entries;
+            k is capped at RYSER_DIMENSION_CAP, as for permanent_ryser.
 
     Returns:
         complex128 array of length batch; entry i is Per(stack[i]).
     """
-    return _permanents(_as_square(stack, ndim=3), cap)
+    return _permanents(_as_square(stack, ndim=3), RYSER_DIMENSION_CAP)
 
 
 def permanent_ryser(matrix, cap: int = RYSER_DIMENSION_CAP) -> complex:
@@ -174,7 +176,10 @@ def permanent_ryser(matrix, cap: int = RYSER_DIMENSION_CAP) -> complex:
     Returns:
         Per(matrix) as a Python complex. The 0x0 permanent is 1.
     """
-    return complex(_permanents(_as_square(matrix)[None], cap)[0])
+    a = _as_square(matrix)
+    if 0 < len(a) <= min(3, cap):
+        return complex(_small_permanent(a.tolist()))  # skips the stack's array overhead
+    return complex(_permanents(a[None], cap)[0])
 
 
 def permanent_naive(matrix, cap: int = NAIVE_DIMENSION_CAP) -> complex:

@@ -259,6 +259,25 @@ class TestStrictInputs:
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("config", [
+        {"network": {"preset": ["dft"], "modes": 2},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": [0.0], "sigma": 1.0}},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": "0.5", "sigma": 1.0}},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"coefficients": 5}, {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}},
+                     {"mixture": [{"probability": "1", "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]},
+    ])
+    def test_wrongly_typed_values_exit_2(self, tmp_path, config):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
 
 class TestHomScan:
     def test_endpoints_and_tolerance(self, tmp_path):

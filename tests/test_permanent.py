@@ -172,7 +172,7 @@ def test_stack_edge_shapes():
     with pytest.raises(DimensionError):
         permanent_stack([[[np.inf]]])
     with pytest.raises(CapacityError):
-        permanent_stack(np.ones((1, 5, 5)), cap=4)
+        permanent_stack(np.ones((1, 31, 31)))
 
 
 def test_stack_does_not_alias_input(rng):
