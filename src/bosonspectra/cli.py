@@ -116,13 +116,10 @@ def _parse_counts(data, where: str) -> tuple[int, ...]:
 
 
 def _parse_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(float(entry), 0.0)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
-    ):
-        return complex(float(entry[0]), float(entry[1]))
-    raise ConfigurationError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+    """A real number, or an [re, im] pair of them."""
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_parse_real(entry[0], where), _parse_real(entry[1], where))
+    return complex(_parse_real(entry, where), 0.0)
 
 
 def _complex_pair(z: complex) -> list:

@@ -205,8 +205,23 @@ class TestStrictInputs:
         hom_config(0.5, input_modes=[True, 2]),
         hom_config(0.5, detector="resolved", query={"resolved": [[True, 1], [0, 0]]}),
         hom_config(0.5, query={"signature": 2}),
+        # Other values of the wrong type used to be coerced by float() or
+        # end in a TypeError traceback.
+        {"network": {"preset": ["dft"], "modes": 2},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": [0.0], "sigma": 1.0}},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": "0.5", "sigma": 1.0}},
+                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"coefficients": 5}, {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        {"network": {"preset": "beamsplitter"},
+         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}},
+                     {"mixture": [{"probability": "1", "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]},
     ])
-    def test_non_integer_counts_exit_2(self, tmp_path, config):
+    def test_mistyped_values_exit_2(self, tmp_path, config):
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
@@ -256,25 +271,6 @@ class TestStrictInputs:
                                    "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]},
     ])
     def test_unknown_nested_keys_exit_2(self, tmp_path, config):
-        cfg = write_json(tmp_path / "cfg.json", config)
-        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
-
-    @pytest.mark.parametrize("config", [
-        {"network": {"preset": ["dft"], "modes": 2},
-         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
-        {"network": {"preset": "beamsplitter"},
-         "photons": [{"gaussian": {"mu": [0.0], "sigma": 1.0}},
-                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
-        {"network": {"preset": "beamsplitter"},
-         "photons": [{"gaussian": {"mu": "0.5", "sigma": 1.0}},
-                     {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
-        {"network": {"preset": "beamsplitter"},
-         "photons": [{"coefficients": 5}, {"gaussian": {"mu": 0.0, "sigma": 1.0}}]},
-        {"network": {"preset": "beamsplitter"},
-         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}},
-                     {"mixture": [{"probability": "1", "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]},
-    ])
-    def test_wrongly_typed_values_exit_2(self, tmp_path, config):
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
