@@ -44,12 +44,10 @@ from .network import (
     make_dft,
     make_random_unitary,
 )
-from .oracle import fock_evolve, oracle_probability
+from .oracle import verify_against_oracle
 from .permanent import permanent_ryser
 from .sampling import (
-    DISTRIBUTION_OUTCOME_CAP,
     MixedPhotonSource,
-    _occupations,
     distribution_nonresolved,
     distribution_resolved,
     mixture_tuples,
@@ -331,46 +329,50 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return {"engine": f"bosonspectra {__version__}", "mixture_terms": terms}
 
 
-def _signature_space(n: int, m: int):
-    count = math.comb(n + m - 1, n)
-    if count > DISTRIBUTION_OUTCOME_CAP:
-        raise CapacityError(f"{count} output signatures exceed cap {DISTRIBUTION_OUTCOME_CAP}")
-    return _occupations(n, (n,) * m)
+def _mixture_sweep(photons, rows_of) -> dict:
+    """Per outcome, the weighted sum over every mixture combination of each value column.
+
+    rows_of(lam) yields (outcome, value, ...) rows for one pure-photon
+    combination. Each column starts at 0.0 and adds weight * value in
+    combination order, so pure photons (one combination, weight 1.0)
+    keep their values exactly and mixed ones add up as in
+    probability_mixed.
+    """
+    totals = {}
+    for weight, specs in mixture_tuples(photons):
+        for outcome, *values in rows_of(lambda_from_photons(specs)):
+            column = totals.setdefault(outcome, [0.0] * len(values))
+            for i, value in enumerate(values):
+                column[i] += weight * value
+    return totals
 
 
 def _run_distribution(cfg: ExperimentConfig) -> dict:
-    n = len(cfg.photons)
-    m = cfg.interferometer.m
     kind, value = cfg.query
-
-    if cfg.mixed:
-        if cfg.detector == "resolved" and kind == "distribution":
+    if kind == "distribution" and cfg.mixed:
+        if cfg.detector == "resolved":
             raise ConfigurationError(
                 "resolved distributions are not defined for mixed sources: the induced "
                 "basis varies per mixture component; query a specific outcome instead"
             )
-        if kind == "distribution":
-            pairs = [
-                (sig, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes, sig))
-                for sig in _signature_space(n, m)
-            ]
-        else:
-            pairs = [
-                (value, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                          value, cfg.detector))
-            ]
+        totals = _mixture_sweep(
+            cfg.photons,
+            lambda lam: distribution_nonresolved(cfg.interferometer, lam, cfg.input_modes).items(),
+        )
+        pairs = [(outcome, p) for outcome, (p,) in totals.items()]
+    elif kind == "distribution":
+        lam = lambda_from_photons(cfg.photons)
+        sweep = distribution_nonresolved if cfg.detector == "nonresolved" else distribution_resolved
+        pairs = list(sweep(cfg.interferometer, lam, cfg.input_modes).items())
+    elif cfg.mixed:
+        pairs = [
+            (value, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
+                                      value, cfg.detector))
+        ]
     else:
         lam = lambda_from_photons(cfg.photons)
-        if kind == "distribution":
-            if cfg.detector == "nonresolved":
-                dist = distribution_nonresolved(cfg.interferometer, lam, cfg.input_modes)
-            else:
-                dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes)
-            pairs = list(dist.items())
-        elif kind == "signature":
-            pairs = [(value, probability_nonresolved(cfg.interferometer, lam, cfg.input_modes, value))]
-        else:
-            pairs = [(value, probability_resolved(cfg.interferometer, lam, cfg.input_modes, value))]
+        probability = probability_nonresolved if kind == "signature" else probability_resolved
+        pairs = [(value, probability(cfg.interferometer, lam, cfg.input_modes, value))]
 
     outcomes = [
         {"outcome": _outcome_json(outcome), "probability": _sig15(p)} for outcome, p in pairs
@@ -384,42 +386,16 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
-    n = len(cfg.photons)
-    m = cfg.interferometer.m
-
-    weighted_states = []
-    for weight, specs in mixture_tuples(cfg.photons):
-        lam = lambda_from_photons(specs)
-        weighted_states.append((weight, lam, fock_evolve(cfg.interferometer, lam, cfg.input_modes)))
-
-    if cfg.detector == "nonresolved":
-        outcome_space = list(_signature_space(n, m))
-    else:
-        if cfg.mixed:
-            raise ConfigurationError(
-                "resolved verification sweeps are not defined for mixed sources"
-            )
-        lam = weighted_states[0][1]
-        dist = distribution_resolved(cfg.interferometer, lam, cfg.input_modes)
-        outcome_space = list(dist.keys())
+    if cfg.mixed and cfg.detector == "resolved":
+        raise ConfigurationError("resolved verification sweeps are not defined for mixed sources")
+    totals = _mixture_sweep(
+        cfg.photons,
+        lambda lam: verify_against_oracle(cfg.interferometer, lam, cfg.input_modes, cfg.detector)[0],
+    )
 
     rows = []
     max_dev = 0.0
-    for outcome in outcome_space:
-        if cfg.mixed:
-            engine_p = probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                         outcome, cfg.detector)
-            oracle_p = sum(
-                w * oracle_probability(state, outcome, cfg.detector)
-                for w, _, state in weighted_states
-            )
-        else:
-            _, lam, state = weighted_states[0]
-            if cfg.detector == "nonresolved":
-                engine_p = probability_nonresolved(cfg.interferometer, lam, cfg.input_modes, outcome)
-            else:
-                engine_p = probability_resolved(cfg.interferometer, lam, cfg.input_modes, outcome)
-            oracle_p = oracle_probability(state, outcome, cfg.detector)
+    for outcome, (engine_p, oracle_p) in totals.items():
         dev = abs(engine_p - oracle_p)
         max_dev = max(max_dev, dev)
         rows.append({

@@ -6,12 +6,15 @@ columns, so no permanent is ever computed here. Joint modes are ordered
 spatial-major (mode 1 basis 1, mode 1 basis 2, ..., mode 2 basis 1, ...)
 and occupation keys are tuples over all m * N joint modes.
 
-Deliberately inefficient and capped; anything bigger belongs to the
-engine.
+The expansion stays brute force and capped; anything bigger belongs to
+the engine. What blind detectors see, the spatial marginals, is
+tabulated once per state, so reading every signature costs one pass
+over the amplitudes rather than one pass per signature.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapacityError, ConfigurationError
 from .network import Interferometer, as_occupation
@@ -39,6 +42,16 @@ class FockState:
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+
+    @cached_property
+    def _marginals(self) -> dict[tuple[int, ...], float]:
+        """Summed |amp|^2 per spatial signature, added in amplitude order."""
+        nb = self.basis_size
+        table: dict[tuple[int, ...], float] = {}
+        for occ, amp in self.amplitudes.items():
+            marginal = tuple(sum(occ[k * nb : (k + 1) * nb]) for k in range(self.m))
+            table[marginal] = table.get(marginal, 0.0) + abs(amp) ** 2
+        return table
 
 
 def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None) -> FockState:
@@ -110,7 +123,10 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     configuration per basis function); the probability is the squared
     amplitude of the single matching joint state.
     detector="nonresolved": outcome is a spatial signature M; squared
-    amplitudes are summed over all joint states with that marginal.
+    amplitudes are summed over all joint states with that marginal. The
+    sums for every signature are tabulated on the state's first such
+    query, term by term in amplitude order, and later queries look them
+    up.
     """
     if detector == "resolved":
         parts = as_resolved_outcome(outcome, state.m, state.basis_size)
@@ -118,13 +134,7 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
         return float(abs(amp) ** 2)
     if detector == "nonresolved":
         sig = as_occupation(outcome, state.m)
-        total = 0.0
-        nb = state.basis_size
-        for occ, amp in state.amplitudes.items():
-            marginal = tuple(sum(occ[k * nb : (k + 1) * nb]) for k in range(state.m))
-            if marginal == sig:
-                total += abs(amp) ** 2
-        return float(total)
+        return float(state._marginals.get(sig, 0.0))
     raise ConfigurationError(f"unknown detector model {detector!r}")
 
 

@@ -80,10 +80,21 @@ def default_input_modes(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def _exact_mode(x) -> int:
+    """x as an int if it is one exactly (numpy ints and 2.0 pass, True and 1.7 do not)."""
+    try:
+        mode = int(x)
+    except (TypeError, ValueError, OverflowError):
+        mode = None
+    if isinstance(x, (bool, np.bool_)) or mode is None or mode != x:
+        raise ConfigurationError(f"input modes must be integers, got {x!r}")
+    return mode
+
+
 def _validated_inputs(input_modes, n: int, m: int) -> tuple[int, ...]:
     if input_modes is None:
         input_modes = default_input_modes(n)
-    modes = tuple(int(x) for x in input_modes)
+    modes = tuple(_exact_mode(x) for x in input_modes)
     if len(modes) != n:
         raise ConfigurationError(f"{len(modes)} input modes for {n} photons")
     if any(x < 1 or x > m for x in modes):

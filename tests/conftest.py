@@ -5,6 +5,18 @@ import pytest
 
 from bosonspectra import LambdaMatrix
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # Same examples on every run, no per-example deadline (the first call
+    # of a size warms caches), and a bounded count to keep tier-1 fast.
+    settings.register_profile(
+        "bosonspectra", derandomize=True, deadline=None, max_examples=40, database=None
+    )
+    settings.load_profile("bosonspectra")
+
 
 @pytest.fixture
 def rng():

@@ -3,11 +3,24 @@ import math
 
 import pytest
 
+from bosonspectra import (
+    GaussianWavepacket,
+    MixedPhotonSource,
+    fock_evolve,
+    lambda_from_photons,
+    make_random_unitary,
+    mixture_tuples,
+    oracle_probability,
+    probability_mixed,
+    verify_against_oracle,
+)
 from bosonspectra.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILURE,
+    _mixture_sweep,
+    _sig15,
     main,
 )
 
@@ -37,6 +50,42 @@ def hom_config(alpha, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+GAUSSIANS = [(0.0, 1.0, 0.0), (0.3, 0.8, 0.9), (-0.4, 1.2, -0.6), (0.2, 1.0, 1.5), (0.5, 0.7, -1.1)]
+
+
+def mixed_experiment():
+    """Three photons on a random 4-mode network, two of them 2-component mixtures.
+
+    Returns the config and the same photons as library objects.
+    """
+    g = [GaussianWavepacket(*spec) for spec in GAUSSIANS]
+    photons = [
+        g[0],
+        MixedPhotonSource(((0.3, g[1]), (0.7, g[2]))),
+        MixedPhotonSource(((0.6, g[3]), (0.4, g[4]))),
+    ]
+
+    def gaussian(spec):
+        return {"gaussian": {"mu": spec.mu, "sigma": spec.sigma, "tau": spec.tau}}
+
+    config = {
+        "network": {"preset": "random", "modes": 4, "seed": 9},
+        "photons": [
+            gaussian(g[0]),
+            {"mixture": [{"probability": 0.3, **gaussian(g[1])},
+                         {"probability": 0.7, **gaussian(g[2])}]},
+            {"mixture": [{"probability": 0.6, **gaussian(g[3])},
+                         {"probability": 0.4, **gaussian(g[4])}]},
+        ],
+    }
+    return config, make_random_unitary(4, 9), photons
+
+
+def weighted_states(u, photons):
+    """(weight, Fock state) for every mixture combination, the oracle side of verify."""
+    return [(w, fock_evolve(u, lambda_from_photons(specs))) for w, specs in mixture_tuples(photons)]
 
 
 class TestDistribution:
@@ -146,6 +195,14 @@ class TestDistribution:
         assert probs[(1, 1)] == pytest.approx(0.25)
         assert doc["metadata"]["mixture_terms"] == 2
         assert doc["sum"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_mixed_sweep_equals_probability_mixed(self, tmp_path):
+        config, u, photons = mixed_experiment()
+        code, doc = run(tmp_path, ["distribution", "--config", write_json(tmp_path / "c.json", config)])
+        assert code == EXIT_OK
+        assert len(doc["outcomes"]) == 20  # C(3+4-1, 3) signatures
+        for row in doc["outcomes"]:
+            assert row["probability"] == _sig15(probability_mixed(u, photons, None, row["outcome"]))
 
 
 class TestErrors:
@@ -333,6 +390,33 @@ class TestVerify:
         code, doc = run(tmp_path, ["verify", "--config", cfg])
         assert code == EXIT_OK
         assert doc["passed"] is True
+
+    def test_mixed_columns_equal_weighted_engine_and_oracle(self, tmp_path):
+        config, u, photons = mixed_experiment()
+        code, doc = run(tmp_path, ["verify", "--config", write_json(tmp_path / "c.json", config)])
+        assert code == EXIT_OK
+        assert doc["metadata"]["mixture_terms"] == 4
+        states = weighted_states(u, photons)
+        assert len(doc["outcomes"]) == 20
+        for row in doc["outcomes"]:
+            sig = row["outcome"]
+            assert row["engine"] == _sig15(probability_mixed(u, photons, None, sig))
+            oracle = sum(w * oracle_probability(state, sig) for w, state in states)
+            assert row["oracle"] == _sig15(oracle)
+
+    def test_mixture_sweep_adds_like_probability_mixed(self):
+        # Unrounded: the document's 15 digits would hide a change of summation order.
+        _, u, photons = mixed_experiment()
+        totals = _mixture_sweep(photons, lambda lam: verify_against_oracle(u, lam)[0])
+        states = weighted_states(u, photons)
+        for sig, (engine, oracle) in totals.items():
+            assert engine == probability_mixed(u, photons, None, sig)
+            assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
+
+    def test_mixed_resolved_verify_rejected(self, tmp_path):
+        config, _, _ = mixed_experiment()
+        cfg = write_json(tmp_path / "c.json", {**config, "detector": "resolved"})
+        assert main(["verify", "--config", cfg]) == EXIT_INPUT_ERROR
 
     def test_over_cap_instance_exits_3(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {

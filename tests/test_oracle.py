@@ -15,7 +15,19 @@ from bosonspectra import (
     oracle_probability,
     verify_against_oracle,
 )
+from bosonspectra.sampling import _occupations
 from conftest import hom_lambda, random_unit_rows
+
+
+def rescan_probability(state, sig):
+    """Blind-detector probability by a full pass over the state for one signature."""
+    nb = state.basis_size
+    total = 0.0
+    for occ, amp in state.amplitudes.items():
+        marginal = tuple(sum(occ[k * nb : (k + 1) * nb]) for k in range(state.m))
+        if marginal == tuple(sig):
+            total += abs(amp) ** 2
+    return float(total)
 
 
 def random_gaussians(rng, n):
@@ -91,6 +103,42 @@ class TestOracleProbability:
                 sig[b2] += 1
                 total += oracle_probability(state, tuple(sig), "nonresolved")
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def marginal_instances(rng):
+    """(network, lambda, inputs): dense, rank-deficient and identical photons."""
+    yield make_random_unitary(4, 3), random_unit_rows(rng, 3, 3), (1, 2, 4)
+    yield make_random_unitary(5, 8), random_unit_rows(rng, 2, 4), (2, 5)
+    yield make_random_unitary(4, 13), random_unit_rows(rng, 4, 2), None
+    # rank 2 over 3 basis functions: photons 1 and 2 are identical
+    yield make_random_unitary(4, 21), LambdaMatrix([[1, 0, 0], [1, 0, 0], [0, 0.6, 0.8]]), None
+    # identical photons on a beamsplitter never leave by both ports
+    yield make_beamsplitter_50_50(), LambdaMatrix([[1.0], [1.0]]), None
+
+
+class TestMarginals:
+    def test_lookup_equals_rescan_on_every_signature(self, rng):
+        for u, lam, inputs in marginal_instances(rng):
+            state = fock_evolve(u, lam, inputs)
+            for sig in _occupations(lam.n, (lam.n,) * u.m):
+                assert oracle_probability(state, sig, "nonresolved") == rescan_probability(state, sig)
+
+    def test_signature_without_states_reads_zero(self):
+        state = fock_evolve(make_beamsplitter_50_50(), LambdaMatrix([[1.0], [1.0]]), (1, 2))
+        assert (1, 1) not in state._marginals
+        assert oracle_probability(state, (1, 1), "nonresolved") == 0.0
+
+    def test_table_sums_to_norm(self, rng):
+        for u, lam, inputs in marginal_instances(rng):
+            state = fock_evolve(u, lam, inputs)
+            assert sum(state._marginals.values()) == pytest.approx(state.norm_squared(), abs=1e-12)
+
+    def test_table_built_once_per_state(self, rng):
+        state = fock_evolve(make_random_unitary(3, 2), random_unit_rows(rng, 2, 2), None)
+        oracle_probability(state, (1, 1, 0), "nonresolved")
+        table = state._marginals
+        oracle_probability(state, (0, 2, 0), "nonresolved")
+        assert state._marginals is table
 
 
 class TestVerifyAgainstOracle:

@@ -17,6 +17,7 @@ from bosonspectra import (
     distribution_resolved,
     enumerate_partitions,
     enumerate_resolved_outcomes,
+    fock_evolve,
     lambda_from_photons,
     make_beamsplitter_50_50,
     make_random_unitary,
@@ -80,6 +81,23 @@ class TestAmplitudeResolved:
         bs = make_beamsplitter_50_50()
         with pytest.raises(ConfigurationError):
             amplitude_resolved(bs, hom_lambda(0.5), (1, 1), ((1, 1), (0, 0)))
+
+    @pytest.mark.parametrize("inputs", [(1.7, 2.2), (True, 2), (1, 2.5), ("1", 2), (1, float("inf"))])
+    def test_inexact_input_modes_rejected(self, inputs):
+        # int() truncation used to run (1.7, 2.2) silently as (1, 2).
+        u = make_random_unitary(3, 5)
+        lam = hom_lambda(0.5)
+        with pytest.raises(ConfigurationError):
+            probability_nonresolved(u, lam, inputs, (1, 1, 0))
+        with pytest.raises(ConfigurationError):
+            fock_evolve(u, lam, inputs)
+
+    def test_integer_like_input_modes_accepted(self):
+        u = make_random_unitary(3, 5)
+        lam = hom_lambda(0.5)
+        expected = probability_nonresolved(u, lam, (1, 3), (1, 1, 0))
+        for inputs in [(np.int64(1), np.int32(3)), np.array([1, 3]), (1.0, 3.0)]:
+            assert probability_nonresolved(u, lam, inputs, (1, 1, 0)) == expected
 
     def test_resolved_probabilities_within_unit_interval(self, rng):
         u = make_random_unitary(4, 31)
