@@ -24,8 +24,12 @@ NaN and Infinity are rejected, at every level of the config.
 
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
-probabilities printed to 15 significant digits. Exit codes: 0 success,
-2 input error, 3 capacity error, 4 verification failure.
+probabilities printed to 15 significant digits. Each document is
+byte-identical to json.dumps(doc, indent=2, sort_keys=True) plus a
+newline (the permanent's [re, im] pair: json.dumps on one line), but
+its outcomes rows are rendered directly rather than through json's
+pure-Python indent encoder. Exit codes: 0 success, 2 input error,
+3 capacity error, 4 verification failure.
 """
 
 import argparse
@@ -316,12 +320,6 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
     )
 
 
-def _outcome_json(outcome):
-    if outcome and isinstance(outcome[0], tuple):
-        return [list(part) for part in outcome]
-    return list(outcome)
-
-
 def _metadata(cfg: ExperimentConfig) -> dict:
     terms = math.prod(
         len(p.components) if isinstance(p, MixedPhotonSource) else 1 for p in cfg.photons
@@ -375,7 +373,7 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
         pairs = [(value, probability(cfg.interferometer, lam, cfg.input_modes, value))]
 
     outcomes = [
-        {"outcome": _outcome_json(outcome), "probability": _sig15(p)} for outcome, p in pairs
+        {"outcome": outcome, "probability": _sig15(p)} for outcome, p in pairs
     ]
     return {
         "config": cfg.echo,
@@ -399,7 +397,7 @@ def _run_verify(cfg: ExperimentConfig) -> dict:
         dev = abs(engine_p - oracle_p)
         max_dev = max(max_dev, dev)
         rows.append({
-            "outcome": _outcome_json(outcome),
+            "outcome": outcome,
             "engine": _sig15(engine_p),
             "oracle": _sig15(oracle_p),
             "deviation": _sig15(dev),
@@ -469,9 +467,68 @@ def _run_permanent(path: str) -> list:
     return _complex_pair(value)
 
 
+def _rows_text(rows: list) -> str:
+    """The outcomes rows as json.dumps(rows, indent=2, sort_keys=True) writes them one level deep.
+
+    Rows are dicts of floats and occupation tuples (or tuples of them).
+    Finite floats take float.__repr__, json's own rendering. Each key,
+    and each distinct tuple inside an outcome, is rendered once per
+    document and then reused; the outcomes themselves are distinct, so
+    they are not kept. Anything else goes through json.dumps, so NaN and
+    infinities read as json writes them.
+    """
+    if not rows:
+        return "[]"
+    texts = {}
+    prefixes = {}
+
+    def tuple_text(items: tuple, pad: str) -> str:
+        if not items:
+            return "[]"
+        inner = pad + "  "
+        entries = [part_text(x, inner) if isinstance(x, tuple) else json.dumps(x) for x in items]
+        return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}]"
+
+    def part_text(part: tuple, pad: str) -> str:
+        text = texts.get((part, pad))
+        if text is None:
+            text = texts[part, pad] = tuple_text(part, pad)
+        return text
+
+    def field_text(key: str, value) -> str:
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = prefixes[key] = f"      {json.dumps(key)}: "
+        if isinstance(value, float) and math.isfinite(value):
+            return prefix + float.__repr__(value)
+        if isinstance(value, tuple):
+            return prefix + tuple_text(value, "      ")
+        return prefix + json.dumps(value)
+
+    def row_text(row: dict) -> str:
+        return "    {\n" + ",\n".join([field_text(key, row[key]) for key in sorted(row)]) + "\n    }"
+
+    return "[\n" + ",\n".join([row_text(row) for row in rows]) + "\n  ]"
+
+
 def _write_document(doc, output: str) -> None:
-    indent = 2 if isinstance(doc, dict) else None
-    text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, byte for byte.
+
+    A list document (the permanent) is written on one line. A dict
+    document renders its outcomes rows directly, and every other value,
+    all small, through json.dumps re-indented one level.
+    """
+    if isinstance(doc, dict):
+        fields = []
+        for key in sorted(doc):
+            if key == "outcomes":
+                text = _rows_text(doc[key])
+            else:
+                text = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            fields.append(f"  {json.dumps(key)}: {text}")
+        text = "{\n" + ",\n".join(fields) + "\n}\n"
+    else:
+        text = json.dumps(doc, sort_keys=True) + "\n"
     if output == "-":
         sys.stdout.write(text)
     else:

@@ -49,14 +49,22 @@ class Interferometer:
         return self.matrix.shape[0]
 
 
+def _exact_int(x, what: str) -> int:
+    """x as an int if it is one exactly (numpy ints and 2.0 pass; True, 1.7, "1" and inf do not)."""
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if isinstance(x, (bool, np.bool_)) or value is None or value != x:
+        raise ConfigurationError(f"{what} must be integers, got {x!r}")
+    return value
+
+
 def as_occupation(counts, m: int | None = None) -> tuple[int, ...]:
     """Normalize an occupation configuration to a tuple of non-negative ints."""
     counts = tuple(counts)
-    try:
-        occ = tuple(int(c) for c in counts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"occupation counts must be integers, got {counts!r}") from exc
-    if any(o != c for o, c in zip(occ, counts)) or any(o < 0 for o in occ):
+    occ = tuple(_exact_int(c, "occupation counts") for c in counts)
+    if any(o < 0 for o in occ):
         raise ConfigurationError(f"occupation counts must be non-negative integers, got {counts!r}")
     if m is not None and len(occ) != m:
         raise ConfigurationError(f"occupation has {len(occ)} modes, expected {m}")

@@ -41,8 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError
-from .network import Interferometer, _repeat_indices, amplitude_ideal, as_occupation, submatrix
-from .permanent import permanent_ryser, permanent_stack
+from .network import (
+    Interferometer,
+    _exact_int,
+    _repeat_indices,
+    amplitude_ideal,
+    as_occupation,
+    submatrix,
+)
+from .permanent import RYSER_DIMENSION_CAP, permanent_ryser, permanent_stack
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
@@ -51,6 +58,9 @@ MIXTURE_WEIGHT_TOL = 1e-10
 # Matrices per kernel call: bounds working memory on n! tau terms and on
 # sweeps over thousands of resolved outcomes.
 STACK_SIZE = 256
+# k! for every count a permanent of at most RYSER_DIMENSION_CAP photons
+# can hold, as Python ints: an int64 table would overflow past 20!.
+_FACTORIALS = np.array([math.factorial(k) for k in range(RYSER_DIMENSION_CAP + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -80,21 +90,10 @@ def default_input_modes(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def _exact_mode(x) -> int:
-    """x as an int if it is one exactly (numpy ints and 2.0 pass, True and 1.7 do not)."""
-    try:
-        mode = int(x)
-    except (TypeError, ValueError, OverflowError):
-        mode = None
-    if isinstance(x, (bool, np.bool_)) or mode is None or mode != x:
-        raise ConfigurationError(f"input modes must be integers, got {x!r}")
-    return mode
-
-
 def _validated_inputs(input_modes, n: int, m: int) -> tuple[int, ...]:
     if input_modes is None:
         input_modes = default_input_modes(n)
-    modes = tuple(_exact_mode(x) for x in input_modes)
+    modes = tuple(_exact_int(x, "input modes") for x in input_modes)
     if len(modes) != n:
         raise ConfigurationError(f"{len(modes)} input modes for {n} photons")
     if any(x < 1 or x > m for x in modes):
@@ -132,8 +131,9 @@ def _resolved_amplitudes(joint: np.ndarray, outcomes):
         counts = np.array([sum(parts, ()) for parts in chunk])
         rows = np.repeat(np.tile(np.arange(counts.shape[1]), len(chunk)), counts.ravel())
         pers = permanent_stack(joint[rows.reshape(len(chunk), -1)])
-        for per, occ in zip(pers.tolist(), counts.tolist()):
-            yield per / math.sqrt(math.prod(math.factorial(c) for c in occ))
+        norms = _FACTORIALS[counts].prod(axis=1)
+        for per, norm in zip(pers.tolist(), norms.tolist()):
+            yield per / math.sqrt(norm)
 
 
 def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
@@ -191,9 +191,7 @@ def enumerate_partitions(signature, profile):
     flattened outcome; an infeasible profile yields nothing.
     """
     sig = as_occupation(signature)
-    profile = tuple(int(k) for k in profile)
-    if any(k < 0 for k in profile):
-        raise ConfigurationError(f"profile counts must be non-negative, got {profile}")
+    profile = as_occupation(profile)
     if sum(profile) != sum(sig):
         return
 

@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import bosonspectra
+import bosonspectra.cli
 
 REMOVED = {"chi", "enumerate_configurations", "t_sets"}
 
@@ -13,3 +16,10 @@ def test_removed_names_are_gone():
     assert REMOVED.isdisjoint(bosonspectra.__all__)
     assert not any(hasattr(bosonspectra, name) for name in REMOVED)
     assert not hasattr(bosonspectra.sampling, "_Engine")
+    assert not hasattr(bosonspectra.cli, "_outcome_json")
+
+
+def test_package_imported_from_this_checkout():
+    # Tier-1 must test these sources, never an installed copy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(bosonspectra.__file__).resolve().is_relative_to(src)

@@ -20,7 +20,13 @@ from bosonspectra.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILURE,
     _mixture_sweep,
+    _run_distribution,
+    _run_hom_scan,
+    _run_permanent,
+    _run_verify,
     _sig15,
+    _write_document,
+    load_config,
     main,
 )
 
@@ -465,3 +471,56 @@ class TestPermanent:
     def test_non_square_exits_2(self, tmp_path):
         path = write_json(tmp_path / "m.json", [[1.0, 2.0]])
         assert main(["permanent", path]) == EXIT_INPUT_ERROR
+
+
+def with_lists(value):
+    """value with every tuple turned into a list, as the documents once held them."""
+    if isinstance(value, (tuple, list)):
+        return [with_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: with_lists(v) for k, v in value.items()}
+    return value
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, float("nan"), float("inf"), -float("inf")]
+
+
+def writer_documents(tmp_path):
+    """One document of every kind the CLI writes, keyed by a short name."""
+    def config(payload):
+        return load_config(write_json(tmp_path / "cfg.json", payload))
+
+    blind = {
+        "network": {"preset": "random", "modes": 4, "seed": 3},
+        "photons": [{"gaussian": {"mu": 0.1 * j, "sigma": 1.0, "tau": 0.4 * j}} for j in range(3)],
+    }
+    mixed, _, _ = mixed_experiment()
+    docs = {
+        "blind sweep": _run_distribution(config(blind)),
+        "signature query": _run_distribution(config({**blind, "query": {"signature": [2, 0, 1, 0]}})),
+        "resolved sweep": _run_distribution(config({**blind, "detector": "resolved"})),
+        "resolved query": _run_distribution(config(hom_config(
+            0.5, detector="resolved", query={"resolved": [[2, 0], [0, 0]]}))),
+        "mixed distribution": _run_distribution(config(mixed)),
+        "pure verify": _run_verify(config(blind)),
+        "mixed verify": _run_verify(config(mixed)),
+        "hom-scan": _run_hom_scan("0:1:11"),
+        "special floats": {
+            "config": {"note": "line\nbreak", "nested": {"b": [1, 2.5], "a": {}}},
+            "outcomes": [{"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]
+            + [{"outcome": ((), (0,)), "probability": 1.0, "count": 3, "flag": True}],
+            "sum": float("nan"),
+        },
+        "no outcomes": {"config": {}, "outcomes": [], "passed": False},
+        "permanent": _run_permanent(write_json(tmp_path / "m.json", [[1.0, 2.0], [3.0, -0.5]])),
+    }
+    assert len(docs["resolved sweep"]["outcomes"][0]["outcome"]) > 1  # basis_size > 1
+    return docs
+
+
+def test_writer_matches_stdlib_indent_encoder(tmp_path, capsys):
+    for name, doc in writer_documents(tmp_path).items():
+        _write_document(doc, "-")
+        indent = 2 if isinstance(doc, dict) else None
+        assert capsys.readouterr().out == json.dumps(
+            with_lists(doc), indent=indent, sort_keys=True) + "\n", name

@@ -9,13 +9,16 @@ from bosonspectra import (
     DimensionError,
     Interferometer,
     amplitude_ideal,
+    as_occupation,
     fock_evolve,
     LambdaMatrix,
     make_beamsplitter_50_50,
     make_dft,
     make_random_unitary,
+    probability_nonresolved,
     submatrix,
 )
+from conftest import hom_lambda
 
 
 def all_outputs(n, m):
@@ -100,6 +103,23 @@ class TestSubmatrix:
         u = make_random_unitary(3, 0)
         with pytest.raises(ConfigurationError):
             submatrix(u, (1, -1, 1), (1, 0, 0))
+
+
+class TestAsOccupation:
+    @pytest.mark.parametrize(
+        "counts",
+        [(True, True), (np.True_, 1), (1.7, 0.3), ("1", 1), (float("inf"), 0), (float("nan"), 1)],
+    )
+    def test_inexact_counts_rejected(self, counts):
+        # int(c) == c let booleans through, so (True, True) ran as (1, 1).
+        with pytest.raises(ConfigurationError):
+            as_occupation(counts)
+        with pytest.raises(ConfigurationError):
+            probability_nonresolved(make_beamsplitter_50_50(), hom_lambda(0.5), (1, 2), counts)
+
+    def test_integer_like_counts_accepted(self):
+        assert as_occupation((np.int64(1), 2.0, np.int32(0))) == (1, 2, 0)
+        assert all(type(c) is int for c in as_occupation((np.int64(1), 2.0)))
 
 
 class TestAmplitude:

@@ -15,6 +15,8 @@ from bosonspectra import (
     distribution_nonresolved,
     distribution_resolved,
     make_random_unitary,
+    probability_distinguishable_fast,
+    probability_indistinguishable_fast,
     verify_against_oracle,
 )
 
@@ -65,3 +67,28 @@ def test_relabelling_photons_leaves_blind_distribution(experiment, data):
     after = distribution_nonresolved(u, relabelled, permuted_inputs)
     assert list(after) == list(before)
     assert max(abs(after[sig] - before[sig]) for sig in before) <= 1e-12
+
+
+def input_occupation(u, inputs) -> tuple[int, ...]:
+    return tuple(int(mode in inputs) for mode in range(1, u.m + 1))
+
+
+@given(experiments())
+def test_orthogonal_photons_give_distinguishable_limit(experiment):
+    # G = I; the drawn lambda is replaced, only the network and inputs are used.
+    u, lam, inputs = experiment
+    blind = distribution_nonresolved(u, LambdaMatrix(np.eye(lam.n)), inputs)
+    for sig, p in blind.items():
+        if max(sig) <= 1:
+            expected = probability_distinguishable_fast(u, sig, input_occupation(u, inputs))
+            assert abs(p - expected) <= 1e-12
+
+
+@given(experiments())
+def test_identical_photons_give_indistinguishable_limit(experiment):
+    # G = all-ones; the drawn lambda is replaced, only the network and inputs are used.
+    u, lam, inputs = experiment
+    blind = distribution_nonresolved(u, LambdaMatrix(np.ones((lam.n, 1))), inputs)
+    for sig, p in blind.items():
+        expected = probability_indistinguishable_fast(u, sig, input_occupation(u, inputs))
+        assert abs(p - expected) <= 1e-12

@@ -58,6 +58,17 @@ class TestAmplitudeResolved:
             got = amplitude_resolved(u, lam, None, (s,))
             assert got == amplitude_ideal(u, s, t)
 
+    def test_norm_exact_past_int64(self):
+        # prod S! = 21! > 2^63: the norm must not wrap as a fixed-width integer would.
+        n, k = 21, 4
+        u = make_random_unitary(n, 41)
+        phase = np.exp(0.3j)
+        lam = LambdaMatrix(np.full((n, 1), phase))
+        outcome = (tuple(n if p == k else 0 for p in range(n)),)
+        got = amplitude_resolved(u, lam, None, outcome)
+        expected = math.sqrt(math.factorial(n)) * np.prod(u.matrix[k, :n] * phase)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
     def test_single_photon_transfer(self):
         u = make_random_unitary(3, 23)
         lam = LambdaMatrix([[1.0, 0.0]])
@@ -161,6 +172,16 @@ class TestEnumeratePartitions:
 
     def test_infeasible_profile_is_empty(self):
         assert list(enumerate_partitions((1, 1), (3, 0))) == []
+
+    @pytest.mark.parametrize("profile", [(2.9, 0.2), (True, 1), (1, "1"), (float("inf"), 0), (-1, 3)])
+    def test_invalid_profile_rejected(self, profile):
+        # int(k) used to run (2.9, 0.2) silently as (2, 0).
+        with pytest.raises(ConfigurationError):
+            list(enumerate_partitions((1, 1), profile))
+
+    def test_integer_like_profile_accepted(self):
+        expected = list(enumerate_partitions((1, 1), (1, 1)))
+        assert list(enumerate_partitions((1, 1), (1.0, np.int64(1)))) == expected
 
     def test_lexicographic_and_complete(self):
         sig = (2, 1)
