@@ -33,7 +33,7 @@ from .sampling import (
     distribution_resolved,
     enumerate_partitions,
     enumerate_resolved_outcomes,
-    mixture_tuples,
+    mixture_lambdas,
     probability_distinguishable_fast,
     probability_indistinguishable_fast,
     probability_mixed,
@@ -79,7 +79,7 @@ __all__ = [
     "distribution_resolved",
     "enumerate_partitions",
     "enumerate_resolved_outcomes",
-    "mixture_tuples",
+    "mixture_lambdas",
     "probability_distinguishable_fast",
     "probability_indistinguishable_fast",
     "probability_mixed",

@@ -52,14 +52,14 @@ from .oracle import verify_against_oracle
 from .permanent import permanent_ryser
 from .sampling import (
     MixedPhotonSource,
+    _mixture_terms,
     distribution_nonresolved,
     distribution_resolved,
-    mixture_tuples,
-    probability_mixed,
+    mixture_lambdas,
     probability_nonresolved,
     probability_resolved,
 )
-from .spectra import CoefficientSpectrum, GaussianWavepacket, LambdaMatrix, lambda_from_photons
+from .spectra import CoefficientSpectrum, GaussianWavepacket, LambdaMatrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -262,7 +262,6 @@ class ExperimentConfig:
     input_modes: tuple
     detector: str
     query: tuple
-    mixed: bool
     echo: dict
 
 
@@ -301,7 +300,6 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
 
     query, query_echo = _parse_query(data.get("query"), n, m, detector)
 
-    mixed = any(isinstance(p, MixedPhotonSource) for p in photons)
     echo = {
         "network": network_echo,
         "photons": photons_echo,
@@ -315,81 +313,63 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
         input_modes=input_modes,
         detector=detector,
         query=query,
-        mixed=mixed,
         echo=echo,
     )
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    terms = math.prod(
-        len(p.components) if isinstance(p, MixedPhotonSource) else 1 for p in cfg.photons
-    )
-    return {"engine": f"bosonspectra {__version__}", "mixture_terms": terms}
+    return {"engine": f"bosonspectra {__version__}", "mixture_terms": _mixture_terms(cfg.photons)}
 
 
-def _mixture_sweep(photons, rows_of) -> dict:
-    """Per outcome, the weighted sum over every mixture combination of each value column.
+def _mixture_sweep(photons, detector: str, rows_of) -> dict:
+    """Per outcome, the weighted sum over every mixture combination of its value or values.
 
-    rows_of(lam) yields (outcome, value, ...) rows for one pure-photon
-    combination. Each column starts at 0.0 and adds weight * value in
-    combination order, so pure photons (one combination, weight 1.0)
-    keep their values exactly and mixed ones add up as in
-    probability_mixed.
+    rows_of(lam) returns {outcome: value or tuple of values} for one
+    combination; every combination has the same outcomes. Totals start
+    at 0.0 and add weight * value in combination order, in float64 as
+    Python floats would, so pure photons keep their values exactly and
+    mixed ones add up as in probability_mixed.
     """
-    totals = {}
-    for weight, specs in mixture_tuples(photons):
-        for outcome, *values in rows_of(lambda_from_photons(specs)):
-            column = totals.setdefault(outcome, [0.0] * len(values))
-            for i, value in enumerate(values):
-                column[i] += weight * value
-    return totals
+    outcomes, total = None, 0.0
+    for weight, lam in mixture_lambdas(photons, detector):
+        rows = rows_of(lam)
+        if outcomes is None:
+            outcomes = list(rows)
+        total = total + weight * np.array([rows[outcome] for outcome in outcomes], dtype=float)
+    return dict(zip(outcomes, total.tolist()))
 
 
 def _run_distribution(cfg: ExperimentConfig) -> dict:
     kind, value = cfg.query
-    if kind == "distribution" and cfg.mixed:
-        if cfg.detector == "resolved":
-            raise ConfigurationError(
-                "resolved distributions are not defined for mixed sources: the induced "
-                "basis varies per mixture component; query a specific outcome instead"
-            )
-        totals = _mixture_sweep(
-            cfg.photons,
-            lambda lam: distribution_nonresolved(cfg.interferometer, lam, cfg.input_modes).items(),
-        )
-        pairs = [(outcome, p) for outcome, (p,) in totals.items()]
-    elif kind == "distribution":
-        lam = lambda_from_photons(cfg.photons)
-        sweep = distribution_nonresolved if cfg.detector == "nonresolved" else distribution_resolved
-        pairs = list(sweep(cfg.interferometer, lam, cfg.input_modes).items())
-    elif cfg.mixed:
-        pairs = [
-            (value, probability_mixed(cfg.interferometer, cfg.photons, cfg.input_modes,
-                                      value, cfg.detector))
-        ]
-    else:
-        lam = lambda_from_photons(cfg.photons)
-        probability = probability_nonresolved if kind == "signature" else probability_resolved
-        pairs = [(value, probability(cfg.interferometer, lam, cfg.input_modes, value))]
+    u, inputs = cfg.interferometer, cfg.input_modes
+    if kind == "distribution":
+        sweep = distribution_resolved if cfg.detector == "resolved" else distribution_nonresolved
 
-    outcomes = [
-        {"outcome": outcome, "probability": _sig15(p)} for outcome, p in pairs
-    ]
+        def rows_of(lam):
+            return sweep(u, lam, inputs)
+    else:
+        probability = probability_resolved if kind == "resolved" else probability_nonresolved
+
+        def rows_of(lam):
+            return {value: probability(u, lam, inputs, value)}
+
+    totals = _mixture_sweep(cfg.photons, cfg.detector, rows_of)
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
-        "outcomes": outcomes,
-        "sum": _sig15(sum(p for _, p in pairs)),
+        "outcomes": [
+            {"outcome": outcome, "probability": _sig15(p)} for outcome, p in totals.items()
+        ],
+        "sum": _sig15(sum(totals.values())),
     }
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
-    if cfg.mixed and cfg.detector == "resolved":
-        raise ConfigurationError("resolved verification sweeps are not defined for mixed sources")
-    totals = _mixture_sweep(
-        cfg.photons,
-        lambda lam: verify_against_oracle(cfg.interferometer, lam, cfg.input_modes, cfg.detector)[0],
-    )
+    def rows_of(lam):
+        rows, _ = verify_against_oracle(cfg.interferometer, lam, cfg.input_modes, cfg.detector)
+        return {outcome: (engine_p, oracle_p) for outcome, engine_p, oracle_p in rows}
+
+    totals = _mixture_sweep(cfg.photons, cfg.detector, rows_of)
 
     rows = []
     max_dev = 0.0

@@ -28,6 +28,12 @@ probability is a sum of permanents in one of two closed forms:
   prod_k C(M_k + r - 1, r - 1); each signature takes the one with fewer,
   the tau-sum on a tie.
 
+Mixed photons average over every combination of mixture components
+(mixture_lambdas). Resolved outcomes name basis functions, so there all
+combinations share the basis of every component of every photon, photon
+order then component order. Blind probabilities do not depend on the
+basis, so each combination keeps its own, narrower one.
+
 Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
@@ -319,19 +325,38 @@ def _as_mixture(photon) -> MixedPhotonSource:
     return MixedPhotonSource(((1.0, photon),))
 
 
-def mixture_tuples(photons):
-    """Yield (weight, pure spec list) for every combination of mixture components.
+def _mixture_terms(photons) -> int:
+    return math.prod(len(_as_mixture(p).components) for p in photons)
 
-    Pure photons count as single-component mixtures. Guards the total
-    number of combinations at MIXTURE_TERM_CAP.
+
+def mixture_lambdas(photons, detector: str):
+    """Yield (weight, LambdaMatrix) for every combination of mixture components.
+
+    Pure photons are single-component mixtures: one combination, weight
+    1.0. MIXTURE_TERM_CAP is checked before any work. For "resolved",
+    part i of an outcome must name the same xi_i in every combination,
+    so each takes its rows from one lambda_from_photons over every
+    component of every photon, photon order then component order. Blind
+    probabilities do not depend on the basis, so for "nonresolved" each
+    combination keeps its own, narrower one.
     """
+    if detector not in ("resolved", "nonresolved"):
+        raise ConfigurationError(f"unknown detector model {detector!r}")
     sources = [_as_mixture(p) for p in photons]
-    terms = math.prod(len(s.components) for s in sources)
+    terms = _mixture_terms(sources)
     if terms > MIXTURE_TERM_CAP:
         raise CapacityError(f"{terms} mixture combinations exceed cap {MIXTURE_TERM_CAP}")
-    for combo in itertools.product(*(s.components for s in sources)):
-        weight = math.prod(p for p, _ in combo)
-        yield weight, [spec for _, spec in combo]
+    if detector == "resolved":
+        common = lambda_from_photons([spec for s in sources for _, spec in s.components]).matrix
+    offsets = itertools.accumulate((len(s.components) for s in sources), initial=0)
+    # Each choice is (row of the common matrix, (probability, spec)).
+    choices = [enumerate(s.components, offset) for s, offset in zip(sources, offsets)]
+    for combo in itertools.product(*choices):
+        weight = math.prod(p for _, (p, _) in combo)
+        if detector == "resolved":
+            yield weight, LambdaMatrix(common[[row for row, _ in combo]])
+        else:
+            yield weight, lambda_from_photons([spec for _, (_, spec) in combo])
 
 
 def probability_mixed(
@@ -343,36 +368,15 @@ def probability_mixed(
 ) -> float:
     """Outcome probability for spectrally mixed photons.
 
-    Every combination of mixture components is a pure-photon experiment;
-    its probability is weighted by the product of component
-    probabilities and accumulated. photons may mix bare SpectralSpec
-    entries (pure) and MixedPhotonSource entries.
-
-    For detector="resolved" the outcome's basis functions are the ones
-    induced by each combination in photon order; combinations spanning
-    fewer directions than the outcome lists contribute only if the extra
-    spectral parts are empty.
+    The probability of every pure-photon combination from
+    mixture_lambdas, weighted by its component probabilities and summed.
+    photons may mix bare SpectralSpec and MixedPhotonSource entries. A
+    resolved outcome needs one part per function of the common basis
+    that spans every component (photon order, then component order), or
+    ConfigurationError is raised.
     """
-    if detector not in ("resolved", "nonresolved"):
-        raise ConfigurationError(f"unknown detector model {detector!r}")
+    probability = probability_resolved if detector == "resolved" else probability_nonresolved
     total = 0.0
-    for weight, specs in mixture_tuples(photons):
-        lam = lambda_from_photons(specs)
-        if detector == "nonresolved":
-            p = probability_nonresolved(interferometer, lam, input_modes, outcome)
-        else:
-            p = _resolved_probability_padded(interferometer, lam, input_modes, outcome)
-        total += weight * p
+    for weight, lam in mixture_lambdas(photons, detector):
+        total += weight * probability(interferometer, lam, input_modes, outcome)
     return float(total)
-
-
-def _resolved_probability_padded(interferometer, lam, input_modes, outcome) -> float:
-    parts = tuple(as_occupation(part, interferometer.m) for part in outcome)
-    if len(parts) < lam.basis_size:
-        raise ConfigurationError(
-            f"resolved outcome has {len(parts)} spectral parts but the photons span "
-            f"{lam.basis_size} basis functions"
-        )
-    if any(sum(extra) != 0 for extra in parts[lam.basis_size :]):
-        return 0.0
-    return probability_resolved(interferometer, lam, input_modes, parts[: lam.basis_size])

@@ -3,7 +3,7 @@ from pathlib import Path
 import bosonspectra
 import bosonspectra.cli
 
-REMOVED = {"chi", "enumerate_configurations", "t_sets"}
+REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples"}
 
 
 def test_every_exported_name_resolves():
@@ -16,6 +16,9 @@ def test_removed_names_are_gone():
     assert REMOVED.isdisjoint(bosonspectra.__all__)
     assert not any(hasattr(bosonspectra, name) for name in REMOVED)
     assert not hasattr(bosonspectra.sampling, "_Engine")
+    assert not hasattr(bosonspectra.sampling, "mixture_tuples")
+    assert not hasattr(bosonspectra.sampling, "_resolved_probability_padded")
+    assert "mixed" not in bosonspectra.cli.ExperimentConfig.__dataclass_fields__
     assert not hasattr(bosonspectra.cli, "_outcome_json")
 
 

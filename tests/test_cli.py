@@ -1,15 +1,18 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from bosonspectra import (
     GaussianWavepacket,
+    LambdaMatrix,
     MixedPhotonSource,
     fock_evolve,
     lambda_from_photons,
     make_random_unitary,
-    mixture_tuples,
+    mixture_lambdas,
     oracle_probability,
     probability_mixed,
     verify_against_oracle,
@@ -91,7 +94,7 @@ def mixed_experiment():
 
 def weighted_states(u, photons):
     """(weight, Fock state) for every mixture combination, the oracle side of verify."""
-    return [(w, fock_evolve(u, lambda_from_photons(specs))) for w, specs in mixture_tuples(photons)]
+    return [(w, fock_evolve(u, lam)) for w, lam in mixture_lambdas(photons, "nonresolved")]
 
 
 class TestDistribution:
@@ -170,19 +173,55 @@ class TestDistribution:
         assert probs[((1, 1), (0, 0))] == 0.0
         assert doc["sum"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_mixed_resolved_distribution_rejected(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {
-            "network": {"preset": "beamsplitter"},
-            "photons": [
-                {"coefficients": [[1.0, 0.0], [0.0, 0.0]]},
-                {"mixture": [
-                    {"probability": 0.5, "coefficients": [[1.0, 0.0], [0.0, 0.0]]},
-                    {"probability": 0.5, "coefficients": [[0.0, 0.0], [1.0, 0.0]]},
-                ]},
-            ],
-            "detector": "resolved",
-        })
-        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+    def test_mixed_resolved_sweep_equals_weighted_oracle(self, tmp_path):
+        config, u, photons = mixed_experiment()
+        cfg = write_json(tmp_path / "c.json", {**config, "detector": "resolved"})
+        code, doc = run(tmp_path, ["distribution", "--config", cfg])
+        assert code == EXIT_OK
+        # GAUSSIANS lists the components in photon order, then component order.
+        common = lambda_from_photons([GaussianWavepacket(*spec) for spec in GAUSSIANS]).matrix
+        states = [(w1 * w2, fock_evolve(u, LambdaMatrix(common[[0, a, b]])))
+                  for w1, a in ((0.3, 1), (0.7, 2)) for w2, b in ((0.6, 3), (0.4, 4))]
+        assert common.shape == (5, 5)
+        assert len(doc["outcomes"]) == math.comb(4 * 5 + 3 - 1, 3)
+        for row in doc["outcomes"]:
+            oracle = sum(w * oracle_probability(state, row["outcome"], "resolved") for w, state in states)
+            assert row["probability"] == pytest.approx(oracle, abs=1e-12)
+
+    def test_mixed_resolved_marginal_equals_blind_sweep(self, tmp_path):
+        config, _, _ = mixed_experiment()
+        _, resolved = run(tmp_path, ["distribution", "--config",
+                                     write_json(tmp_path / "r.json", {**config, "detector": "resolved"})])
+        _, blind = run(tmp_path, ["distribution", "--config", write_json(tmp_path / "b.json", config)])
+        marginal = {}
+        for row in resolved["outcomes"]:
+            sig = tuple(map(sum, zip(*row["outcome"])))
+            marginal[sig] = marginal.get(sig, 0.0) + row["probability"]
+        assert len(marginal) == len(blind["outcomes"])
+        for row in blind["outcomes"]:
+            assert marginal[tuple(row["outcome"])] == pytest.approx(row["probability"], abs=1e-12)
+
+    def test_mixed_resolved_query_needs_common_basis_parts(self, tmp_path):
+        config, u, photons = mixed_experiment()
+        outcome = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+        cfg = write_json(tmp_path / "c.json", {**config, "detector": "resolved",
+                                               "query": {"resolved": outcome}})
+        code, doc = run(tmp_path, ["distribution", "--config", cfg])
+        assert code == EXIT_OK
+        assert doc["outcomes"][0]["probability"] == _sig15(
+            probability_mixed(u, photons, None, outcome, "resolved"))
+        short = write_json(tmp_path / "s.json", {**config, "detector": "resolved",
+                                                 "query": {"resolved": outcome[:2]}})
+        assert main(["distribution", "--config", short]) == EXIT_INPUT_ERROR
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(block)
+        code, doc = run(tmp_path, ["distribution", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert doc["sum"] == pytest.approx(1.0, abs=1e-9)
 
     def test_mixed_photon_distribution(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -413,16 +452,21 @@ class TestVerify:
     def test_mixture_sweep_adds_like_probability_mixed(self):
         # Unrounded: the document's 15 digits would hide a change of summation order.
         _, u, photons = mixed_experiment()
-        totals = _mixture_sweep(photons, lambda lam: verify_against_oracle(u, lam)[0])
+        totals = _mixture_sweep(photons, "nonresolved", lambda lam: {
+            sig: (engine, oracle) for sig, engine, oracle in verify_against_oracle(u, lam)[0]})
         states = weighted_states(u, photons)
         for sig, (engine, oracle) in totals.items():
             assert engine == probability_mixed(u, photons, None, sig)
             assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
 
-    def test_mixed_resolved_verify_rejected(self, tmp_path):
+    def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()
         cfg = write_json(tmp_path / "c.json", {**config, "detector": "resolved"})
-        assert main(["verify", "--config", cfg]) == EXIT_INPUT_ERROR
+        code, doc = run(tmp_path, ["verify", "--config", cfg])
+        assert code == EXIT_OK
+        assert doc["passed"] is True
+        assert doc["metadata"]["mixture_terms"] == 4
+        assert len(doc["outcomes"]) == math.comb(4 * 5 + 3 - 1, 3)
 
     def test_over_cap_instance_exits_3(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {

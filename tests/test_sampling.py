@@ -21,6 +21,7 @@ from bosonspectra import (
     lambda_from_photons,
     make_beamsplitter_50_50,
     make_random_unitary,
+    oracle_probability,
     probability_distinguishable_fast,
     probability_indistinguishable_fast,
     probability_mixed,
@@ -397,14 +398,36 @@ class TestProbabilityMixed:
         mixed = probability_mixed(bs, [psi, mixture], None, (1, 1))
         assert mixed == pytest.approx(pure, abs=1e-15)
 
-    def test_resolved_mixture_pads_missing_basis_modes(self):
+    def test_resolved_mixture_parts_match_common_basis(self):
         bs = make_beamsplitter_50_50()
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
         orth = GaussianWavepacket(60.0, 1.0, 0.0)
         photon2 = MixedPhotonSource(((0.5, psi), (0.5, orth)))
-        # Anti-bunching in xi_1 never happens in either component.
+        # Components psi, psi, orth span xi_1 = psi and xi_2 = orth.
+        # Anti-bunching in xi_1 never happens in either combination.
         got = probability_mixed(bs, [psi, photon2], None, ((1, 1), (0, 0)), "resolved")
         assert got == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(ConfigurationError):
+            probability_mixed(bs, [psi, photon2], None, ((1, 1), (0, 0), (0, 0)), "resolved")
+
+    def test_resolved_labels_name_one_basis(self):
+        # Orthonormalized per combination, xi_1 would be whichever
+        # component photon 1 carries; in the common basis of all three
+        # components it is the same function in both combinations.
+        u = make_random_unitary(2, 3)
+        g = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.5, 1.0, 0.3),
+             GaussianWavepacket(-0.3, 0.9, 1.0)]
+        photons = [MixedPhotonSource(((0.5, g[0]), (0.5, g[1]))), g[2]]
+        common = lambda_from_photons(g)
+        states = [(0.5, fock_evolve(u, LambdaMatrix(common.matrix[rows])))
+                  for rows in ([0, 2], [1, 2])]
+        outcomes = list(enumerate_resolved_outcomes(2, 2, 3))
+        for outcome in outcomes:
+            want = sum(w * oracle_probability(state, outcome, "resolved") for w, state in states)
+            got = probability_mixed(u, photons, None, outcome, "resolved")
+            assert got == pytest.approx(want, abs=1e-12), outcome
+        assert sum(probability_mixed(u, photons, None, o, "resolved") for o in outcomes) == (
+            pytest.approx(1.0, abs=1e-12))
 
     def test_invalid_weights_rejected(self):
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
