@@ -27,14 +27,16 @@ materialized), carry engine metadata, and list outcomes with
 probabilities printed to 15 significant digits. Each document is
 byte-identical to json.dumps(doc, indent=2, sort_keys=True) plus a
 newline (the permanent's [re, im] pair: json.dumps on one line), but
-its outcomes rows are rendered directly rather than through json's
-pure-Python indent encoder. Exit codes: 0 success, 2 input error,
+its outcomes rows are filled into one template, column by column,
+rather than run through json's pure-Python indent encoder. Exit codes: 0 success, 2 input error,
 3 capacity error, 4 verification failure.
 """
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -142,41 +144,44 @@ def _parse_matrix(data, where: str) -> np.ndarray:
 def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
     if not isinstance(data, dict):
         raise ConfigurationError("config 'network' must be an object")
+    preset = data.get("preset")
     if "unitary" in data:
         allowed = {"unitary", "modes"}
-    elif data.get("preset") == "random":
+    elif preset == "random":
         allowed = {"preset", "modes", "seed"}
     else:
         allowed = {"preset", "modes"}
     _check_keys(data, allowed, "network")
+    modes = _parse_int(data["modes"], "network.modes") if "modes" in data else None
     if "unitary" in data:
         u = Interferometer(_parse_matrix(data["unitary"], "network.unitary"))
         echo = {
             "unitary": [[_complex_pair(z) for z in row] for row in u.matrix],
             "modes": u.m,
         }
-        return u, echo
-    preset = data.get("preset")
-    if preset == "beamsplitter":
+    elif preset == "beamsplitter":
         u = make_beamsplitter_50_50()
-        return u, {"preset": "beamsplitter", "modes": 2}
-    if preset == "dft":
-        if "modes" not in data:
-            raise ConfigurationError("network preset 'dft' needs 'modes'")
-        u = make_dft(_parse_int(data["modes"], "network.modes"))
-        return u, {"preset": "dft", "modes": u.m}
-    if preset == "random":
-        if "modes" not in data:
-            raise ConfigurationError("network preset 'random' needs 'modes'")
-        seed = data.get("seed", seed_flag)
-        if seed is None:
-            seed = DEFAULT_RANDOM_SEED
-        seed = _parse_int(seed, "network.seed")
-        u = make_random_unitary(_parse_int(data["modes"], "network.modes"), seed)
-        return u, {"preset": "random", "modes": u.m, "seed": seed}
-    raise ConfigurationError(
-        f"network needs 'unitary' or a preset in ('beamsplitter', 'dft', 'random'), got {data!r}"
-    )
+        echo = {"preset": "beamsplitter", "modes": 2}
+    elif preset in ("dft", "random"):
+        if modes is None:
+            raise ConfigurationError(f"network preset {preset!r} needs 'modes'")
+        if preset == "dft":
+            u = make_dft(modes)
+            echo = {"preset": "dft", "modes": u.m}
+        else:
+            seed = data.get("seed", seed_flag)
+            if seed is None:
+                seed = DEFAULT_RANDOM_SEED
+            seed = _parse_int(seed, "network.seed")
+            u = make_random_unitary(modes, seed)
+            echo = {"preset": "random", "modes": u.m, "seed": seed}
+    else:
+        raise ConfigurationError(
+            f"network needs 'unitary' or a preset in ('beamsplitter', 'dft', 'random'), got {data!r}"
+        )
+    if modes is not None and modes != u.m:
+        raise ConfigurationError(f"network.modes is {modes}, but the network has {u.m} modes")
+    return u, echo
 
 
 def _parse_pure_spec(data, where: str, extra_keys=()):
@@ -325,17 +330,20 @@ def _mixture_sweep(photons, detector: str, rows_of) -> dict:
     """Per outcome, the weighted sum over every mixture combination of its value or values.
 
     rows_of(lam) returns {outcome: value or tuple of values} for one
-    combination; every combination has the same outcomes. Totals start
-    at 0.0 and add weight * value in combination order, in float64 as
-    Python floats would, so pure photons keep their values exactly and
-    mixed ones add up as in probability_mixed.
+    combination; every combination lists the same outcomes in the same
+    order, which is checked once per combination. Totals start at 0.0
+    and add weight * value in combination order, in float64 as Python
+    floats would, so pure photons keep their values exactly and mixed
+    ones add up as in probability_mixed.
     """
     outcomes, total = None, 0.0
     for weight, lam in mixture_lambdas(photons, detector):
         rows = rows_of(lam)
         if outcomes is None:
             outcomes = list(rows)
-        total = total + weight * np.array([rows[outcome] for outcome in outcomes], dtype=float)
+        elif list(rows) != outcomes:
+            raise RuntimeError("mixture combinations list different outcomes")
+        total = total + weight * np.array(list(rows.values()), dtype=float)
     return dict(zip(outcomes, total.tolist()))
 
 
@@ -447,48 +455,76 @@ def _run_permanent(path: str) -> list:
     return _complex_pair(value)
 
 
+def _column_texts(values: list):
+    """One row key's values as json.dumps(indent=2) writes them inside a row, or None.
+
+    Returns (pieces, slots): the text is pieces[0] + slots[0][i] +
+    pieces[1] + ... + pieces[-1] for value i. Takes what json writes
+    simply: finite floats, as float.__repr__, and outcomes, tuples of one
+    length with one slot per entry, each entry an int or a tuple of ints.
+    Each distinct tuple entry is rendered once. Anything else returns None.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if not all(map(math.isfinite, values)):
+            return None
+        return ["", ""], [list(map(float.__repr__, values))]
+    widths = set(map(len, values)) if kinds == {tuple} else set()
+    if len(widths) != 1:
+        return None
+    (width,) = widths
+    items = list(itertools.chain.from_iterable(values))
+    item_kinds = set(map(type, items))
+    if item_kinds == {int}:
+        render = str
+    elif item_kinds == {tuple} and set(map(type, itertools.chain.from_iterable(items))) <= {int}:
+        head, sep, tail = "[\n          ", ",\n          ", "\n        ]"
+        parts = {part: head + sep.join(map(str, part)) + tail if part else "[]" for part in set(items)}
+        render = parts.__getitem__
+    else:
+        return None
+    pieces = ["[\n        "] + [",\n        "] * (width - 1) + ["\n      ]"]
+    return pieces, [list(map(render, map(operator.itemgetter(i), values))) for i in range(width)]
+
+
 def _rows_text(rows: list) -> str:
     """The outcomes rows as json.dumps(rows, indent=2, sort_keys=True) writes them one level deep.
 
-    Rows are dicts of floats and occupation tuples (or tuples of them).
-    Finite floats take float.__repr__, json's own rendering. Each key,
-    and each distinct tuple inside an outcome, is rendered once per
-    document and then reused; the outcomes themselves are distinct, so
-    they are not kept. Anything else goes through json.dumps, so NaN and
-    infinities read as json writes them.
+    Dict rows that share one set of string keys, each key holding values
+    _column_texts takes, follow one template: the same constant text
+    between the same slots in every row. The whole text is one join over
+    the slots and constants. Rows of any other shape go through
+    json.dumps, so NaN, infinities, booleans and nested values read as
+    json writes them.
     """
-    if not rows:
-        return "[]"
-    texts = {}
-    prefixes = {}
+    uniform = set(map(type, rows)) == {dict} and set(map(type, rows[0])) == {str}
+    keys = sorted(rows[0]) if uniform else []
+    try:
+        values = [[row[key] for row in rows] for key in keys]
+    except KeyError:  # a row lacks one of the first row's keys
+        values = []
+    # Rows as long as the first that hold all its keys have its keys.
+    same_keys = values and set(map(len, rows)) == {len(keys)}
+    columns = list(map(_column_texts, values)) if same_keys else [None]
+    if None in columns:
+        return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
 
-    def tuple_text(items: tuple, pad: str) -> str:
-        if not items:
-            return "[]"
-        inner = pad + "  "
-        entries = [part_text(x, inner) if isinstance(x, tuple) else json.dumps(x) for x in items]
-        return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}]"
-
-    def part_text(part: tuple, pad: str) -> str:
-        text = texts.get((part, pad))
-        if text is None:
-            text = texts[part, pad] = tuple_text(part, pad)
-        return text
-
-    def field_text(key: str, value) -> str:
-        prefix = prefixes.get(key)
-        if prefix is None:
-            prefix = prefixes[key] = f"      {json.dumps(key)}: "
-        if isinstance(value, float) and math.isfinite(value):
-            return prefix + float.__repr__(value)
-        if isinstance(value, tuple):
-            return prefix + tuple_text(value, "      ")
-        return prefix + json.dumps(value)
-
-    def row_text(row: dict) -> str:
-        return "    {\n" + ",\n".join([field_text(key, row[key]) for key in sorted(row)]) + "\n    }"
-
-    return "[\n" + ",\n".join([row_text(row) for row in rows]) + "\n  ]"
+    # A row is gaps[0] + slot 0 + gaps[1] + slot 1 + ... + the last slot + tail.
+    gaps, slots, text = [], [], "    {\n"
+    for i, (key, (pieces, texts)) in enumerate(zip(keys, columns)):
+        text += (",\n" if i else "") + f"      {json.dumps(key)}: " + pieces[0]
+        for piece, column in zip(pieces[1:], texts):
+            gaps.append(text)
+            slots.append(column)
+            text = piece
+    tail = text + "\n    }"
+    # Every slot's texts, each followed by the constant after it, row after row.
+    lanes = []
+    for column, gap in zip(slots, gaps[1:] + [tail + ",\n" + gaps[0]]):
+        lanes += [column, itertools.repeat(gap)]
+    out = ["[\n" + gaps[0], *itertools.chain.from_iterable(zip(*lanes))]
+    out[-1] = tail + "\n  ]"
+    return "".join(out)
 
 
 def _write_document(doc, output: str) -> None:
@@ -496,24 +532,26 @@ def _write_document(doc, output: str) -> None:
 
     A list document (the permanent) is written on one line. A dict
     document renders its outcomes rows directly, and every other value,
-    all small, through json.dumps re-indented one level.
+    all small, through json.dumps re-indented one level. The text goes
+    out in pieces: the outcomes run to megabytes, and joining them to
+    the rest would copy them.
     """
     if isinstance(doc, dict):
-        fields = []
+        pieces = []
         for key in sorted(doc):
             if key == "outcomes":
                 text = _rows_text(doc[key])
             else:
                 text = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-            fields.append(f"  {json.dumps(key)}: {text}")
-        text = "{\n" + ",\n".join(fields) + "\n}\n"
+            pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": ", text]
+        pieces.append("\n}\n" if pieces else "{}\n")
     else:
-        text = json.dumps(doc, sort_keys=True) + "\n"
+        pieces = [json.dumps(doc, sort_keys=True), "\n"]
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,6 +35,16 @@ order then component order. Blind probabilities do not depend on the
 basis, so each combination keeps its own, narrower one.
 
 Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
+A resolved sweep is one array pass. Its outcomes are itertools.product
+over per-count pools of occupation tuples, taken once per sweep; its
+(outcomes x basis_size * m) count matrix is the same product over pool
+indices; the count rows pick the joint-matrix rows that go to the
+kernel. Only Per / sqrt(prod S_vec!) and its squared modulus run per
+outcome, on Python scalars: numpy's complex division and its ** 2 round
+differently. From n = 4 on, a sweep's value and a single query's can
+differ in the last bits, since the kernel ends a stack's Glynn sum in a
+matrix-vector product and a lone matrix's in a dot product.
+
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
 1-based and must be distinct (one photon per input port).
@@ -131,15 +141,20 @@ def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> 
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
 
 
-def _resolved_amplitudes(joint: np.ndarray, outcomes):
-    """Yield Per(A_S) / sqrt(prod S_vec!) for each resolved outcome, in order."""
-    for chunk in _chunks(outcomes):
-        counts = np.array([sum(parts, ()) for parts in chunk])
-        rows = np.repeat(np.tile(np.arange(counts.shape[1]), len(chunk)), counts.ravel())
-        pers = permanent_stack(joint[rows.reshape(len(chunk), -1)])
-        norms = _FACTORIALS[counts].prod(axis=1)
-        for per, norm in zip(pers.tolist(), norms.tolist()):
-            yield per / math.sqrt(norm)
+def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray) -> list[complex]:
+    """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
+
+    The permanents go to the kernel STACK_SIZE outcomes at a time. The
+    division runs on Python scalars: numpy's complex / float multiplies
+    by the reciprocal and rounds differently.
+    """
+    batch, width = counts.shape
+    rows = np.repeat(np.tile(np.arange(width), batch), counts.ravel()).reshape(batch, -1)
+    pers = []
+    for start in range(0, batch, STACK_SIZE):
+        pers += permanent_stack(joint[rows[start : start + STACK_SIZE]]).tolist()
+    norms = _FACTORIALS[counts].prod(axis=1).tolist()
+    return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
 
 
 def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
@@ -161,12 +176,12 @@ def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> 
 def _split_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
     """P(M) = sum of |amp(S_vec)|^2 over every split S_vec of M between basis functions."""
     n, r = lam.n, lam.basis_size
-    splits = (
-        parts
+    counts = np.array([
+        sum(parts, ())
         for profile in _occupations(n, (n,) * r)
         for parts in enumerate_partitions(sig, profile)
-    )
-    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), splits)
+    ])
+    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)
     return float(sum(abs(amp) ** 2 for amp in amps))
 
 
@@ -230,7 +245,8 @@ def amplitude_resolved(
         raise ConfigurationError(
             f"resolved outcome holds {total_photons} photons, expected {lam.n}"
         )
-    return next(_resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), [parts]))
+    counts = np.array([sum(parts, ())])
+    return _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)[0]
 
 
 def probability_resolved(
@@ -292,15 +308,36 @@ def distribution_nonresolved(
     }
 
 
+def _pools(n: int, m: int) -> list[tuple]:
+    """pools[k] holds every occupation tuple of k photons over m modes, in lex order."""
+    return [tuple(_occupations(k, (k,) * m)) for k in range(n + 1)]
+
+
 def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
     """Every resolved outcome of n photons over m modes and basis_size basis functions.
 
     Profiles (per-basis photon counts) ascend lexicographically, then
     outcomes within a profile.
     """
+    pools = _pools(n, m)
     for profile in _occupations(n, (n,) * basis_size):
-        pools = [_occupations(k, (k,) * m) for k in profile]
-        yield from (tuple(parts) for parts in itertools.product(*pools))
+        yield from itertools.product(*[pools[k] for k in profile])
+
+
+def _resolved_sweep(n: int, m: int, basis_size: int) -> tuple[list, np.ndarray]:
+    """enumerate_resolved_outcomes as a list, and its count matrix.
+
+    Row i of the matrix is outcome i flattened. A profile's rows are the
+    product of its outcomes taken over pool indices, in numpy.
+    """
+    pools = _pools(n, m)
+    tables = [np.array(pool).reshape(len(pool), m) for pool in pools]
+    outcomes, blocks = [], []
+    for profile in _occupations(n, (n,) * basis_size):
+        outcomes += itertools.product(*[pools[k] for k in profile])
+        picks = np.indices([len(pools[k]) for k in profile]).reshape(basis_size, -1)
+        blocks.append(np.hstack([tables[k][pick] for k, pick in zip(profile, picks)]))
+    return outcomes, np.vstack(blocks)
 
 
 def distribution_resolved(
@@ -314,9 +351,9 @@ def distribution_resolved(
         raise CapacityError(
             f"{count} resolved outcomes exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
         )
-    outcomes = list(enumerate_resolved_outcomes(n, m, nb))
-    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), outcomes)
-    return {outcome: abs(amp) ** 2 for outcome, amp in zip(outcomes, amps)}
+    outcomes, counts = _resolved_sweep(n, m, nb)
+    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)
+    return dict(zip(outcomes, [abs(amp) ** 2 for amp in amps]))
 
 
 def _as_mixture(photon) -> MixedPhotonSource:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from bosonspectra import (
     probability_mixed,
     verify_against_oracle,
 )
+from bosonspectra.sampling import STACK_SIZE
 from bosonspectra.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_INPUT_ERROR,
@@ -26,6 +28,7 @@ from bosonspectra.cli import (
     _run_distribution,
     _run_hom_scan,
     _run_permanent,
+    _rows_text,
     _run_verify,
     _sig15,
     _write_document,
@@ -327,6 +330,28 @@ class TestStrictInputs:
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("network", [
+        # 'modes' used to be ignored beside an explicit unitary or the beamsplitter.
+        {"unitary": [[1.0, 0.0], [0.0, 1.0]], "modes": 7},
+        {"unitary": [[1.0, 0.0], [0.0, 1.0]], "modes": True},
+        {"unitary": [[1.0, 0.0], [0.0, 1.0]], "modes": "2"},
+        {"preset": "beamsplitter", "modes": 3},
+        {"preset": "beamsplitter", "modes": 2.5},
+    ])
+    def test_network_modes_must_match_the_network(self, tmp_path, network):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, network=network))
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("network", [
+        {"unitary": [[1.0, 0.0], [0.0, 1.0]], "modes": 2},
+        {"preset": "beamsplitter", "modes": 2.0},
+    ])
+    def test_matching_network_modes_accepted(self, tmp_path, network):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, network=network))
+        code, doc = run(tmp_path, ["distribution", "--config", cfg])
+        assert code == EXIT_OK
+        assert doc["config"]["network"]["modes"] == 2
+
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, query={"signature": [1.0, 1]}))
         code, doc = run(tmp_path, ["distribution", "--config", cfg])
@@ -459,6 +484,12 @@ class TestVerify:
             assert engine == probability_mixed(u, photons, None, sig)
             assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
 
+    def test_mixture_sweep_refuses_unaligned_outcomes(self):
+        _, _, photons = mixed_experiment()
+        orders = iter([{(1, 0): 0.5, (0, 1): 0.5}] + [{(0, 1): 0.5, (1, 0): 0.5}] * 3)
+        with pytest.raises(RuntimeError):
+            _mixture_sweep(photons, "nonresolved", lambda lam: next(orders))
+
     def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()
         cfg = write_json(tmp_path / "c.json", {**config, "detector": "resolved"})
@@ -538,16 +569,24 @@ def writer_documents(tmp_path):
         "network": {"preset": "random", "modes": 4, "seed": 3},
         "photons": [{"gaussian": {"mu": 0.1 * j, "sigma": 1.0, "tau": 0.4 * j}} for j in range(3)],
     }
+    four_photons = {
+        "network": {"preset": "random", "modes": 4, "seed": 5},
+        "photons": [{"gaussian": {"mu": mu, "sigma": sigma, "tau": tau}} for mu, sigma, tau in GAUSSIANS[:4]],
+        "detector": "resolved",
+    }
     mixed, _, _ = mixed_experiment()
     docs = {
         "blind sweep": _run_distribution(config(blind)),
         "signature query": _run_distribution(config({**blind, "query": {"signature": [2, 0, 1, 0]}})),
         "resolved sweep": _run_distribution(config({**blind, "detector": "resolved"})),
+        "long resolved sweep": _run_distribution(config(four_photons)),
         "resolved query": _run_distribution(config(hom_config(
             0.5, detector="resolved", query={"resolved": [[2, 0], [0, 0]]}))),
         "mixed distribution": _run_distribution(config(mixed)),
+        "mixed resolved sweep": _run_distribution(config({**mixed, "detector": "resolved"})),
         "pure verify": _run_verify(config(blind)),
         "mixed verify": _run_verify(config(mixed)),
+        "resolved verify": _run_verify(config({**blind, "detector": "resolved"})),
         "hom-scan": _run_hom_scan("0:1:11"),
         "special floats": {
             "config": {"note": "line\nbreak", "nested": {"b": [1, 2.5], "a": {}}},
@@ -555,11 +594,53 @@ def writer_documents(tmp_path):
             + [{"outcome": ((), (0,)), "probability": 1.0, "count": 3, "flag": True}],
             "sum": float("nan"),
         },
+        "non-finite probabilities": {"outcomes": [
+            {"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]},
+        "extra keys": {"outcomes": [
+            {"outcome": (0, 1), "probability": 0.5},
+            {"outcome": (1, 0), "probability": 0.5, "weight": 2.0},
+        ]},
+        "other keys": {"outcomes": [
+            {"outcome": (0, 1), "probability": 0.5},
+            {"outcome": (1, 0), "weight": 0.5},
+        ]},
+        # Equal to ints, but json writes them as true and 1.0.
+        "lookalike parts": {"outcomes": [
+            {"outcome": ((1, 0), (0, 1)), "probability": 0.5},
+            {"outcome": ((True, 0), (0, 1.0)), "probability": 0.25},
+        ]},
+        "lookalike counts": {"outcomes": [
+            {"outcome": (1, 0), "probability": 0.5},
+            {"outcome": (True, 0.0), "probability": 0.25},
+        ]},
+        "percent keys": {"outcomes": [{"100%": 0.5, "%s": 0.25, "outcome": (0,)}] * 2},
+        "empty outcomes": {"outcomes": [{"outcome": (), "probability": 1.0}]},
+        "ragged outcomes": {"outcomes": [
+            {"outcome": (1, 0), "probability": 0.5}, {"outcome": (1,), "probability": 0.5}]},
         "no outcomes": {"config": {}, "outcomes": [], "passed": False},
+        "empty document": {},
         "permanent": _run_permanent(write_json(tmp_path / "m.json", [[1.0, 2.0], [3.0, -0.5]])),
     }
     assert len(docs["resolved sweep"]["outcomes"][0]["outcome"]) > 1  # basis_size > 1
+    long_sweep = docs["long resolved sweep"]["outcomes"]
+    assert len(long_sweep) > STACK_SIZE and len(long_sweep[0]["outcome"]) == 4
+    assert len(docs["mixed resolved sweep"]["outcomes"][0]["outcome"]) == 5  # the common basis
+    assert len(docs["resolved verify"]["outcomes"][0]["outcome"]) == 3
     return docs
+
+
+def test_writer_fills_a_template_for_every_cli_row(tmp_path, monkeypatch):
+    # json.dumps is the fallback for other shapes, not for what the CLI writes.
+    docs = writer_documents(tmp_path)
+
+    def dumps(value, **kwargs):
+        assert not isinstance(value, list), "rows went through json.dumps"
+        return json.dumps(value, **kwargs)
+
+    monkeypatch.setattr("bosonspectra.cli.json", SimpleNamespace(dumps=dumps))
+    for name in ["blind sweep", "long resolved sweep", "mixed resolved sweep", "resolved verify",
+                 "hom-scan"]:
+        _rows_text(docs[name]["outcomes"])
 
 
 def test_writer_matches_stdlib_indent_encoder(tmp_path, capsys):

@@ -28,7 +28,7 @@ from bosonspectra import (
     probability_nonresolved,
     probability_resolved,
 )
-from bosonspectra.sampling import _occupations, _split_sum, _tau_sum
+from bosonspectra.sampling import STACK_SIZE, _occupations, _split_sum, _tau_sum
 import chi_reference
 from conftest import hom_lambda, random_unit_rows
 
@@ -156,6 +156,56 @@ class TestPaperExpansion:
             modes = inputs or tuple(range(1, lam.n + 1))
             for sig in _occupations(lam.n, (lam.n,) * u.m):
                 assert abs(_tau_sum(u, lam, modes, sig) - _split_sum(u, lam, modes, sig)) <= 1e-12
+
+
+def rank_two_rows(rng, n: int, nb: int) -> LambdaMatrix:
+    """n unit rows over nb basis functions that span only two of them."""
+    plane = np.linalg.qr(rng.standard_normal((nb, 2)) + 1j * rng.standard_normal((nb, 2)))[0].T
+    return random_unit_rows(rng, n, 2).matrix @ plane
+
+
+class TestResolvedSweep:
+    """A sweep gives every outcome what a single query gives, in a fixed order."""
+
+    @pytest.mark.parametrize("case", ["generic", "identical", "rank deficient", "permuted inputs"])
+    def test_sweep_equals_single_queries_bit_for_bit(self, rng, case):
+        # n = 3: the kernel's closed forms give a stack's matrices what they give alone.
+        u = make_random_unitary(4, 23)
+        inputs = None
+        if case == "identical":
+            u = make_random_unitary(11, 23)
+            lam = LambdaMatrix(np.ones((3, 1)))
+        elif case == "rank deficient":
+            lam = LambdaMatrix(rank_two_rows(rng, 3, 4))
+        else:
+            lam = random_unit_rows(rng, 3, 3)
+            if case == "permuted inputs":
+                inputs = (3, 1, 4)
+        dist = distribution_resolved(u, lam, inputs)
+        assert len(dist) > STACK_SIZE
+        for outcome, p in dist.items():
+            assert p == probability_resolved(u, lam, inputs, outcome), outcome
+
+    def test_sweep_matches_single_queries_on_glynn_stacks(self, rng):
+        # From k = 4 the Glynn sum over a stack ends in a BLAS matrix-vector
+        # product and a lone matrix's in a dot product; the two round apart.
+        u = make_random_unitary(4, 23)
+        lam = random_unit_rows(rng, 4, 4)
+        dist = distribution_resolved(u, lam, (3, 1, 4, 2))
+        assert len(dist) == 3876
+        for outcome, p in dist.items():
+            assert abs(p - probability_resolved(u, lam, (3, 1, 4, 2), outcome)) <= 1e-16, outcome
+
+    @pytest.mark.parametrize("n,m,nb", [(4, 4, 4), (3, 2, 3), (2, 5, 1), (1, 3, 2), (3, 1, 2)])
+    def test_enumeration_order(self, n, m, nb):
+        def pool(k):
+            return [occ for occ in itertools.product(range(k + 1), repeat=m) if sum(occ) == k]
+
+        profiles = [p for p in itertools.product(range(n + 1), repeat=nb) if sum(p) == n]
+        reference = [
+            parts for profile in profiles for parts in itertools.product(*map(pool, profile))
+        ]
+        assert list(enumerate_resolved_outcomes(n, m, nb)) == reference
 
 
 class TestEnumeratePartitions:
