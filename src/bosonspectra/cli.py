@@ -24,25 +24,26 @@ NaN and Infinity are rejected, at every level of the config.
 
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
-probabilities printed to 15 significant digits. Each document is
-byte-identical to json.dumps(doc, indent=2, sort_keys=True) plus a
-newline (the permanent's [re, im] pair: json.dumps on one line), but
-its outcomes rows are filled into one template, column by column,
-rather than run through json's pure-Python indent encoder. Exit codes: 0 success, 2 input error,
-3 capacity error, 4 verification failure.
+probabilities printed to 15 significant digits; the document module
+writes them. A distribution sweep streams: the engine hands over
+STACK_SIZE outcomes at a time, every mixture combination in lockstep;
+each chunk is weighted, rendered and written before the next is made,
+and only one float per outcome is kept, for the trailing sum. Every
+check runs before the first byte goes out. Exit codes: 0 success, 2
+input error, 3 capacity error, 4 verification failure.
 """
 
 import argparse
 import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
+from .document import _Sig15, _sig15, _write_document
 from .errors import BosonSpectraError, CapacityError, ConfigurationError
 from .network import (
     Interferometer,
@@ -53,10 +54,11 @@ from .network import (
 from .oracle import verify_against_oracle
 from .permanent import permanent_ryser
 from .sampling import (
+    DISTRIBUTION_OUTCOME_CAP,
     MixedPhotonSource,
     _mixture_terms,
-    distribution_nonresolved,
-    distribution_resolved,
+    _nonresolved_chunks,
+    _resolved_chunks,
     mixture_lambdas,
     probability_nonresolved,
     probability_resolved,
@@ -70,11 +72,6 @@ EXIT_VERIFY_FAILURE = 4
 
 VERIFY_TOLERANCE = 1e-9
 DEFAULT_RANDOM_SEED = 0
-
-
-def _sig15(x: float) -> float:
-    """Round to 15 significant digits, the document's probability precision."""
-    return float(f"{float(x):.15g}")
 
 
 def _finite_float(text: str) -> float:
@@ -326,75 +323,92 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return {"engine": f"bosonspectra {__version__}", "mixture_terms": _mixture_terms(cfg.photons)}
 
 
-def _mixture_sweep(photons, detector: str, rows_of) -> dict:
+def _mixture_sweep(photons, detector: str, chunks_of):
     """Per outcome, the weighted sum over every mixture combination of its value or values.
 
-    rows_of(lam) returns {outcome: value or tuple of values} for one
-    combination; every combination lists the same outcomes in the same
-    order, which is checked once per combination. Totals start at 0.0
-    and add weight * value in combination order, in float64 as Python
-    floats would, so pure photons keep their values exactly and mixed
-    ones add up as in probability_mixed.
+    chunks_of(lam) returns one combination's (outcomes, values) chunks,
+    each value a number or a tuple of them. The combinations are walked
+    in lockstep, chunk by chunk; every chunk must list the outcomes of
+    the first combination's, or RuntimeError is raised. Totals start at
+    0.0 and add weight * value in combination order, in float64 as
+    Python floats would, so pure photons keep their values exactly and
+    mixed ones add up as in probability_mixed. Yields (outcomes, totals)
+    per chunk, totals a float64 array.
     """
-    outcomes, total = None, 0.0
+    weights, streams = [], []
     for weight, lam in mixture_lambdas(photons, detector):
-        rows = rows_of(lam)
-        if outcomes is None:
-            outcomes = list(rows)
-        elif list(rows) != outcomes:
-            raise RuntimeError("mixture combinations list different outcomes")
-        total = total + weight * np.array(list(rows.values()), dtype=float)
-    return dict(zip(outcomes, total.tolist()))
+        weights.append(weight)
+        streams.append(chunks_of(lam))
+    for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
+        outcomes, total = chunks[0][0], 0.0
+        for weight, (chunk_outcomes, values) in zip(weights, chunks):
+            if chunk_outcomes != outcomes:
+                raise RuntimeError("mixture combinations list different outcomes")
+            total = total + weight * np.array(values, dtype=float)
+        yield outcomes, total
 
 
 def _run_distribution(cfg: ExperimentConfig) -> dict:
+    """The results document, its outcomes a stream of row chunks (see _write_document).
+
+    The sweep's first chunk is taken here, so every check it makes has
+    run before a byte is written.
+    """
     kind, value = cfg.query
     u, inputs = cfg.interferometer, cfg.input_modes
     if kind == "distribution":
-        sweep = distribution_resolved if cfg.detector == "resolved" else distribution_nonresolved
+        sweep = _resolved_chunks if cfg.detector == "resolved" else _nonresolved_chunks
 
-        def rows_of(lam):
+        def chunks_of(lam):
             return sweep(u, lam, inputs)
     else:
         probability = probability_resolved if kind == "resolved" else probability_nonresolved
 
-        def rows_of(lam):
-            return {value: probability(u, lam, inputs, value)}
+        def chunks_of(lam):
+            return [([value], [probability(u, lam, inputs, value)])]
 
-    totals = _mixture_sweep(cfg.photons, cfg.detector, rows_of)
+    chunks = _mixture_sweep(cfg.photons, cfg.detector, chunks_of)
+    chunks = itertools.chain([next(chunks)], chunks)
+    # One float64 array per chunk; the sum runs over their values as Python
+    # floats, in sweep order, as it did over the whole sweep's list.
+    totals = []
+
+    def rows():
+        for outcomes, total in chunks:
+            totals.append(total)
+            yield [{"outcome": o, "probability": _Sig15(p)} for o, p in zip(outcomes, total.tolist())]
+
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
-        "outcomes": [
-            {"outcome": outcome, "probability": _sig15(p)} for outcome, p in totals.items()
-        ],
-        "sum": _sig15(sum(totals.values())),
+        "outcomes": rows(),
+        "sum": lambda: _sig15(sum(itertools.chain.from_iterable(map(np.ndarray.tolist, totals)))),
     }
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
-    def rows_of(lam):
+    def chunks_of(lam):
         rows, _ = verify_against_oracle(cfg.interferometer, lam, cfg.input_modes, cfg.detector)
-        return {outcome: (engine_p, oracle_p) for outcome, engine_p, oracle_p in rows}
+        return [([row[0] for row in rows], [row[1:] for row in rows])]
 
-    totals = _mixture_sweep(cfg.photons, cfg.detector, rows_of)
+    ((outcomes, totals),) = _mixture_sweep(cfg.photons, cfg.detector, chunks_of)
 
     rows = []
     max_dev = 0.0
-    for outcome, (engine_p, oracle_p) in totals.items():
+    for outcome, (engine_p, oracle_p) in zip(outcomes, totals.tolist()):
         dev = abs(engine_p - oracle_p)
         max_dev = max(max_dev, dev)
         rows.append({
             "outcome": outcome,
-            "engine": _sig15(engine_p),
-            "oracle": _sig15(oracle_p),
-            "deviation": _sig15(dev),
+            "engine": _Sig15(engine_p),
+            "oracle": _Sig15(oracle_p),
+            "deviation": _Sig15(dev),
         })
 
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
-        "outcomes": rows,
+        "outcomes": [rows],
         "max_deviation": _sig15(max_dev),
         "tolerance": VERIFY_TOLERANCE,
         "passed": bool(max_dev <= VERIFY_TOLERANCE),
@@ -411,6 +425,10 @@ def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
         raise ConfigurationError(f"--alpha-grid must be start:stop:count, got {text!r}") from exc
     if count < 1:
         raise ConfigurationError("--alpha-grid count must be >= 1")
+    if count > DISTRIBUTION_OUTCOME_CAP:
+        raise CapacityError(
+            f"--alpha-grid count {count} exceeds the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
+        )
     if not (0.0 <= start <= stop <= 1.0):
         raise ConfigurationError(f"alpha grid must lie within [0, 1], got {start}:{stop}")
     return start, stop, count
@@ -430,9 +448,9 @@ def _run_hom_scan(grid_text: str) -> dict:
         max_diff = max(max_diff, diff)
         results.append({
             "alpha": alpha,
-            "coincidence_probability": _sig15(engine_p),
-            "closed_form": _sig15(closed),
-            "difference": _sig15(diff),
+            "coincidence_probability": _Sig15(engine_p),
+            "closed_form": _Sig15(closed),
+            "difference": _Sig15(diff),
         })
     return {
         "config": {
@@ -444,7 +462,7 @@ def _run_hom_scan(grid_text: str) -> dict:
             "signature": [1, 1],
         },
         "metadata": {"engine": f"bosonspectra {__version__}"},
-        "outcomes": results,
+        "outcomes": [results],
         "max_abs_difference": _sig15(max_diff),
     }
 
@@ -452,106 +470,9 @@ def _run_hom_scan(grid_text: str) -> dict:
 def _run_permanent(path: str) -> list:
     matrix = _parse_matrix(_load_json(path), path)
     value = permanent_ryser(matrix)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigurationError(f"{path}: the permanent overflows a double ({value})")
     return _complex_pair(value)
-
-
-def _column_texts(values: list):
-    """One row key's values as json.dumps(indent=2) writes them inside a row, or None.
-
-    Returns (pieces, slots): the text is pieces[0] + slots[0][i] +
-    pieces[1] + ... + pieces[-1] for value i. Takes what json writes
-    simply: finite floats, as float.__repr__, and outcomes, tuples of one
-    length with one slot per entry, each entry an int or a tuple of ints.
-    Each distinct tuple entry is rendered once. Anything else returns None.
-    """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            return None
-        return ["", ""], [list(map(float.__repr__, values))]
-    widths = set(map(len, values)) if kinds == {tuple} else set()
-    if len(widths) != 1:
-        return None
-    (width,) = widths
-    items = list(itertools.chain.from_iterable(values))
-    item_kinds = set(map(type, items))
-    if item_kinds == {int}:
-        render = str
-    elif item_kinds == {tuple} and set(map(type, itertools.chain.from_iterable(items))) <= {int}:
-        head, sep, tail = "[\n          ", ",\n          ", "\n        ]"
-        parts = {part: head + sep.join(map(str, part)) + tail if part else "[]" for part in set(items)}
-        render = parts.__getitem__
-    else:
-        return None
-    pieces = ["[\n        "] + [",\n        "] * (width - 1) + ["\n      ]"]
-    return pieces, [list(map(render, map(operator.itemgetter(i), values))) for i in range(width)]
-
-
-def _rows_text(rows: list) -> str:
-    """The outcomes rows as json.dumps(rows, indent=2, sort_keys=True) writes them one level deep.
-
-    Dict rows that share one set of string keys, each key holding values
-    _column_texts takes, follow one template: the same constant text
-    between the same slots in every row. The whole text is one join over
-    the slots and constants. Rows of any other shape go through
-    json.dumps, so NaN, infinities, booleans and nested values read as
-    json writes them.
-    """
-    uniform = set(map(type, rows)) == {dict} and set(map(type, rows[0])) == {str}
-    keys = sorted(rows[0]) if uniform else []
-    try:
-        values = [[row[key] for row in rows] for key in keys]
-    except KeyError:  # a row lacks one of the first row's keys
-        values = []
-    # Rows as long as the first that hold all its keys have its keys.
-    same_keys = values and set(map(len, rows)) == {len(keys)}
-    columns = list(map(_column_texts, values)) if same_keys else [None]
-    if None in columns:
-        return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
-
-    # A row is gaps[0] + slot 0 + gaps[1] + slot 1 + ... + the last slot + tail.
-    gaps, slots, text = [], [], "    {\n"
-    for i, (key, (pieces, texts)) in enumerate(zip(keys, columns)):
-        text += (",\n" if i else "") + f"      {json.dumps(key)}: " + pieces[0]
-        for piece, column in zip(pieces[1:], texts):
-            gaps.append(text)
-            slots.append(column)
-            text = piece
-    tail = text + "\n    }"
-    # Every slot's texts, each followed by the constant after it, row after row.
-    lanes = []
-    for column, gap in zip(slots, gaps[1:] + [tail + ",\n" + gaps[0]]):
-        lanes += [column, itertools.repeat(gap)]
-    out = ["[\n" + gaps[0], *itertools.chain.from_iterable(zip(*lanes))]
-    out[-1] = tail + "\n  ]"
-    return "".join(out)
-
-
-def _write_document(doc, output: str) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, byte for byte.
-
-    A list document (the permanent) is written on one line. A dict
-    document renders its outcomes rows directly, and every other value,
-    all small, through json.dumps re-indented one level. The text goes
-    out in pieces: the outcomes run to megabytes, and joining them to
-    the rest would copy them.
-    """
-    if isinstance(doc, dict):
-        pieces = []
-        for key in sorted(doc):
-            if key == "outcomes":
-                text = _rows_text(doc[key])
-            else:
-                text = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-            pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": ", text]
-        pieces.append("\n}\n" if pieces else "{}\n")
-    else:
-        pieces = [json.dumps(doc, sort_keys=True), "\n"]
-    if output == "-":
-        sys.stdout.writelines(pieces)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
 
 
 def build_parser() -> argparse.ArgumentParser:

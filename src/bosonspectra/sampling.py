@@ -35,15 +35,21 @@ order then component order. Blind probabilities do not depend on the
 basis, so each combination keeps its own, narrower one.
 
 Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
-A resolved sweep is one array pass. Its outcomes are itertools.product
-over per-count pools of occupation tuples, taken once per sweep; its
-(outcomes x basis_size * m) count matrix is the same product over pool
-indices; the count rows pick the joint-matrix rows that go to the
-kernel. Only Per / sqrt(prod S_vec!) and its squared modulus run per
+A sweep is a stream of chunks of STACK_SIZE outcomes, taken in sweep
+order across profile boundaries, so chunk i holds outcomes
+i * STACK_SIZE onwards and nothing held grows with the sweep. A resolved
+chunk is made in numpy from per-count pools of occupation tuples, taken
+once per sweep: its outcomes are itertools.product over the pools, its
+(outcomes x basis_size * m) count matrix the same product over pool
+indices, and its prod S_vec! the product of one factorial product per
+pool entry. The count rows pick the joint-matrix rows of one kernel
+stack. Only Per / sqrt(prod S_vec!) and its squared modulus run per
 outcome, on Python scalars: numpy's complex division and its ** 2 round
 differently. From n = 4 on, a sweep's value and a single query's can
 differ in the last bits, since the kernel ends a stack's Glynn sum in a
 matrix-vector product and a lone matrix's in a dot product.
+distribution_resolved and distribution_nonresolved gather their
+streams into one dict.
 
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
@@ -141,19 +147,24 @@ def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> 
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
 
 
-def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray) -> list[complex]:
+def _factorial_products(counts: np.ndarray) -> list[int]:
+    """prod S_vec! for each row S_vec of a count matrix, as Python ints."""
+    return _FACTORIALS[counts].prod(axis=1).tolist()
+
+
+def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]) -> list[complex]:
     """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
 
-    The permanents go to the kernel STACK_SIZE outcomes at a time. The
-    division runs on Python scalars: numpy's complex / float multiplies
-    by the reciprocal and rounds differently.
+    norms holds each row's prod S_vec! as a Python int. The permanents
+    go to the kernel STACK_SIZE outcomes at a time. The division runs on
+    Python scalars: numpy's complex / float multiplies by the reciprocal
+    and rounds differently.
     """
     batch, width = counts.shape
     rows = np.repeat(np.tile(np.arange(width), batch), counts.ravel()).reshape(batch, -1)
     pers = []
     for start in range(0, batch, STACK_SIZE):
         pers += permanent_stack(joint[rows[start : start + STACK_SIZE]]).tolist()
-    norms = _FACTORIALS[counts].prod(axis=1).tolist()
     return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
 
 
@@ -181,7 +192,8 @@ def _split_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -
         for profile in _occupations(n, (n,) * r)
         for parts in enumerate_partitions(sig, profile)
     ])
-    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)
+    joint = _joint_matrix(interferometer, lam, inputs)
+    amps = _resolved_amplitudes(joint, counts, _factorial_products(counts))
     return float(sum(abs(amp) ** 2 for amp in amps))
 
 
@@ -246,7 +258,8 @@ def amplitude_resolved(
             f"resolved outcome holds {total_photons} photons, expected {lam.n}"
         )
     counts = np.array([sum(parts, ())])
-    return _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)[0]
+    joint = _joint_matrix(interferometer, lam, inputs)
+    return _resolved_amplitudes(joint, counts, _factorial_products(counts))[0]
 
 
 def probability_resolved(
@@ -291,10 +304,11 @@ def probability_distinguishable_fast(interferometer: Interferometer, signature, 
     return float(permanent_ryser(block).real)
 
 
-def distribution_nonresolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
-) -> dict[tuple[int, ...], float]:
-    """Probability of every signature M with sum(M) = n, in lexicographic order."""
+def _nonresolved_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None):
+    """distribution_nonresolved as (signatures, probabilities) chunks of at most STACK_SIZE.
+
+    The inputs and the sweep cap are checked when the first chunk is taken.
+    """
     n, m = lam.n, interferometer.m
     inputs = _validated_inputs(input_modes, n, m)
     count = math.comb(n + m - 1, n)
@@ -302,10 +316,20 @@ def distribution_nonresolved(
         raise CapacityError(
             f"{count} output signatures exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
         )
-    return {
-        sig: _probability_nonresolved(interferometer, lam, inputs, sig)
-        for sig in _occupations(n, (n,) * m)
-    }
+    for sigs in _chunks(_occupations(n, (n,) * m)):
+        yield sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs]
+
+
+def _gathered(chunks) -> dict:
+    """One dict of every (outcomes, values) chunk's outcome -> value, in stream order."""
+    return {outcome: value for outcomes, values in chunks for outcome, value in zip(outcomes, values)}
+
+
+def distribution_nonresolved(
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
+) -> dict[tuple[int, ...], float]:
+    """Probability of every signature M with sum(M) = n, in lexicographic order."""
+    return _gathered(_nonresolved_chunks(interferometer, lam, input_modes))
 
 
 def _pools(n: int, m: int) -> list[tuple]:
@@ -324,26 +348,45 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
         yield from itertools.product(*[pools[k] for k in profile])
 
 
-def _resolved_sweep(n: int, m: int, basis_size: int) -> tuple[list, np.ndarray]:
-    """enumerate_resolved_outcomes as a list, and its count matrix.
+def _resolved_counts(n: int, m: int, basis_size: int):
+    """enumerate_resolved_outcomes in chunks of STACK_SIZE, each with its count matrix and norms.
 
-    Row i of the matrix is outcome i flattened. A profile's rows are the
-    product of its outcomes taken over pool indices, in numpy.
+    Yields (outcomes, counts, norms): row i of counts is outcome i
+    flattened and norms[i] its prod S_vec! as a Python int. Chunks run
+    across profile boundaries; only the last may be shorter. A
+    profile's rows are the product of its outcomes taken over pool
+    indices, in numpy, and its norms the product of its pool entries'.
     """
     pools = _pools(n, m)
-    tables = [np.array(pool).reshape(len(pool), m) for pool in pools]
-    outcomes, blocks = [], []
+    # A count never exceeds n (at most 11 under the sweep cap): int8 rows keep chunks small.
+    tables = [np.array(pool, dtype=np.int8).reshape(len(pool), m) for pool in pools]
+    pool_norms = [
+        np.array([math.prod(map(math.factorial, occ)) for occ in pool], dtype=object) for pool in pools
+    ]
+    outcomes, blocks, norms = [], [], []
     for profile in _occupations(n, (n,) * basis_size):
-        outcomes += itertools.product(*[pools[k] for k in profile])
-        picks = np.indices([len(pools[k]) for k in profile]).reshape(basis_size, -1)
-        blocks.append(np.hstack([tables[k][pick] for k, pick in zip(profile, picks)]))
-    return outcomes, np.vstack(blocks)
+        sizes = [len(pools[k]) for k in profile]
+        product = itertools.product(*[pools[k] for k in profile])
+        start, total = 0, math.prod(sizes)
+        while start < total:
+            stop = min(total, start + STACK_SIZE - len(outcomes))
+            picks = np.unravel_index(np.arange(start, stop), sizes)
+            outcomes += itertools.islice(product, stop - start)
+            blocks.append(np.hstack([tables[k][pick] for k, pick in zip(profile, picks)]))
+            norms += math.prod(pool_norms[k][pick] for k, pick in zip(profile, picks)).tolist()
+            start = stop
+            if len(outcomes) == STACK_SIZE:
+                yield outcomes, np.vstack(blocks), norms
+                outcomes, blocks, norms = [], [], []
+    if outcomes:
+        yield outcomes, np.vstack(blocks), norms
 
 
-def distribution_resolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
-) -> dict[tuple[tuple[int, ...], ...], float]:
-    """Probability of every spectrally resolved outcome."""
+def _resolved_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None):
+    """distribution_resolved as (outcomes, probabilities) chunks, one kernel stack each.
+
+    The inputs and the sweep cap are checked when the first chunk is taken.
+    """
     n, m, nb = lam.n, interferometer.m, lam.basis_size
     inputs = _validated_inputs(input_modes, n, m)
     count = math.comb(m * nb + n - 1, n)
@@ -351,9 +394,16 @@ def distribution_resolved(
         raise CapacityError(
             f"{count} resolved outcomes exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
         )
-    outcomes, counts = _resolved_sweep(n, m, nb)
-    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts)
-    return dict(zip(outcomes, [abs(amp) ** 2 for amp in amps]))
+    joint = _joint_matrix(interferometer, lam, inputs)
+    for outcomes, counts, norms in _resolved_counts(n, m, nb):
+        yield outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)]
+
+
+def distribution_resolved(
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
+) -> dict[tuple[tuple[int, ...], ...], float]:
+    """Probability of every spectrally resolved outcome."""
+    return _gathered(_resolved_chunks(interferometer, lam, input_modes))
 
 
 def _as_mixture(photon) -> MixedPhotonSource:

@@ -18,6 +18,7 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.sampling, "_Engine")
     assert not hasattr(bosonspectra.sampling, "mixture_tuples")
     assert not hasattr(bosonspectra.sampling, "_resolved_probability_padded")
+    assert not hasattr(bosonspectra.sampling, "_resolved_sweep")
     assert "mixed" not in bosonspectra.cli.ExperimentConfig.__dataclass_fields__
     assert not hasattr(bosonspectra.cli, "_outcome_json")
 

@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import bosonspectra.sampling
 from bosonspectra import (
     GaussianWavepacket,
     LambdaMatrix,
     MixedPhotonSource,
+    distribution_nonresolved,
+    distribution_resolved,
     fock_evolve,
     lambda_from_photons,
     make_random_unitary,
@@ -18,23 +24,22 @@ from bosonspectra import (
     probability_mixed,
     verify_against_oracle,
 )
-from bosonspectra.sampling import STACK_SIZE
+from bosonspectra.sampling import DISTRIBUTION_OUTCOME_CAP, STACK_SIZE
 from bosonspectra.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILURE,
+    _metadata,
     _mixture_sweep,
     _run_distribution,
     _run_hom_scan,
     _run_permanent,
-    _rows_text,
     _run_verify,
-    _sig15,
-    _write_document,
     load_config,
     main,
 )
+from bosonspectra.document import _rows_text, _Sig15, _sig15, _sig15_texts, _write_document
 
 
 def write_json(path, payload):
@@ -378,6 +383,14 @@ class TestStrictInputs:
         # Both are refused while the JSON is read, before any later check.
         assert capsys.readouterr().err.count(f"non-finite number {literal}") == 2
 
+    def test_overflowing_permanent_exits_2(self, tmp_path, capsys):
+        # Per = 2e616 overflows a double; it used to be written as Infinity with exit 0.
+        path = write_json(tmp_path / "m.json", [[1e308, 1e308], [1e308, 1e308]])
+        out = tmp_path / "out.json"
+        assert main(["permanent", path, "--output", str(out)]) == EXIT_INPUT_ERROR
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [
         hom_config(0.5, network={"preset": "beamsplitter", "mode": 2}),
         hom_config(0.5, network={"preset": "dft", "modes": 2, "seed": 3}),
@@ -416,6 +429,17 @@ class TestHomScan:
     def test_out_of_range_grid_exits_2(self, tmp_path):
         assert main(["hom-scan", "--alpha-grid", "0:1.5:5"]) == EXIT_INPUT_ERROR
         assert main(["hom-scan", "--alpha-grid", "0:1"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("count", [DISTRIBUTION_OUTCOME_CAP + 1, 10**18])
+    def test_grid_over_the_cap_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr("bosonspectra.cli.probability_nonresolved", refuse)
+        code = main(["hom-scan", "--alpha-grid", f"0:1:{count}"])
+        assert code == EXIT_CAPACITY_ERROR
+        assert "exceeds the sweep cap" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -477,18 +501,36 @@ class TestVerify:
     def test_mixture_sweep_adds_like_probability_mixed(self):
         # Unrounded: the document's 15 digits would hide a change of summation order.
         _, u, photons = mixed_experiment()
-        totals = _mixture_sweep(photons, "nonresolved", lambda lam: {
-            sig: (engine, oracle) for sig, engine, oracle in verify_against_oracle(u, lam)[0]})
+
+        def chunks_of(lam):
+            rows = verify_against_oracle(u, lam)[0]
+            # Chunks of 7 rows, so totals are also taken chunk by chunk.
+            return [([row[0] for row in rows[i:i + 7]], [row[1:] for row in rows[i:i + 7]])
+                    for i in range(0, len(rows), 7)]
+
+        chunks = list(_mixture_sweep(photons, "nonresolved", chunks_of))
+        assert [len(outcomes) for outcomes, _ in chunks] == [7, 7, 6]
         states = weighted_states(u, photons)
-        for sig, (engine, oracle) in totals.items():
-            assert engine == probability_mixed(u, photons, None, sig)
-            assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
+        for outcomes, totals in chunks:
+            for sig, (engine, oracle) in zip(outcomes, totals.tolist()):
+                assert engine == probability_mixed(u, photons, None, sig)
+                assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
 
     def test_mixture_sweep_refuses_unaligned_outcomes(self):
         _, _, photons = mixed_experiment()
-        orders = iter([{(1, 0): 0.5, (0, 1): 0.5}] + [{(0, 1): 0.5, (1, 0): 0.5}] * 3)
+        orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [[([(0, 1), (1, 0)], [0.5, 0.5])]] * 3)
         with pytest.raises(RuntimeError):
-            _mixture_sweep(photons, "nonresolved", lambda lam: next(orders))
+            list(_mixture_sweep(photons, "nonresolved", lambda lam: next(orders)))
+
+    @pytest.mark.parametrize("later", [
+        [([(1, 0)], [0.5]), ([(0, 1)], [0.5])],  # the same outcomes in other chunks
+        [([(1, 0), (0, 1)], [0.5, 0.5]), ([(1, 1)], [0.0])],  # one chunk more
+    ])
+    def test_mixture_sweep_refuses_unaligned_chunks(self, later):
+        _, _, photons = mixed_experiment()
+        orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [later] * 3)
+        with pytest.raises(RuntimeError):
+            list(_mixture_sweep(photons, "nonresolved", lambda lam: next(orders)))
 
     def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()
@@ -514,6 +556,139 @@ class TestVerify:
         code, doc = run(tmp_path, ["verify", "--config", cfg])
         assert code == EXIT_VERIFY_FAILURE
         assert doc["passed"] is False
+
+
+def reference_text(config_path) -> str:
+    """A sweep's document as written before sweeps streamed, byte for byte.
+
+    Whole-sweep dicts from the library, weighted per combination in
+    Python floats, every row rounded by _sig15 and the whole document
+    run through json's own indent encoder.
+    """
+    cfg = load_config(config_path)
+    sweep = distribution_resolved if cfg.detector == "resolved" else distribution_nonresolved
+    totals = {}
+    for weight, lam in mixture_lambdas(cfg.photons, cfg.detector):
+        for outcome, p in sweep(cfg.interferometer, lam, cfg.input_modes).items():
+            totals[outcome] = totals.get(outcome, 0.0) + weight * p
+    doc = {
+        "config": cfg.echo,
+        "metadata": _metadata(cfg),
+        "outcomes": [{"outcome": o, "probability": _sig15(p)} for o, p in totals.items()],
+        "sum": _sig15(sum(totals.values())),
+    }
+    return json.dumps(with_lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+def one_gaussian(modes):
+    return {"network": {"preset": "dft", "modes": modes},
+            "photons": [{"gaussian": {"mu": 0.2, "sigma": 1.0, "tau": 0.3}}], "detector": "resolved"}
+
+
+def stream_configs():
+    """Sweeps of every length around the chunk size, keyed by a short name."""
+    config, _, _ = mixed_experiment()
+    four_components = {**one_gaussian(64), "photons": [{"mixture": [
+        {"probability": 0.25, "gaussian": {"mu": mu, "sigma": sigma, "tau": tau}}
+        for mu, sigma, tau in GAUSSIANS[:4]]}]}
+    return {
+        "36 outcomes": ({**hom_config(0.5), "network": {"preset": "random", "modes": 4, "seed": 2},
+                         "detector": "resolved"}, 36),
+        "256 outcomes over 4 profiles": (four_components, STACK_SIZE),
+        "257 outcomes": (one_gaussian(257), STACK_SIZE + 1),
+        "mixed resolved sweep": ({**config, "detector": "resolved"}, 1540),
+        "mixed blind sweep": (config, 20),
+    }
+
+
+class TestStreaming:
+    """Sweeps go out chunk by chunk, with the bytes they had when written whole."""
+
+    @pytest.mark.parametrize("name", list(stream_configs()))
+    def test_documents_keep_their_bytes(self, tmp_path, name):
+        config, count = stream_configs()[name]
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "out.json"
+        assert main(["distribution", "--config", cfg, "--output", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert len(json.loads(text)["outcomes"]) == count
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text == reference_text(cfg)
+
+    def test_peak_memory_does_not_grow_with_the_sweep(self, tmp_path):
+        # 31465 outcomes, a 17 MB document: held whole, the run peaked at
+        # 42 MB of Python allocations; streamed, at about 1 MB.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "network": {"preset": "random", "modes": 7, "seed": 4},
+            "photons": [{"gaussian": {"mu": mu, "sigma": sigma, "tau": tau}}
+                        for mu, sigma, tau in GAUSSIANS[:4]],
+            "detector": "resolved",
+        })
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            code = main(["distribution", "--config", cfg, "--output", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out.stat().st_size > 15e6
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failure_mid_stream_leaves_no_partial_document(self, tmp_path, monkeypatch, existing):
+        amplitudes = bosonspectra.sampling._resolved_amplitudes
+        calls = []
+
+        def fail_on_second_chunk(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return amplitudes(*args)
+
+        monkeypatch.setattr(bosonspectra.sampling, "_resolved_amplitudes", fail_on_second_chunk)
+        cfg = write_json(tmp_path / "cfg.json", one_gaussian(STACK_SIZE + 1))
+        out = tmp_path / "out.json"
+        if existing:
+            out.write_text("previous document\n")
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(RuntimeError, match="injected"):
+            main(["distribution", "--config", cfg, "--output", str(out)])
+        assert len(calls) == 2
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing:
+            assert out.read_text() == "previous document\n"
+
+    def test_checks_run_before_the_first_byte(self, tmp_path, capsys):
+        # Six generic photons over six modes: C(41, 6) resolved outcomes, over the cap.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "network": {"preset": "dft", "modes": 6},
+            "photons": [{"gaussian": {"mu": 0.3 * j, "sigma": 1.0, "tau": 0.5 * j}} for j in range(6)],
+            "detector": "resolved",
+        })
+        out = tmp_path / "out.json"
+        out.write_text("previous document\n")
+        assert main(["distribution", "--config", cfg]) == EXIT_CAPACITY_ERROR
+        assert main(["distribution", "--config", cfg, "--output", str(out)]) == EXIT_CAPACITY_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("exceed the sweep cap") == 2
+        assert out.read_text() == "previous document\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out.json"]
+
+    def test_output_to_a_device_is_written_in_place(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5))
+        assert main(["distribution", "--config", cfg, "--output", os.devnull]) == EXIT_OK
+        assert not Path(os.devnull).is_file()
+
+    def test_output_keeps_the_file_mode(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5))
+        out = tmp_path / "out.json"
+        out.write_text("")
+        out.chmod(0o640)
+        assert main(["distribution", "--config", cfg, "--output", str(out)]) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert json.loads(out.read_text())["sum"] == pytest.approx(1.0)
 
 
 class TestPermanent:
@@ -557,11 +732,41 @@ def with_lists(value):
     return value
 
 
+def materialized(doc):
+    """doc as plain data: its outcome chunks in one list of rows, _Sig15 values rounded by _sig15.
+
+    Values are taken in key order and callables called, as the writer
+    does. This is the document as it was built before documents
+    streamed, and json.dumps of it is what was written then.
+    """
+    if not isinstance(doc, dict):
+        return doc
+    plain = {}
+    for key in sorted(doc):
+        value = doc[key]
+        if key == "outcomes":
+            value = [{k: _sig15(v) if isinstance(v, _Sig15) else v for k, v in row.items()}
+                     if isinstance(row, dict) else row for rows in value for row in rows]
+        elif callable(value):
+            value = value()
+        plain[key] = value
+    return plain
+
+
+def stdlib_text(doc) -> str:
+    indent = 2 if isinstance(doc, dict) else None
+    return json.dumps(with_lists(materialized(doc)), indent=indent, sort_keys=True) + "\n"
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, float("nan"), float("inf"), -float("inf")]
 
 
 def writer_documents(tmp_path):
-    """One document of every kind the CLI writes, keyed by a short name."""
+    """One document of every kind the CLI writes, keyed by a short name.
+
+    Outcomes come as chunks of rows, as the writer takes them. The
+    sweeps stream, so each call makes new documents.
+    """
     def config(payload):
         return load_config(write_json(tmp_path / "cfg.json", payload))
 
@@ -575,6 +780,7 @@ def writer_documents(tmp_path):
         "detector": "resolved",
     }
     mixed, _, _ = mixed_experiment()
+    special_rows = [{"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]
     docs = {
         "blind sweep": _run_distribution(config(blind)),
         "signature query": _run_distribution(config({**blind, "query": {"signature": [2, 0, 1, 0]}})),
@@ -590,43 +796,66 @@ def writer_documents(tmp_path):
         "hom-scan": _run_hom_scan("0:1:11"),
         "special floats": {
             "config": {"note": "line\nbreak", "nested": {"b": [1, 2.5], "a": {}}},
-            "outcomes": [{"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]
-            + [{"outcome": ((), (0,)), "probability": 1.0, "count": 3, "flag": True}],
+            # A chunk the template takes, one that goes through json.dumps, and an empty one.
+            "outcomes": [[{"outcome": (0, 1), "probability": 0.5}] * 2, special_rows
+                         + [{"outcome": ((), (0,)), "probability": 1.0, "count": 3, "flag": True}], []],
             "sum": float("nan"),
         },
-        "non-finite probabilities": {"outcomes": [
-            {"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]},
-        "extra keys": {"outcomes": [
+        "non-finite probabilities": {"outcomes": [special_rows]},
+        "rounded non-finite values": {"outcomes": [
+            [{"outcome": (j, 1), "probability": _Sig15(x)} for j, x in enumerate(SPECIAL_FLOATS)]
+            + [{"outcome": (9, 1), "probability": _Sig15(1.7976931348623157e308)}]]},
+        "rounded values": {"outcomes": [
+            [{"outcome": (j,), "probability": _Sig15(x)} for j, x in enumerate(SIG15_EDGES)]]},
+        "extra keys": {"outcomes": [[
             {"outcome": (0, 1), "probability": 0.5},
             {"outcome": (1, 0), "probability": 0.5, "weight": 2.0},
-        ]},
-        "other keys": {"outcomes": [
+        ]]},
+        "other keys": {"outcomes": [[
             {"outcome": (0, 1), "probability": 0.5},
             {"outcome": (1, 0), "weight": 0.5},
-        ]},
+        ]]},
         # Equal to ints, but json writes them as true and 1.0.
-        "lookalike parts": {"outcomes": [
+        "lookalike parts": {"outcomes": [[
             {"outcome": ((1, 0), (0, 1)), "probability": 0.5},
             {"outcome": ((True, 0), (0, 1.0)), "probability": 0.25},
-        ]},
-        "lookalike counts": {"outcomes": [
+        ]]},
+        "lookalike counts": {"outcomes": [[
             {"outcome": (1, 0), "probability": 0.5},
             {"outcome": (True, 0.0), "probability": 0.25},
-        ]},
-        "percent keys": {"outcomes": [{"100%": 0.5, "%s": 0.25, "outcome": (0,)}] * 2},
-        "empty outcomes": {"outcomes": [{"outcome": (), "probability": 1.0}]},
-        "ragged outcomes": {"outcomes": [
-            {"outcome": (1, 0), "probability": 0.5}, {"outcome": (1,), "probability": 0.5}]},
+        ]]},
+        "percent keys": {"outcomes": [[{"100%": 0.5, "%s": 0.25, "outcome": (0,)}] * 2]},
+        "empty outcomes": {"outcomes": [[{"outcome": (), "probability": 1.0}]]},
+        "ragged outcomes": {"outcomes": [[
+            {"outcome": (1, 0), "probability": 0.5}, {"outcome": (1,), "probability": 0.5}]]},
         "no outcomes": {"config": {}, "outcomes": [], "passed": False},
+        "empty chunks": {"outcomes": [[], []]},
         "empty document": {},
         "permanent": _run_permanent(write_json(tmp_path / "m.json", [[1.0, 2.0], [3.0, -0.5]])),
     }
-    assert len(docs["resolved sweep"]["outcomes"][0]["outcome"]) > 1  # basis_size > 1
-    long_sweep = docs["long resolved sweep"]["outcomes"]
-    assert len(long_sweep) > STACK_SIZE and len(long_sweep[0]["outcome"]) == 4
-    assert len(docs["mixed resolved sweep"]["outcomes"][0]["outcome"]) == 5  # the common basis
-    assert len(docs["resolved verify"]["outcomes"][0]["outcome"]) == 3
     return docs
+
+
+# Values whose 15 digits need care: the spelling boundaries of repr and
+# %.15g (1e-4, 1e15, 1e16), rounding across them, subnormals, and values
+# that round to infinity.
+SIG15_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 2 / 3, 1e-4, 9.99999999999999e-5, 0.99999999999999994,
+    1e-5, 1.5e-7, 123456.789, 999999999999999.4, 999999999999999.6, 1e15, 1234567890123456.0,
+    9999999999999998.0, 1e16, 1.5e20, 1e22, 1e99, 1e100, 1e-99, 1e-100, 2.2250738585072014e-308,
+    2.225073858507201e-308, 5e-324, 1e-320, 1.7976931348623157e308, 1.79769313486231e308,
+    -1.2e-17, 0.30000000000000004, 1e-16, 3.0000000000000004e-20,
+]
+
+
+@pytest.mark.parametrize("x", SIG15_EDGES + SPECIAL_FLOATS)
+def test_sig15_texts_are_repr_of_sig15(x):
+    rounded = _sig15(x)
+    expected = float.__repr__(rounded) if math.isfinite(rounded) else None
+    assert _sig15_texts([x]) == (expected and [expected])
+    # In a column, one value that needs repr's spelling or is not finite decides for all.
+    column = _sig15_texts([0.25, x, 1 / 3, 0.0])
+    assert column == (expected and ["0.25", expected, "0.333333333333333", "0.0"])
 
 
 def test_writer_fills_a_template_for_every_cli_row(tmp_path, monkeypatch):
@@ -637,15 +866,30 @@ def test_writer_fills_a_template_for_every_cli_row(tmp_path, monkeypatch):
         assert not isinstance(value, list), "rows went through json.dumps"
         return json.dumps(value, **kwargs)
 
-    monkeypatch.setattr("bosonspectra.cli.json", SimpleNamespace(dumps=dumps))
+    monkeypatch.setattr("bosonspectra.document.json", SimpleNamespace(dumps=dumps))
+    long_sweep = []
     for name in ["blind sweep", "long resolved sweep", "mixed resolved sweep", "resolved verify",
                  "hom-scan"]:
-        _rows_text(docs[name]["outcomes"])
+        for rows in docs[name]["outcomes"]:
+            _rows_text(rows)
+            if name == "long resolved sweep":
+                long_sweep.append(rows)
+    # Several chunks, the kernel's stacks, of outcomes with four parts.
+    assert len(long_sweep) > 1 and {len(rows) for rows in long_sweep[:-1]} == {STACK_SIZE}
+    assert len(long_sweep[0][0]["outcome"]) == 4
 
 
 def test_writer_matches_stdlib_indent_encoder(tmp_path, capsys):
+    expected = {name: stdlib_text(doc) for name, doc in writer_documents(tmp_path).items()}
+    outcome = json.loads(expected["resolved sweep"])["outcomes"][0]["outcome"]
+    assert len(outcome) > 1  # basis_size > 1
+    outcome = json.loads(expected["mixed resolved sweep"])["outcomes"][0]["outcome"]
+    assert len(outcome) == 5  # the common basis
+    assert len(json.loads(expected["resolved verify"])["outcomes"][0]["outcome"]) == 3
     for name, doc in writer_documents(tmp_path).items():
         _write_document(doc, "-")
-        indent = 2 if isinstance(doc, dict) else None
-        assert capsys.readouterr().out == json.dumps(
-            with_lists(doc), indent=indent, sort_keys=True) + "\n", name
+        text = capsys.readouterr().out
+        assert text == expected[name], name
+        if "verify" in name or "sweep" in name or "query" in name or name == "hom-scan":
+            # What the CLI writes also reads back to itself: every number is repr of its value.
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name

@@ -28,7 +28,17 @@ from bosonspectra import (
     probability_nonresolved,
     probability_resolved,
 )
-from bosonspectra.sampling import STACK_SIZE, _occupations, _split_sum, _tau_sum
+import bosonspectra.sampling
+from bosonspectra.sampling import (
+    STACK_SIZE,
+    _factorial_products,
+    _joint_matrix,
+    _occupations,
+    _resolved_amplitudes,
+    _resolved_counts,
+    _split_sum,
+    _tau_sum,
+)
 import chi_reference
 from conftest import hom_lambda, random_unit_rows
 
@@ -195,6 +205,40 @@ class TestResolvedSweep:
         assert len(dist) == 3876
         for outcome, p in dist.items():
             assert abs(p - probability_resolved(u, lam, (3, 1, 4, 2), outcome)) <= 1e-16, outcome
+
+    # 3876 outcomes in stacks of 256 (a short last one), of 17 (an exact
+    # multiple) and of 31 (a lone last outcome); 21 outcomes, fewer than a stack.
+    @pytest.mark.parametrize("n,m,nb,stack", [(4, 4, 4, 256), (4, 4, 4, 17), (4, 4, 4, 31), (2, 3, 2, 256)])
+    def test_chunks_are_the_whole_sweep_cut_into_stacks(self, monkeypatch, n, m, nb, stack):
+        monkeypatch.setattr(bosonspectra.sampling, "STACK_SIZE", stack)
+        outcomes = list(enumerate_resolved_outcomes(n, m, nb))
+        chunks = list(_resolved_counts(n, m, nb))
+        assert [len(chunk) for chunk, _, _ in chunks[:-1]] == [stack] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1][0]) <= stack
+        assert [o for chunk, _, _ in chunks for o in chunk] == outcomes
+        counts = np.vstack([c for _, c, _ in chunks])
+        assert counts.tolist() == [list(sum(o, ())) for o in outcomes]
+        norms = [norm for _, _, chunk_norms in chunks for norm in chunk_norms]
+        assert norms == [math.prod(map(math.factorial, sum(o, ()))) for o in outcomes]
+        assert {type(norm) for norm in norms} == {int}
+
+    @pytest.mark.parametrize("stack", [256, 17, 31])
+    def test_sweep_stacks_are_those_of_the_whole_count_matrix(self, rng, monkeypatch, stack):
+        # The kernel gets the stacks it got when the whole sweep's count matrix
+        # was made first and cut from its start, so every value keeps its bits.
+        monkeypatch.setattr(bosonspectra.sampling, "STACK_SIZE", stack)
+        u = make_random_unitary(4, 23)
+        lam = random_unit_rows(rng, 4, 4)
+        outcomes = list(enumerate_resolved_outcomes(4, 4, 4))
+        counts = np.array([sum(o, ()) for o in outcomes])
+        joint = _joint_matrix(u, lam, (1, 2, 3, 4))
+        whole = _resolved_amplitudes(joint, counts, _factorial_products(counts))
+        dist = distribution_resolved(u, lam)
+        assert list(dist) == outcomes
+        assert list(dist.values()) == [abs(amp) ** 2 for amp in whole]
+        if len(outcomes) % stack == 1:
+            # A lone last outcome goes to the kernel as a single query's does.
+            assert dist[outcomes[-1]] == probability_resolved(u, lam, None, outcomes[-1])
 
     @pytest.mark.parametrize("n,m,nb", [(4, 4, 4), (3, 2, 3), (2, 5, 1), (1, 3, 2), (3, 1, 2)])
     def test_enumeration_order(self, n, m, nb):
