@@ -23,7 +23,7 @@ from .network import (
     make_random_unitary,
     submatrix,
 )
-from .oracle import FockState, fock_evolve, oracle_probability, verify_against_oracle
+from .oracle import FockState, fock_evolve, oracle_probability, verify_against_oracle, verify_chunks
 from .permanent import permanent_naive, permanent_ryser, permanent_stack
 from .sampling import (
     MixedPhotonSource,
@@ -34,6 +34,8 @@ from .sampling import (
     enumerate_partitions,
     enumerate_resolved_outcomes,
     mixture_lambdas,
+    mixture_terms,
+    probability_chunks,
     probability_distinguishable_fast,
     probability_indistinguishable_fast,
     probability_mixed,
@@ -69,6 +71,7 @@ __all__ = [
     "fock_evolve",
     "oracle_probability",
     "verify_against_oracle",
+    "verify_chunks",
     "permanent_naive",
     "permanent_ryser",
     "permanent_stack",
@@ -80,6 +83,8 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_resolved_outcomes",
     "mixture_lambdas",
+    "mixture_terms",
+    "probability_chunks",
     "probability_distinguishable_fast",
     "probability_indistinguishable_fast",
     "probability_mixed",

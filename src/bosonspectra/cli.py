@@ -25,12 +25,13 @@ NaN and Infinity are rejected, at every level of the config.
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
 probabilities printed to 15 significant digits; the document module
-writes them. A distribution sweep streams: the engine hands over
-STACK_SIZE outcomes at a time, every mixture combination in lockstep;
-each chunk is weighted, rendered and written before the next is made,
-and only one float per outcome is kept, for the trailing sum. Every
-check runs before the first byte goes out. Exit codes: 0 success, 2
-input error, 3 capacity error, 4 verification failure.
+writes them. A distribution sweep streams: sampling.probability_chunks
+hands over STACK_SIZE outcomes at a time, weighted over every mixture
+combination; each chunk is rendered and written before the next is
+made, and only one float per outcome is kept, for the trailing sum.
+Every check runs before the first byte goes out. The CLI calls only
+public engine names. Exit codes: 0 success, 2 input error, 3 capacity
+error, 4 verification failure.
 """
 
 import argparse
@@ -51,17 +52,15 @@ from .network import (
     make_dft,
     make_random_unitary,
 )
-from .oracle import verify_against_oracle
+from .oracle import verify_chunks
 from .permanent import permanent_ryser
 from .sampling import (
     DISTRIBUTION_OUTCOME_CAP,
+    STACK_SIZE,
     MixedPhotonSource,
-    _mixture_terms,
-    _nonresolved_chunks,
-    _resolved_chunks,
-    mixture_lambdas,
+    mixture_terms,
+    probability_chunks,
     probability_nonresolved,
-    probability_resolved,
 )
 from .spectra import CoefficientSpectrum, GaussianWavepacket, LambdaMatrix
 
@@ -166,10 +165,8 @@ def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
             u = make_dft(modes)
             echo = {"preset": "dft", "modes": u.m}
         else:
-            seed = data.get("seed", seed_flag)
-            if seed is None:
-                seed = DEFAULT_RANDOM_SEED
-            seed = _parse_int(seed, "network.seed")
+            default = DEFAULT_RANDOM_SEED if seed_flag is None else seed_flag
+            seed = _parse_int(data.get("seed", default), "network.seed")
             u = make_random_unitary(modes, seed)
             echo = {"preset": "random", "modes": u.m, "seed": seed}
     else:
@@ -178,6 +175,11 @@ def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
         )
     if modes is not None and modes != u.m:
         raise ConfigurationError(f"network.modes is {modes}, but the network has {u.m} modes")
+    if seed_flag is not None and echo.get("seed") != seed_flag:
+        raise ConfigurationError(
+            f"--seed {seed_flag} would be ignored: it seeds only a 'random' network preset "
+            "that gives no 'seed' or the same one"
+        )
     return u, echo
 
 
@@ -228,7 +230,7 @@ def _parse_photon(data, where: str):
 
 def _parse_query(data, n: int, m: int, detector: str):
     if data is None or data == "distribution":
-        return ("distribution", None), "distribution"
+        return None, "distribution"
     if isinstance(data, dict) and "signature" in data:
         _check_keys(data, {"signature"}, "query")
         if detector != "nonresolved":
@@ -238,7 +240,7 @@ def _parse_query(data, n: int, m: int, detector: str):
             raise ConfigurationError(
                 f"signature must hold {n} photons over {m} modes, got {list(sig)}"
             )
-        return ("signature", sig), {"signature": list(sig)}
+        return sig, {"signature": list(sig)}
     if isinstance(data, dict) and "resolved" in data:
         _check_keys(data, {"resolved"}, "query")
         if detector != "resolved":
@@ -251,7 +253,7 @@ def _parse_query(data, n: int, m: int, detector: str):
             raise ConfigurationError(
                 f"resolved outcome must hold {n} photons over {m} modes per spectral part"
             )
-        return ("resolved", parts), {"resolved": [list(p) for p in parts]}
+        return parts, {"resolved": [list(p) for p in parts]}
     raise ConfigurationError(
         f"query must be 'distribution', {{'signature': [...]}} or {{'resolved': [...]}}, got {data!r}"
     )
@@ -263,7 +265,7 @@ class ExperimentConfig:
     photons: list
     input_modes: tuple
     detector: str
-    query: tuple
+    outcome: tuple | None  # a single outcome to query, or None for the whole sweep
     echo: dict
 
 
@@ -300,7 +302,7 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"detector must be 'resolved' or 'nonresolved', got {detector!r}")
 
-    query, query_echo = _parse_query(data.get("query"), n, m, detector)
+    outcome, query_echo = _parse_query(data.get("query"), n, m, detector)
 
     echo = {
         "network": network_echo,
@@ -314,60 +316,22 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
         photons=photons,
         input_modes=input_modes,
         detector=detector,
-        query=query,
+        outcome=outcome,
         echo=echo,
     )
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    return {"engine": f"bosonspectra {__version__}", "mixture_terms": _mixture_terms(cfg.photons)}
-
-
-def _mixture_sweep(photons, detector: str, chunks_of):
-    """Per outcome, the weighted sum over every mixture combination of its value or values.
-
-    chunks_of(lam) returns one combination's (outcomes, values) chunks,
-    each value a number or a tuple of them. The combinations are walked
-    in lockstep, chunk by chunk; every chunk must list the outcomes of
-    the first combination's, or RuntimeError is raised. Totals start at
-    0.0 and add weight * value in combination order, in float64 as
-    Python floats would, so pure photons keep their values exactly and
-    mixed ones add up as in probability_mixed. Yields (outcomes, totals)
-    per chunk, totals a float64 array.
-    """
-    weights, streams = [], []
-    for weight, lam in mixture_lambdas(photons, detector):
-        weights.append(weight)
-        streams.append(chunks_of(lam))
-    for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
-        outcomes, total = chunks[0][0], 0.0
-        for weight, (chunk_outcomes, values) in zip(weights, chunks):
-            if chunk_outcomes != outcomes:
-                raise RuntimeError("mixture combinations list different outcomes")
-            total = total + weight * np.array(values, dtype=float)
-        yield outcomes, total
+    return {"engine": f"bosonspectra {__version__}", "mixture_terms": mixture_terms(cfg.photons)}
 
 
 def _run_distribution(cfg: ExperimentConfig) -> dict:
     """The results document, its outcomes a stream of row chunks (see _write_document).
 
-    The sweep's first chunk is taken here, so every check it makes has
+    The stream's first chunk is taken here, so every check it makes has
     run before a byte is written.
     """
-    kind, value = cfg.query
-    u, inputs = cfg.interferometer, cfg.input_modes
-    if kind == "distribution":
-        sweep = _resolved_chunks if cfg.detector == "resolved" else _nonresolved_chunks
-
-        def chunks_of(lam):
-            return sweep(u, lam, inputs)
-    else:
-        probability = probability_resolved if kind == "resolved" else probability_nonresolved
-
-        def chunks_of(lam):
-            return [([value], [probability(u, lam, inputs, value)])]
-
-    chunks = _mixture_sweep(cfg.photons, cfg.detector, chunks_of)
+    chunks = probability_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector, cfg.outcome)
     chunks = itertools.chain([next(chunks)], chunks)
     # One float64 array per chunk; the sum runs over their values as Python
     # floats, in sweep order, as it did over the whole sweep's list.
@@ -387,24 +351,13 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
-    def chunks_of(lam):
-        rows, _ = verify_against_oracle(cfg.interferometer, lam, cfg.input_modes, cfg.detector)
-        return [([row[0] for row in rows], [row[1:] for row in rows])]
-
-    ((outcomes, totals),) = _mixture_sweep(cfg.photons, cfg.detector, chunks_of)
-
-    rows = []
-    max_dev = 0.0
-    for outcome, (engine_p, oracle_p) in zip(outcomes, totals.tolist()):
-        dev = abs(engine_p - oracle_p)
-        max_dev = max(max_dev, dev)
-        rows.append({
-            "outcome": outcome,
-            "engine": _Sig15(engine_p),
-            "oracle": _Sig15(oracle_p),
-            "deviation": _Sig15(dev),
-        })
-
+    chunks = verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector)
+    rows = [
+        {"outcome": o, "engine": _Sig15(e), "oracle": _Sig15(q), "deviation": _Sig15(abs(e - q))}
+        for outcomes, totals in chunks
+        for o, (e, q) in zip(outcomes, totals.tolist())
+    ]
+    max_dev = max([0.0] + [row["deviation"] for row in rows])
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
@@ -435,23 +388,27 @@ def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
 
 
 def _run_hom_scan(grid_text: str) -> dict:
+    # max_abs_difference sorts before outcomes: a first pass keeps four
+    # floats per grid point, and the rows go out STACK_SIZE at a time.
     start, stop, count = _parse_alpha_grid(grid_text)
     beamsplitter = make_beamsplitter_50_50()
-    results = []
-    max_diff = 0.0
-    for alpha in np.linspace(start, stop, count):
-        alpha = float(alpha)
+    alphas = np.linspace(start, stop, count)
+    engine, closed = np.empty(count), np.empty(count)
+    for i, alpha in enumerate(map(float, alphas)):
         lam = LambdaMatrix([[1.0, 0.0], [alpha, math.sqrt(max(1.0 - alpha**2, 0.0))]])
-        engine_p = probability_nonresolved(beamsplitter, lam, (1, 2), (1, 1))
-        closed = (1.0 - alpha**2) / 2.0
-        diff = abs(engine_p - closed)
-        max_diff = max(max_diff, diff)
-        results.append({
-            "alpha": alpha,
-            "coincidence_probability": _Sig15(engine_p),
-            "closed_form": _Sig15(closed),
-            "difference": _Sig15(diff),
-        })
+        engine[i] = probability_nonresolved(beamsplitter, lam, (1, 2), (1, 1))
+        closed[i] = (1.0 - alpha**2) / 2.0
+    diffs = np.abs(engine - closed)
+
+    def rows():
+        for i in range(0, count, STACK_SIZE):
+            columns = (column[i : i + STACK_SIZE].tolist() for column in (alphas, engine, closed, diffs))
+            yield [
+                {"alpha": a, "coincidence_probability": _Sig15(p), "closed_form": _Sig15(c),
+                 "difference": _Sig15(d)}
+                for a, p, c, d in zip(*columns)
+            ]
+
     return {
         "config": {
             "experiment": "hom-scan",
@@ -462,8 +419,8 @@ def _run_hom_scan(grid_text: str) -> dict:
             "signature": [1, 1],
         },
         "metadata": {"engine": f"bosonspectra {__version__}"},
-        "outcomes": [results],
-        "max_abs_difference": _sig15(max_diff),
+        "outcomes": rows(),
+        "max_abs_difference": _sig15(diffs.max()),
     }
 
 

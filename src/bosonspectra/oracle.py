@@ -19,12 +19,7 @@ from functools import cached_property
 
 from .errors import CapacityError, ConfigurationError
 from .network import Interferometer, as_occupation
-from .sampling import (
-    _validated_inputs,
-    as_resolved_outcome,
-    distribution_nonresolved,
-    distribution_resolved,
-)
+from .sampling import _pure_chunks, _validated_inputs, _weighted_chunks, as_resolved_outcome
 from .spectra import LambdaMatrix
 
 MAX_PHOTONS = 6
@@ -136,6 +131,24 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     raise ConfigurationError(f"unknown detector model {detector!r}")
 
 
+def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str):
+    """One combination's sweep as (outcomes, (engine, oracle) pairs) chunks.
+
+    The engine column is the engine's own sweep, chunk by chunk, and the
+    oracle reads the same outcomes off the Fock state without the
+    validation oracle_probability gives outside input.
+    """
+    state = fock_evolve(interferometer, lam, input_modes)
+    if detector not in ("resolved", "nonresolved"):
+        raise ConfigurationError(f"unknown detector model {detector!r}")
+    for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector):
+        if detector == "resolved":
+            oracle = [float(abs(state.amplitudes.get(_joint_key(o), 0.0)) ** 2) for o in outcomes]
+        else:
+            oracle = [float(state._marginals.get(o, 0.0)) for o in outcomes]
+        yield outcomes, list(zip(values, oracle))
+
+
 def verify_against_oracle(
     interferometer: Interferometer,
     lam: LambdaMatrix,
@@ -145,25 +158,24 @@ def verify_against_oracle(
     """Compare the engine against the Fock oracle on every outcome.
 
     Returns (rows, max_deviation) where each row is
-    (outcome, engine_probability, oracle_probability). The outcomes come
-    from the engine's own sweep, so the oracle reads them without the
-    validation oracle_probability gives outside input.
+    (outcome, engine_probability, oracle_probability), in sweep order.
     """
-    state = fock_evolve(interferometer, lam, input_modes)
-    if detector == "resolved":
-        dist = distribution_resolved(interferometer, lam, input_modes)
-        amps = state.amplitudes
-        oracle = [float(abs(amps.get(_joint_key(parts), 0.0)) ** 2) for parts in dist]
-    elif detector == "nonresolved":
-        dist = distribution_nonresolved(interferometer, lam, input_modes)
-        marginals = state._marginals
-        oracle = [float(marginals.get(sig, 0.0)) for sig in dist]
-    else:
-        raise ConfigurationError(f"unknown detector model {detector!r}")
+    rows = [
+        (outcome, engine_p, oracle_p)
+        for outcomes, pairs in _compared_chunks(interferometer, lam, input_modes, detector)
+        for outcome, (engine_p, oracle_p) in zip(outcomes, pairs)
+    ]
+    return rows, max([0.0] + [abs(engine_p - oracle_p) for _, engine_p, oracle_p in rows])
 
-    rows = []
-    max_dev = 0.0
-    for (outcome, engine_p), oracle_p in zip(dist.items(), oracle):
-        rows.append((outcome, engine_p, oracle_p))
-        max_dev = max(max_dev, abs(engine_p - oracle_p))
-    return rows, max_dev
+
+def verify_chunks(interferometer: Interferometer, photons, input_modes=None, detector: str = "nonresolved"):
+    """Engine and oracle for a whole experiment, as a stream of (outcomes, totals) chunks.
+
+    totals is an (outcomes x 2) float64 array of the engine's and the
+    oracle's probabilities, each weighted over every mixture combination
+    by the loop behind sampling.probability_chunks.
+    """
+    # Whole per combination, so each Fock state is freed before the next is made.
+    yield from _weighted_chunks(
+        photons, detector, lambda lam: list(_compared_chunks(interferometer, lam, input_modes, detector))
+    )

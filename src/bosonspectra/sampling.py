@@ -34,6 +34,11 @@ combinations share the basis of every component of every photon, photon
 order then component order. Blind probabilities do not depend on the
 basis, so each combination keeps its own, narrower one.
 
+An experiment's probabilities are one stream, probability_chunks: the
+combinations' chunks walked in lockstep by _weighted_chunks, the one
+loop that adds weight * value. probability_mixed is its one-outcome
+case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
+
 Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
 A sweep is a stream of chunks of STACK_SIZE outcomes, taken in sweep
 order across profile boundaries, so chunk i holds outcomes
@@ -48,8 +53,8 @@ outcome, on Python scalars: numpy's complex division and its ** 2 round
 differently. From n = 4 on, a sweep's value and a single query's can
 differ in the last bits, since the kernel ends a stack's Glynn sum in a
 matrix-vector product and a lone matrix's in a dot product.
-distribution_resolved and distribution_nonresolved gather their
-streams into one dict.
+distribution_resolved and distribution_nonresolved gather one pure
+combination's stream into one dict.
 
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
@@ -304,62 +309,21 @@ def probability_distinguishable_fast(interferometer: Interferometer, signature, 
     return float(permanent_ryser(block).real)
 
 
-def _nonresolved_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None):
-    """distribution_nonresolved as (signatures, probabilities) chunks of at most STACK_SIZE.
-
-    The inputs and the sweep cap are checked when the first chunk is taken.
-    """
-    n, m = lam.n, interferometer.m
-    inputs = _validated_inputs(input_modes, n, m)
-    count = math.comb(n + m - 1, n)
-    if count > DISTRIBUTION_OUTCOME_CAP:
-        raise CapacityError(
-            f"{count} output signatures exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
-        )
-    for sigs in _chunks(_occupations(n, (n,) * m)):
-        yield sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs]
-
-
-def _gathered(chunks) -> dict:
-    """One dict of every (outcomes, values) chunk's outcome -> value, in stream order."""
-    return {outcome: value for outcomes, values in chunks for outcome, value in zip(outcomes, values)}
-
-
-def distribution_nonresolved(
-    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
-) -> dict[tuple[int, ...], float]:
-    """Probability of every signature M with sum(M) = n, in lexicographic order."""
-    return _gathered(_nonresolved_chunks(interferometer, lam, input_modes))
-
-
-def _pools(n: int, m: int) -> list[tuple]:
-    """pools[k] holds every occupation tuple of k photons over m modes, in lex order."""
-    return [tuple(_occupations(k, (k,) * m)) for k in range(n + 1)]
-
-
-def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
-    """Every resolved outcome of n photons over m modes and basis_size basis functions.
+def _resolved_counts(n: int, m: int, basis_size: int):
+    """Every resolved outcome in chunks of STACK_SIZE, each with its count matrix and norms.
 
     Profiles (per-basis photon counts) ascend lexicographically, then
-    outcomes within a profile.
+    outcomes within a profile, itertools.product over pools[k], every
+    tuple of k photons over m modes in lex order. Yields (outcomes,
+    counts, norms): row i of counts is outcome i flattened and norms[i]
+    its prod S_vec! as a Python int. Chunks run across profile
+    boundaries; only the last may be shorter. A profile's rows are the
+    product of its outcomes taken over pool indices, in numpy, and its
+    norms the product of its pool entries'.
     """
-    pools = _pools(n, m)
-    for profile in _occupations(n, (n,) * basis_size):
-        yield from itertools.product(*[pools[k] for k in profile])
-
-
-def _resolved_counts(n: int, m: int, basis_size: int):
-    """enumerate_resolved_outcomes in chunks of STACK_SIZE, each with its count matrix and norms.
-
-    Yields (outcomes, counts, norms): row i of counts is outcome i
-    flattened and norms[i] its prod S_vec! as a Python int. Chunks run
-    across profile boundaries; only the last may be shorter. A
-    profile's rows are the product of its outcomes taken over pool
-    indices, in numpy, and its norms the product of its pool entries'.
-    """
-    pools = _pools(n, m)
-    # A count never exceeds n (at most 11 under the sweep cap): int8 rows keep chunks small.
-    tables = [np.array(pool, dtype=np.int8).reshape(len(pool), m) for pool in pools]
+    pools = [tuple(_occupations(k, (k,) * m)) for k in range(n + 1)]
+    # The smallest integer type that holds a count of n keeps chunks small.
+    tables = [np.array(pool, dtype=np.min_scalar_type(n)).reshape(len(pool), m) for pool in pools]
     pool_norms = [
         np.array([math.prod(map(math.factorial, occ)) for occ in pool], dtype=object) for pool in pools
     ]
@@ -382,28 +346,59 @@ def _resolved_counts(n: int, m: int, basis_size: int):
         yield outcomes, np.vstack(blocks), norms
 
 
-def _resolved_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None):
-    """distribution_resolved as (outcomes, probabilities) chunks, one kernel stack each.
+def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
+    """Every resolved outcome of n photons over m modes and basis_size basis functions.
 
-    The inputs and the sweep cap are checked when the first chunk is taken.
+    The order of every resolved sweep: see _resolved_counts.
     """
+    for outcomes, _, _ in _resolved_counts(n, m, basis_size):
+        yield from outcomes
+
+
+def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
+    """One pure combination's (outcomes, probabilities) chunks: outcome alone, or the whole sweep.
+
+    A sweep runs in sweep order, in chunks of at most STACK_SIZE (a
+    resolved chunk is one kernel stack). Its inputs and the sweep cap
+    are checked when the first chunk is taken.
+    """
+    if outcome is not None:
+        probability = probability_resolved if detector == "resolved" else probability_nonresolved
+        yield [outcome], [probability(interferometer, lam, input_modes, outcome)]
+        return
     n, m, nb = lam.n, interferometer.m, lam.basis_size
     inputs = _validated_inputs(input_modes, n, m)
-    count = math.comb(m * nb + n - 1, n)
+    resolved = detector == "resolved"
+    count = math.comb((m * nb if resolved else m) + n - 1, n)
     if count > DISTRIBUTION_OUTCOME_CAP:
-        raise CapacityError(
-            f"{count} resolved outcomes exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}"
-        )
-    joint = _joint_matrix(interferometer, lam, inputs)
-    for outcomes, counts, norms in _resolved_counts(n, m, nb):
-        yield outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)]
+        what = "resolved outcomes" if resolved else "output signatures"
+        raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
+    if resolved:
+        joint = _joint_matrix(interferometer, lam, inputs)
+        for outcomes, counts, norms in _resolved_counts(n, m, nb):
+            yield outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)]
+    else:
+        for sigs in _chunks(_occupations(n, (n,) * m)):
+            yield sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs]
+
+
+def _gathered(chunks) -> dict:
+    """One dict of every (outcomes, values) chunk's outcome -> value, in stream order."""
+    return {outcome: value for outcomes, values in chunks for outcome, value in zip(outcomes, values)}
+
+
+def distribution_nonresolved(
+    interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
+) -> dict[tuple[int, ...], float]:
+    """Probability of every signature M with sum(M) = n, in lexicographic order."""
+    return _gathered(_pure_chunks(interferometer, lam, input_modes, "nonresolved"))
 
 
 def distribution_resolved(
     interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
 ) -> dict[tuple[tuple[int, ...], ...], float]:
-    """Probability of every spectrally resolved outcome."""
-    return _gathered(_resolved_chunks(interferometer, lam, input_modes))
+    """Probability of every spectrally resolved outcome, in enumerate_resolved_outcomes order."""
+    return _gathered(_pure_chunks(interferometer, lam, input_modes, "resolved"))
 
 
 def _as_mixture(photon) -> MixedPhotonSource:
@@ -412,7 +407,8 @@ def _as_mixture(photon) -> MixedPhotonSource:
     return MixedPhotonSource(((1.0, photon),))
 
 
-def _mixture_terms(photons) -> int:
+def mixture_terms(photons) -> int:
+    """The number of pure-photon combinations: the product of the photons' component counts."""
     return math.prod(len(_as_mixture(p).components) for p in photons)
 
 
@@ -430,7 +426,7 @@ def mixture_lambdas(photons, detector: str):
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
     sources = [_as_mixture(p) for p in photons]
-    terms = _mixture_terms(sources)
+    terms = mixture_terms(sources)
     if terms > MIXTURE_TERM_CAP:
         raise CapacityError(f"{terms} mixture combinations exceed cap {MIXTURE_TERM_CAP}")
     if detector == "resolved":
@@ -446,24 +442,57 @@ def mixture_lambdas(photons, detector: str):
             yield weight, lambda_from_photons([spec for _, (_, spec) in combo])
 
 
-def probability_mixed(
-    interferometer: Interferometer,
-    photons,
-    input_modes=None,
-    outcome=None,
-    detector: str = "nonresolved",
-) -> float:
-    """Outcome probability for spectrally mixed photons.
+def _weighted_chunks(photons, detector: str, chunks_of):
+    """Per outcome, the weighted sum over every mixture combination of its value or values.
 
-    The probability of every pure-photon combination from
-    mixture_lambdas, weighted by its component probabilities and summed.
-    photons may mix bare SpectralSpec and MixedPhotonSource entries. A
-    resolved outcome needs one part per function of the common basis
+    chunks_of(lam) returns one combination's (outcomes, values) chunks,
+    each value a number or a tuple of them. The combinations are walked
+    in lockstep, chunk by chunk; every chunk must list the outcomes of
+    the first combination's, or RuntimeError is raised. Totals start at
+    0.0 and add weight * value in combination order, in float64 as
+    Python floats would, so pure photons keep their values exactly.
+    Yields (outcomes, totals) per chunk, totals a float64 array.
+    """
+    weights, streams = [], []
+    for weight, lam in mixture_lambdas(photons, detector):
+        weights.append(weight)
+        streams.append(chunks_of(lam))
+    for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
+        outcomes, total = chunks[0][0], 0.0
+        for weight, (chunk_outcomes, values) in zip(weights, chunks):
+            if chunk_outcomes != outcomes:
+                raise RuntimeError("mixture combinations list different outcomes")
+            total = total + weight * np.array(values, dtype=float)
+        yield outcomes, total
+
+
+def probability_chunks(
+    interferometer: Interferometer, photons, input_modes=None, detector: str = "nonresolved", outcome=None
+):
+    """A whole experiment's probabilities as a stream of (outcomes, totals) chunks.
+
+    photons may mix bare SpectralSpec and MixedPhotonSource entries. The
+    stream is the detector's whole sweep in chunks of at most STACK_SIZE,
+    or one chunk holding outcome alone; totals, a float64 array, weights
+    each probability over every combination from mixture_lambdas. The
+    detector, MIXTURE_TERM_CAP, the inputs and the sweep cap are checked
+    when the first chunk is taken.
+    """
+    yield from _weighted_chunks(
+        photons, detector, lambda lam: _pure_chunks(interferometer, lam, input_modes, detector, outcome)
+    )
+
+
+def probability_mixed(
+    interferometer: Interferometer, photons, input_modes=None, outcome=None, detector: str = "nonresolved"
+) -> float:
+    """Outcome probability for spectrally mixed photons: probability_chunks for one outcome.
+
+    A resolved outcome needs one part per function of the common basis
     that spans every component (photon order, then component order), or
     ConfigurationError is raised.
     """
-    probability = probability_resolved if detector == "resolved" else probability_nonresolved
-    total = 0.0
-    for weight, lam in mixture_lambdas(photons, detector):
-        total += weight * probability(interferometer, lam, input_modes, outcome)
-    return float(total)
+    if outcome is None:
+        raise ConfigurationError("probability_mixed needs an outcome")
+    ((_, totals),) = probability_chunks(interferometer, photons, input_modes, detector, outcome)
+    return float(totals[0])

@@ -549,3 +549,10 @@ class TestProbabilityMixed:
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
         with pytest.raises(ConfigurationError):
             probability_mixed(bs, [psi, psi], None, (1, 1), "heterodyne")
+
+    def test_outcome_required(self):
+        # Without an outcome the stream would be the whole sweep, not one probability.
+        bs = make_beamsplitter_50_50()
+        psi = GaussianWavepacket(0.0, 1.0, 0.0)
+        with pytest.raises(ConfigurationError, match="needs an outcome"):
+            probability_mixed(bs, [psi, psi])
