@@ -24,7 +24,7 @@ from .network import (
     submatrix,
 )
 from .oracle import FockState, fock_evolve, oracle_probability, verify_against_oracle, verify_chunks
-from .permanent import permanent_naive, permanent_ryser, permanent_stack
+from .permanent import permanent_naive, permanent_ryser
 from .sampling import (
     MixedPhotonSource,
     amplitude_resolved,
@@ -74,7 +74,6 @@ __all__ = [
     "verify_chunks",
     "permanent_naive",
     "permanent_ryser",
-    "permanent_stack",
     "MixedPhotonSource",
     "amplitude_resolved",
     "default_input_modes",

@@ -3,29 +3,34 @@
 The permanent is the numerical kernel behind every interferometer
 amplitude in this package. Two independent routes are provided:
 
-* :func:`permanent_stack` and :func:`permanent_ryser` -- the production
-  path, for a (batch, k, k) stack of matrices and for one matrix (a
-  stack of one). Despite its historical name, permanent_ryser evaluates
-  Glynn's formula (Glynn, Eur. J. Combin. 31 (2010) 1887), which
-  cancels less than Ryser's, in numpy:
+* :func:`permanent_ryser` -- the production path. It and every other
+  permanent of the package go through the private kernel _permanents:
+  Per(joint[rows[o]]) for each row o of an (outcomes x k) index array
+  into one joint matrix. Despite its historical name, permanent_ryser
+  evaluates Glynn's formula (Glynn, Eur. J. Combin. 31 (2010) 1887),
+  which cancels less than Ryser's:
 
       Per(A) = 2^(1-k) sum_{delta in {+1,-1}^k, delta_0 = +1}
                (prod_j delta_j) prod_i sum_j delta_j A[i, j].
 
   The 2^b sign patterns over the low b <= BLOCK_BITS free columns are a
-  cached table, so one matmul gives a whole block of row sums for every
-  matrix of a chunk of the stack. A Python loop walks the 2^(k-1-b)
-  patterns of the high columns in Gray-code order; each adds one shift
-  column to the block, then takes the row products and their signed
-  sum. A chunk holds at most STACK_ELEMENTS block entries, so working
-  memory is bounded whatever the batch and k (two k x 2^b blocks, 80 kB
-  each, at k = 20). k <= 3 uses closed forms in Python scalars, one
-  matrix at a time, so a stack gives bit for bit what its matrices give
-  alone. Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), one
-  matrix per call takes 7-9 us for k <= 3, 45-60 us for k = 4..8, 0.5 ms
-  at k = 13, 3.2 ms at k = 16, 14 ms at k = 18 and 60 ms at k = 20; in a
-  stack of 256 a matrix takes 1.5 us at k = 3, 0.7 us at k = 4, 3 us at
-  k = 6 and 13 us at k = 8.
+  cached table. A chunk of outcomes gathers its rows from the joint
+  matrix once, and one matmul gives their row sums against the table. A
+  Python loop walks the 2^(k-1-b) patterns of the high columns in
+  Gray-code order; each adds one shift column to the block, then takes
+  the row products and their signed sum. A chunk holds at most
+  STACK_ELEMENTS block entries, so memory is bounded whatever the
+  outcome count and k (two k x 2^b blocks, 80 kB each, at k = 20).
+  k <= 3 uses closed forms in Python scalars, one outcome at a time.
+  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4 with its OpenBLAS
+  0.3.31), one matrix per call takes 6-9 us for k <= 3, 30-45 us for
+  k = 4..8, 0.3 ms at k = 13, 2-3 ms at k = 16 and 37-45 ms at k = 20;
+  among 256 outcomes one takes 1.4 us at k = 3, 0.5 us at k = 4 and
+  8 us at k = 8. An outcome gets the same bits alone as anywhere in a
+  chunk: no BLAS call sees a single row (numpy hands a one-row product
+  to a dot routine, which rounds apart), and that BLAS rounds each
+  output row of a matrix product whatever the row count and position.
+  Another BLAS build or CPU kernel may not, and then last bits move.
 * :func:`permanent_naive` -- direct sum over all k! permutations. Kept
   deliberately simple so it can serve as an oracle for the fast path.
 
@@ -49,19 +54,18 @@ NAIVE_DIMENSION_CAP = 10
 # by 0.6 % with 2^8, 1.7 % with 2^10, 11 % with 2^12 and 40 % with 2^14.
 BLOCK_BITS = 8
 
-# Block entries per chunk of a stack. A chunk's first matmul then needs at
+# Block entries per chunk of outcomes. A chunk's first matmul then needs at
 # most 2^13 * BLOCK_BITS = 2^16 multiply-adds, the size up to which
 # OpenBLAS stays on one thread: on a 2-core VM, threaded complex matmuls
 # just above it took 16 ms instead of 20 us in about half the calls.
 STACK_ELEMENTS = 1 << 13
 
 
-def _as_square(matrix, ndim: int = 2) -> np.ndarray:
-    """matrix as complex128 with ndim axes, the last two of equal length."""
+def _as_square(matrix) -> np.ndarray:
+    """matrix as a finite complex128 square matrix."""
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        shape = "a square matrix" if ndim == 2 else "a (batch, k, k) stack"
-        raise DimensionError(f"permanent needs {shape}, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"permanent needs a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise DimensionError("matrix entries must be finite (no NaN/Inf)")
     return a
@@ -80,8 +84,7 @@ def _sign_block(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_chunk(k: int) -> int:
-    """Matrices per Glynn pass, so that a k x 2^b block per matrix stays
-    within STACK_ELEMENTS entries."""
+    """Outcomes per Glynn pass: a k x 2^b block each, STACK_ELEMENTS entries at most."""
     b = min(BLOCK_BITS, k - 1)
     return max(1, STACK_ELEMENTS // (k << b))
 
@@ -96,21 +99,24 @@ def _small_permanent(a):
     return p * (t * x + u * w) + q * (s * x + u * v) + r * (s * w + t * v)
 
 
-def _glynn(a: np.ndarray) -> np.ndarray:
-    batch, k = a.shape[0], a.shape[1]
+def _glynn(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    batch, k = rows.shape
     b = min(BLOCK_BITS, k - 1)
     deltas, signs = _sign_block(b)
-    high = a[:, :, b + 1 :]
-    # Row sums of the block's sign vectors, column 0 and every high column
-    # at +1, as one (batch * k) x 2^b matrix product: numpy's batched matmul
-    # of many small matrices is far slower than one flat GEMM.
-    base = (a[:, :, 1 : b + 1].reshape(batch * k, b) @ deltas).reshape(batch, k, 1 << b)
-    base += (a[:, :, 0] + high.sum(axis=2))[:, :, None]
+    # The chunk's rows, gathered once, and their row sums, column 0 and every
+    # high column at +1: at most STACK_ELEMENTS * b multiply-adds, k >= 4 rows.
+    a = joint.take(rows.ravel(), axis=0)
+    high = a[:, b + 1 :]
+    base = a[:, 1 : b + 1] @ deltas
+    base += (a[:, 0] + high.sum(axis=1))[:, None]
+    base, high = base.reshape(batch, k, -1), high.reshape(batch, k, -1)
     flips = -2.0 * high  # adding column j turns the sign of high column j to -1
     shift = np.zeros((batch, k, 1), dtype=np.complex128)
-    rows = np.empty_like(base)
-    prods = np.empty((batch, 1 << b), dtype=np.complex128)
-    total = np.zeros(batch, dtype=np.complex128)
+    prod_rows = np.empty_like(base)
+    # Likewise a lone outcome's signed sum is reduced beside a zero row.
+    prods = np.zeros((max(batch, 2), 1 << b), dtype=np.complex128)
+    outcome_prods = prods[:batch]
+    total = np.zeros(len(prods), dtype=np.complex128)
     gray = 0
     for t in range(1 << (k - 1 - b)):
         if t:
@@ -121,68 +127,60 @@ def _glynn(a: np.ndarray) -> np.ndarray:
             else:
                 shift[:, :, 0] -= flips[:, :, j]
             gray = new_gray
-        np.add(base, shift, out=rows)
-        term = np.prod(rows, axis=1, out=prods) @ signs
+        np.add(base, shift, out=prod_rows)
+        np.prod(prod_rows, axis=1, out=outcome_prods)
+        term = prods @ signs
         # One high sign flips per Gray-code step, so their product is (-1)^t.
         if t & 1:
             total -= term
         else:
             total += term
-    return total / (1 << (k - 1))
+    return total[:batch] / (1 << (k - 1))
 
 
-def _permanents(a: np.ndarray, cap: int) -> np.ndarray:
-    batch, k = a.shape[0], a.shape[1]
-    if k > cap:
-        raise CapacityError(f"permanent dimension {k} exceeds cap {cap} (2^{k - 1} sign vectors)")
+def _permanents(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Per(joint[rows[o]]) for each row o of an (outcomes x k) index array.
+
+    joint is a finite complex128 matrix with k columns; an outcome may
+    take a row more than once, and outcomes may share rows. Outcomes go
+    through Glynn's sum _stack_chunk(k) at a time; k <= 3 takes closed
+    forms on Python scalars, one outcome at a time. An outcome's value
+    does not depend on its chunk (given the BLAS property the module
+    docstring names). rows comes first, at most sampling.STACK_SIZE
+    long: perfbench's tracer adds 2^len(first argument) per call.
+    """
+    batch, k = rows.shape
+    if k > RYSER_DIMENSION_CAP:
+        raise CapacityError(f"permanent dimension {k} exceeds cap {RYSER_DIMENSION_CAP} (2^{k - 1} sign vectors)")
     if k == 0:
         return np.ones(batch, dtype=np.complex128)
     if k <= 3:
-        # One matrix at a time in Python scalars: cheaper than a numpy pass
-        # for a single matrix, and a stack gives its matrices' values bit for bit.
-        return np.array([_small_permanent(m) for m in a.tolist()], dtype=np.complex128)
+        table = joint.tolist()
+        return np.array(
+            [_small_permanent([table[i] for i in idx]) for idx in rows.tolist()], dtype=np.complex128
+        )
     out = np.empty(batch, dtype=np.complex128)
     step = _stack_chunk(k)
-    for start in range(0, batch, step):
-        out[start : start + step] = _glynn(a[start : start + step])
+    # Entries near the float64 limit overflow inside the sum; the caller
+    # sees the non-finite result, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, batch, step):
+            out[start : start + step] = _glynn(rows[start : start + step], joint)
     return out
 
 
-def permanent_stack(stack) -> np.ndarray:
-    """Permanents of a stack of same-size complex square matrices.
+def permanent_ryser(matrix) -> complex:
+    """Per(matrix) of a square matrix with finite complex entries, as a Python complex.
 
-    Args:
-        stack: array-like of shape (batch, k, k) with finite entries;
-            k is capped at RYSER_DIMENSION_CAP, as for permanent_ryser.
-
-    Returns:
-        complex128 array of length batch; entry i is Per(stack[i]).
-    """
-    return _permanents(_as_square(stack, ndim=3), RYSER_DIMENSION_CAP)
-
-
-def permanent_ryser(matrix, cap: int = RYSER_DIMENSION_CAP) -> complex:
-    """Permanent of a complex square matrix via Glynn's formula.
-
-    The name predates the switch from Ryser's formula and is kept for
-    callers. Work is 2^(k-1) sign vectors in blocks of at most 2^BLOCK_BITS
-    vectors, so memory stays bounded for every k up to the cap.
-
-    Args:
-        matrix: square array-like with finite complex entries.
-        cap: hard dimension limit; above it a CapacityError is raised
-            rather than silently starting a multi-hour sum.
-
-    Returns:
-        Per(matrix) as a Python complex. The 0x0 permanent is 1.
+    The name predates the switch from Ryser's formula to Glynn's and is
+    kept for callers. The 0x0 permanent is 1. Above RYSER_DIMENSION_CAP a
+    CapacityError is raised rather than silently starting a multi-hour sum.
     """
     a = _as_square(matrix)
-    if 0 < len(a) <= min(3, cap):
-        return complex(_small_permanent(a.tolist()))  # skips the stack's array overhead
-    return complex(_permanents(a[None], cap)[0])
+    return complex(_permanents(np.arange(len(a))[None], a)[0])
 
 
-def permanent_naive(matrix, cap: int = NAIVE_DIMENSION_CAP) -> complex:
+def permanent_naive(matrix) -> complex:
     """Permanent by brute-force summation over all k! permutations.
 
     Oracle implementation: independent of the Glynn path, so agreement
@@ -192,8 +190,8 @@ def permanent_naive(matrix, cap: int = NAIVE_DIMENSION_CAP) -> complex:
     k = a.shape[0]
     if k == 0:
         return complex(1.0)
-    if k > cap:
-        raise CapacityError(f"naive permanent dimension {k} exceeds cap {cap} ({k}! terms)")
+    if k > NAIVE_DIMENSION_CAP:
+        raise CapacityError(f"naive permanent dimension {k} exceeds cap {NAIVE_DIMENSION_CAP} ({k}! terms)")
 
     rows = range(k)
     total = 0.0 + 0.0j

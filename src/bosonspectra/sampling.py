@@ -39,20 +39,15 @@ combinations' chunks walked in lockstep by _weighted_chunks, the one
 loop that adds weight * value. probability_mixed is its one-outcome
 case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
 
-Permanents go to the kernel in stacks of at most STACK_SIZE matrices.
-A sweep is a stream of chunks of STACK_SIZE outcomes, taken in sweep
-order across profile boundaries, so chunk i holds outcomes
-i * STACK_SIZE onwards and nothing held grows with the sweep. A resolved
-chunk is made in numpy from per-count pools of occupation tuples, taken
-once per sweep: its outcomes are itertools.product over the pools, its
-(outcomes x basis_size * m) count matrix the same product over pool
-indices, and its prod S_vec! the product of one factorial product per
-pool entry. The count rows pick the joint-matrix rows of one kernel
-stack. Only Per / sqrt(prod S_vec!) and its squared modulus run per
+Permanents go to the kernel at most STACK_SIZE at a time, each as a
+row of indices into one joint matrix: A for resolved outcomes, and for
+the tau-sum a block holding row i of B o conj(B[:, tau]) for every tau
+of a chunk. A sweep is a stream of chunks of STACK_SIZE outcomes in
+sweep order (see _resolved_counts), so nothing held grows with the
+sweep; a resolved chunk's count rows give its outcomes' row indices
+into A. Only Per / sqrt(prod S_vec!) and its squared modulus run per
 outcome, on Python scalars: numpy's complex division and its ** 2 round
-differently. From n = 4 on, a sweep's value and a single query's can
-differ in the last bits, since the kernel ends a stack's Glynn sum in a
-matrix-vector product and a lone matrix's in a dot product.
+differently. A single query's value is the sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -76,13 +71,13 @@ from .network import (
     as_occupation,
     submatrix,
 )
-from .permanent import RYSER_DIMENSION_CAP, permanent_ryser, permanent_stack
+from .permanent import RYSER_DIMENSION_CAP, _permanents, permanent_ryser
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
 MIXTURE_TERM_CAP = 10**5
 MIXTURE_WEIGHT_TOL = 1e-10
-# Matrices per kernel call: bounds working memory on n! tau terms and on
+# Permanents per kernel call: bounds working memory on n! tau terms and on
 # sweeps over thousands of resolved outcomes.
 STACK_SIZE = 256
 # k! for every count a permanent of at most RYSER_DIMENSION_CAP photons
@@ -169,7 +164,7 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
     rows = np.repeat(np.tile(np.arange(width), batch), counts.ravel()).reshape(batch, -1)
     pers = []
     for start in range(0, batch, STACK_SIZE):
-        pers += permanent_stack(joint[rows[start : start + STACK_SIZE]]).tolist()
+        pers += _permanents(rows[start : start + STACK_SIZE], joint).tolist()
     return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
 
 
@@ -184,8 +179,10 @@ def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> 
         weights = np.prod(gram[np.arange(n), taus], axis=1)
         keep = weights != 0.0
         if keep.any():
-            stack = b * b[:, taus[keep]].conj().transpose(1, 0, 2)
-            total += weights[keep] @ permanent_stack(stack)
+            # Row t * n + i is row i of B o conj(B[:, tau_t]); np.multiply, as *
+            # may multiply in place into the temporary and round another way.
+            block = np.multiply(b, b.conj()[np.arange(n)[:, None], taus[keep][:, None, :]]).reshape(-1, n)
+            total += weights[keep] @ _permanents(np.arange(len(block)).reshape(-1, n), block)
     return float(total.real) / math.prod(math.factorial(c) for c in sig)
 
 
@@ -359,7 +356,7 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
     """One pure combination's (outcomes, probabilities) chunks: outcome alone, or the whole sweep.
 
     A sweep runs in sweep order, in chunks of at most STACK_SIZE (a
-    resolved chunk is one kernel stack). Its inputs and the sweep cap
+    resolved chunk is one kernel call). Its inputs and the sweep cap
     are checked when the first chunk is taken.
     """
     if outcome is not None:

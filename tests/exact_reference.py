@@ -15,7 +15,8 @@ Blind probabilities come from the tau-sum
 
 G = lambda lambda^dag and B = U_{M,T}, and resolved ones from
 |Per(A_S)|^2 / prod S_vec!, A[(i, k), j] = U[k, T_j] lambda[j, i], with
-naive permanents throughout. Nothing here uses numpy or the package.
+naive permanents throughout. ryser_permanent gives exact permanents of
+sizes past the naive sum's reach. Nothing here uses numpy or the package.
 """
 
 import itertools
@@ -57,6 +58,36 @@ def permanent(rows):
             term = mul(term, row[col])
         total = add(total, term)
     return total
+
+
+def ryser_permanent(matrix):
+    """Per(matrix) of a square matrix of Fraction (re, im) pairs, by Ryser's formula.
+
+    Per(A) = sum over column subsets S of (-1)^(k - |S|) prod_i sum_{j in S} A[i][j].
+    With A = N / d over Gaussian integers (_integral), the 2^k subsets are
+    walked in Gray-code order, one column in or out per step, and the sum
+    runs over ints; only the result is divided by d^k.
+    """
+    k = len(matrix)
+    if k == 0:
+        return ONE
+    rows, d = _integral(matrix)
+    sums = [(0, 0)] * k
+    total = (0, 0)
+    gray = 0
+    for t in range(1, 1 << k):
+        new_gray = t ^ (t >> 1)
+        j = (new_gray ^ gray).bit_length() - 1
+        sign = 1 if new_gray > gray else -1
+        sums = [(s[0] + sign * row[j][0], s[1] + sign * row[j][1]) for s, row in zip(sums, rows)]
+        gray = new_gray
+        term = (1, 0)
+        for s in sums:
+            term = mul(term, s)
+        if (k - bin(gray).count("1")) % 2:
+            term = (-term[0], -term[1])
+        total = add(total, term)
+    return (Fraction(total[0], d**k), Fraction(total[1], d**k))
 
 
 def _inverse(matrix):

@@ -4,7 +4,7 @@ from pathlib import Path
 import bosonspectra
 import bosonspectra.cli
 
-REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples"}
+REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples", "permanent_stack"}
 ENGINE_MODULES = ("sampling", "oracle", "network", "spectra", "permanent")
 
 
@@ -26,6 +26,7 @@ def test_removed_names_are_gone():
     assert "mixed" not in bosonspectra.cli.ExperimentConfig.__dataclass_fields__
     assert not hasattr(bosonspectra.cli, "_outcome_json")
     assert not hasattr(bosonspectra.cli, "_mixture_sweep")
+    assert not hasattr(bosonspectra.permanent, "permanent_stack")
 
 
 def test_cli_binds_only_public_engine_names():

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -779,6 +780,18 @@ class TestPermanent:
     def test_non_square_exits_2(self, tmp_path):
         path = write_json(tmp_path / "m.json", [[1.0, 2.0]])
         assert main(["permanent", path]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, k):
+        # k = 5 overflows inside the Glynn sum, k = 2 in the closed form;
+        # either way stderr holds the error line and no numpy warning.
+        path = write_json(tmp_path / "m.json", [[1e308] * k] * k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["permanent", path]) == EXIT_INPUT_ERROR
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def with_lists(value):

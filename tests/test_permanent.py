@@ -1,17 +1,19 @@
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact_reference as ex
 from bosonspectra import (
     CapacityError,
     DimensionError,
     permanent_naive,
     permanent_ryser,
-    permanent_stack,
 )
-from bosonspectra.permanent import BLOCK_BITS, _stack_chunk
+from bosonspectra.permanent import BLOCK_BITS, _permanents, _stack_chunk
 
 
 def test_1x1_is_the_entry():
@@ -100,10 +102,6 @@ def test_dimension_caps():
         permanent_ryser(np.eye(31))
     with pytest.raises(CapacityError):
         permanent_naive(np.eye(11))
-    # cap is configurable
-    assert permanent_ryser(np.eye(4), cap=4) == pytest.approx(1.0)
-    with pytest.raises(CapacityError):
-        permanent_ryser(np.eye(5), cap=4)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -148,35 +146,106 @@ def test_block_memory_is_bounded(rng):
     assert peak < 2 * 1024 * 1024
 
 
+def _distinct_rows(rng, batch, k):
+    """A joint of batch * k random rows and the index array giving outcome o rows o*k .. o*k + k - 1."""
+    return np.arange(batch * k).reshape(batch, k), _random_complex(rng, batch * k, k)
+
+
 @pytest.mark.parametrize("k", range(1, 10))
 def test_stack_across_chunk_boundary(rng, k):
-    # One more matrix than a chunk holds, so the last one lands in a second chunk.
+    # One more outcome than a chunk holds, so the last one lands in a second chunk.
     batch = _stack_chunk(k) + 1 if k > 3 else 5
-    stack = _random_complex(rng, batch, k, k)
-    got = permanent_stack(stack)
+    rows, joint = _distinct_rows(rng, batch, k)
+    got = _permanents(rows, joint)
     assert got.shape == (batch,)
-    naive = permanent_naive(stack[-1])
+    naive = permanent_naive(joint[rows[-1]])
     assert abs(got[-1] - naive) <= 1e-10 * abs(naive)
-    singles = np.array([permanent_ryser(a) for a in stack])
-    assert np.max(np.abs(got - singles) / np.abs(singles)) <= 1e-12
+    assert got.tolist() == [permanent_ryser(joint[r]) for r in rows]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_rows_shared_between_and_repeated_within_outcomes(rng, k):
+    # Five joint rows for 2 * chunk + 1 outcomes: outcomes share rows and
+    # repeat them, and the last one sits alone in a third chunk.
+    joint = _random_complex(rng, 5, k)
+    rows = rng.integers(0, 5, size=(2 * _stack_chunk(k) + 1, k))
+    got = _permanents(rows, joint)
+    for pos in (0, -1):
+        naive = permanent_naive(joint[rows[pos]])
+        assert abs(got[pos] - naive) <= 1e-10 * (1.0 + abs(naive))
+    assert got.tolist() == [permanent_ryser(joint[r]) for r in rows]
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_outcome_keeps_its_bits_anywhere_in_a_chunk(rng, k):
+    # The same outcome alone, and first, in the middle or last among other
+    # outcomes of one chunk, over a joint narrower than k (rows repeat) and
+    # one wider. Equality rests on the BLAS property that the permanent
+    # module docstring names: each output row rounded on its own.
+    step = _stack_chunk(k)
+    for width in (k // 2, 3 * k):
+        joint = _random_complex(rng, width, k)
+        rows = rng.integers(0, width, size=(step, k))
+        target = rows[0].copy()
+        alone = _permanents(target[None], joint)[0]
+        assert alone == permanent_ryser(joint[target])
+        for pos in {0, step // 2, step - 1}:
+            rows[pos] = target
+            assert _permanents(rows, joint)[pos] == alone, (width, pos)
+            rows[pos] = rng.integers(0, width, size=k)
+
+
+def _rational_rows(rnd, count, k):
+    return [
+        [(Fraction(rnd.randint(-9, 9), rnd.randint(1, 8)), Fraction(rnd.randint(-9, 9), rnd.randint(1, 8)))
+         for _ in range(k)]
+        for _ in range(count)
+    ]
+
+
+def _as_floats(rows):
+    return np.array([[ex.to_complex(z) for z in row] for row in rows])
+
+
+def _relative_error(got: complex, want) -> float:
+    diff = (Fraction(got.real) - want[0]) ** 2 + (Fraction(got.imag) - want[1]) ** 2
+    return math.sqrt(diff / ex.abs2(want))
+
+
+# Worst relative errors measured against the exact Ryser sum over the cases
+# below: 1.04e-14 for dense matrices, 5.2e-15 for shared, repeated rows.
+EXACT_RTOL = 1.5e-14
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_gray_walk_matches_exact_ryser(k):
+    # k >= 10 runs the Gray-code walk over the high sign columns. Entries
+    # are rationals, so every error includes rounding them to doubles.
+    rnd = random.Random(k)
+    for _ in range(2):
+        dense = _rational_rows(rnd, k, k)
+        assert _relative_error(permanent_ryser(_as_floats(dense)), ex.ryser_permanent(dense)) <= EXACT_RTOL
+    # k - 3 joint rows for three outcomes: rows shared and repeated.
+    joint = _rational_rows(rnd, k - 3, k)
+    rows = np.array([[rnd.randrange(k - 3) for _ in range(k)] for _ in range(3)])
+    got = _permanents(rows, _as_floats(joint))
+    for value, r in zip(got.tolist(), rows.tolist()):
+        assert _relative_error(value, ex.ryser_permanent([joint[i] for i in r])) <= EXACT_RTOL
 
 
 def test_stack_edge_shapes():
-    assert permanent_stack(np.zeros((0, 4, 4))).shape == (0,)
-    assert np.array_equal(permanent_stack(np.zeros((3, 0, 0))), np.ones(3))
-    assert np.array_equal(permanent_stack([np.ones((4, 4))] * 2), [24.0, 24.0])
+    assert _permanents(np.zeros((0, 4), dtype=int), np.ones((4, 4))).shape == (0,)
+    assert np.array_equal(_permanents(np.zeros((3, 0), dtype=int), np.zeros((0, 0))), np.ones(3))
+    assert np.array_equal(_permanents(np.tile(np.arange(4), (2, 1)), np.ones((4, 4))), [24.0, 24.0])
     with pytest.raises(DimensionError):
-        permanent_stack(np.ones((4, 4)))
-    with pytest.raises(DimensionError):
-        permanent_stack(np.ones((2, 3, 4)))
-    with pytest.raises(DimensionError):
-        permanent_stack([[[np.inf]]])
+        permanent_ryser([[np.inf]])
     with pytest.raises(CapacityError):
-        permanent_stack(np.ones((1, 31, 31)))
+        _permanents(np.zeros((1, 31), dtype=int), np.ones((1, 31)))
 
 
 def test_stack_does_not_alias_input(rng):
-    stack = _random_complex(rng, 3, 1, 1)
-    got = permanent_stack(stack)
-    stack[:] = 0.0
-    assert np.all(got != 0.0)
+    for k in (1, 4):  # closed form and Glynn's sum
+        rows, joint = _distinct_rows(rng, 3, k)
+        got = _permanents(rows, joint)
+        joint[:] = 0.0
+        assert np.all(got != 0.0)

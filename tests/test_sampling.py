@@ -177,9 +177,12 @@ def rank_two_rows(rng, n: int, nb: int) -> LambdaMatrix:
 class TestResolvedSweep:
     """A sweep gives every outcome what a single query gives, in a fixed order."""
 
-    @pytest.mark.parametrize("case", ["generic", "identical", "rank deficient", "permuted inputs"])
+    @pytest.mark.parametrize(
+        "case", ["generic", "identical", "rank deficient", "permuted inputs", "n = 4", "n = 5"]
+    )
     def test_sweep_equals_single_queries_bit_for_bit(self, rng, case):
-        # n = 3: the kernel's closed forms give a stack's matrices what they give alone.
+        # n = 3 takes the kernel's closed forms; n = 4 and 5 Glynn's sum,
+        # which reduces a lone outcome as it does one among many.
         u = make_random_unitary(4, 23)
         inputs = None
         if case == "identical":
@@ -187,6 +190,10 @@ class TestResolvedSweep:
             lam = LambdaMatrix(np.ones((3, 1)))
         elif case == "rank deficient":
             lam = LambdaMatrix(rank_two_rows(rng, 3, 4))
+        elif case == "n = 4":
+            lam, inputs = random_unit_rows(rng, 4, 3), (2, 4, 1, 3)
+        elif case == "n = 5":
+            u, lam = make_random_unitary(5, 29), random_unit_rows(rng, 5, 2)
         else:
             lam = random_unit_rows(rng, 3, 3)
             if case == "permuted inputs":
@@ -197,14 +204,14 @@ class TestResolvedSweep:
             assert p == probability_resolved(u, lam, inputs, outcome), outcome
 
     def test_sweep_matches_single_queries_on_glynn_stacks(self, rng):
-        # From k = 4 the Glynn sum over a stack ends in a BLAS matrix-vector
-        # product and a lone matrix's in a dot product; the two round apart.
+        # Four generic photons in stacks of 256: every outcome's value is the
+        # one it has alone, whichever chunk and position it sits in.
         u = make_random_unitary(4, 23)
         lam = random_unit_rows(rng, 4, 4)
         dist = distribution_resolved(u, lam, (3, 1, 4, 2))
         assert len(dist) == 3876
         for outcome, p in dist.items():
-            assert abs(p - probability_resolved(u, lam, (3, 1, 4, 2), outcome)) <= 1e-16, outcome
+            assert p == probability_resolved(u, lam, (3, 1, 4, 2), outcome), outcome
 
     # 3876 outcomes in stacks of 256 (a short last one), of 17 (an exact
     # multiple) and of 31 (a lone last outcome); 21 outcomes, fewer than a stack.
