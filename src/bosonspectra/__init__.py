@@ -31,7 +31,6 @@ from .sampling import (
     default_input_modes,
     distribution_nonresolved,
     distribution_resolved,
-    enumerate_partitions,
     enumerate_resolved_outcomes,
     mixture_lambdas,
     mixture_terms,
@@ -79,7 +78,6 @@ __all__ = [
     "default_input_modes",
     "distribution_nonresolved",
     "distribution_resolved",
-    "enumerate_partitions",
     "enumerate_resolved_outcomes",
     "mixture_lambdas",
     "mixture_terms",

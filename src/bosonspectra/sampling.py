@@ -24,9 +24,10 @@ probability is a sum of permanents in one of two closed forms:
   with G = lambda lambda^dag, B = U_{M,T} and o the entrywise product,
   skipping tau whose product of G entries is zero; or the split sum
   P(M) = sum_{S_vec |- M} |amp(S_vec)|^2 over every split of M between
-  the basis functions. The tau-sum has n! terms, the split sum
-  prod_k C(M_k + r - 1, r - 1); each signature takes the one with fewer,
-  the tau-sum on a tie.
+  the basis functions, a product over modes of each M_k's splits, summed
+  in resolved sweep order (_splits). The tau-sum has n! terms, the split
+  sum prod_k C(M_k + r - 1, r - 1); each signature takes the one with
+  fewer, the tau-sum on a tie.
 
 Mixed photons average over every combination of mixture components
 (mixture_lambdas). Resolved outcomes name basis functions, so there all
@@ -71,7 +72,7 @@ from .network import (
     as_occupation,
     submatrix,
 )
-from .permanent import RYSER_DIMENSION_CAP, _permanents, permanent_ryser
+from .permanent import _permanents, permanent_ryser
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
@@ -80,9 +81,6 @@ MIXTURE_WEIGHT_TOL = 1e-10
 # Permanents per kernel call: bounds working memory on n! tau terms and on
 # sweeps over thousands of resolved outcomes.
 STACK_SIZE = 256
-# k! for every count a permanent of at most RYSER_DIMENSION_CAP photons
-# can hold, as Python ints: an int64 table would overflow past 20!.
-_FACTORIALS = np.array([math.factorial(k) for k in range(RYSER_DIMENSION_CAP + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,6 @@ def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> 
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
 
 
-def _factorial_products(counts: np.ndarray) -> list[int]:
-    """prod S_vec! for each row S_vec of a count matrix, as Python ints."""
-    return _FACTORIALS[counts].prod(axis=1).tolist()
-
-
 def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]) -> list[complex]:
     """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
 
@@ -161,7 +154,7 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
     and rounds differently.
     """
     batch, width = counts.shape
-    rows = np.repeat(np.tile(np.arange(width), batch), counts.ravel()).reshape(batch, -1)
+    rows = np.repeat(np.arange(counts.size) % width, counts.ravel()).reshape(batch, -1)
     pers = []
     for start in range(0, batch, STACK_SIZE):
         pers += _permanents(rows[start : start + STACK_SIZE], joint).tolist()
@@ -186,16 +179,32 @@ def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> 
     return float(total.real) / math.prod(math.factorial(c) for c in sig)
 
 
+def _splits(sig, r: int):
+    """sig's splits S_vec between r basis functions and their prod S_vec!, as _resolved_counts yields them.
+
+    Each mode's M_k photons split on their own, so the splits are the
+    product over modes of _occupations(M_k, (M_k,) * r), and prod S_vec!
+    the product of per-mode norms, as Python ints. Rows are sorted profile
+    first, then by count row: sig's outcomes in enumerate_resolved_outcomes order.
+    """
+    occs = {c: tuple(_occupations(c, (c,) * r)) for c in set(sig)}
+    starts = dict(zip(occs, itertools.accumulate(map(len, occs.values()), initial=0)))
+    table = sum(occs.values(), ())
+    sizes = [len(occs[c]) for c in sig]
+    # picks[k, s]: the row of table that split s takes for mode k.
+    picks = np.array(np.unravel_index(np.arange(math.prod(sizes)), sizes)) + [[starts[c]] for c in sig]
+    splits = np.array(table, dtype=np.min_scalar_type(sum(sig))).T[:, picks]
+    # Column s: split s's profile, then its count row.
+    keys = np.concatenate([splits.sum(axis=1, dtype=splits.dtype), splits.reshape(-1, picks.shape[1])])
+    order = np.lexsort(keys[::-1])
+    norms = np.array([math.prod(map(math.factorial, occ)) for occ in table], dtype=object)
+    return keys[r:, order].T, norms[picks].prod(axis=0)[order].tolist()
+
+
 def _split_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
     """P(M) = sum of |amp(S_vec)|^2 over every split S_vec of M between basis functions."""
-    n, r = lam.n, lam.basis_size
-    counts = np.array([
-        sum(parts, ())
-        for profile in _occupations(n, (n,) * r)
-        for parts in enumerate_partitions(sig, profile)
-    ])
-    joint = _joint_matrix(interferometer, lam, inputs)
-    amps = _resolved_amplitudes(joint, counts, _factorial_products(counts))
+    counts, norms = _splits(sig, lam.basis_size)
+    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts, norms)
     return float(sum(abs(amp) ** 2 for amp in amps))
 
 
@@ -219,30 +228,6 @@ def _occupations(total: int, caps: tuple[int, ...]):
             yield (c,) + rest
 
 
-def enumerate_partitions(signature, profile):
-    """All resolved outcomes S_vec with sum_i S^(i) = signature and sum(S^(i)) = profile_i.
-
-    Yields tuples of occupation tuples in lexicographic order of the
-    flattened outcome; an infeasible profile yields nothing.
-    """
-    sig = as_occupation(signature)
-    profile = as_occupation(profile)
-    if sum(profile) != sum(sig):
-        return
-
-    def split(remaining: tuple[int, ...], ks: tuple[int, ...]):
-        if not ks:
-            if all(c == 0 for c in remaining):
-                yield ()
-            return
-        for part in _occupations(ks[0], remaining):
-            rest_remaining = tuple(r - p for r, p in zip(remaining, part))
-            for rest in split(rest_remaining, ks[1:]):
-                yield (part,) + rest
-
-    yield from split(sig, profile)
-
-
 def amplitude_resolved(
     interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, outcome=None
 ) -> complex:
@@ -259,9 +244,9 @@ def amplitude_resolved(
         raise ConfigurationError(
             f"resolved outcome holds {total_photons} photons, expected {lam.n}"
         )
-    counts = np.array([sum(parts, ())])
+    row = sum(parts, ())
     joint = _joint_matrix(interferometer, lam, inputs)
-    return _resolved_amplitudes(joint, counts, _factorial_products(counts))[0]
+    return _resolved_amplitudes(joint, np.array([row]), [math.prod(map(math.factorial, row))])[0]
 
 
 def probability_resolved(

@@ -79,12 +79,21 @@ def overlap(a: SpectralSpec, b: SpectralSpec) -> complex:
     Gaussian pairs use the analytic closed form (validated against
     numerical quadrature in the test suite); explicit rows use the
     Hermitian inner product. Mixing the two kinds has no shared basis
-    and raises RepresentationError.
+    and raises RepresentationError. Gaussian parameters so extreme that
+    the closed form overflows, divides by zero or is not finite raise
+    ConfigurationError naming both photons.
     """
     if isinstance(a, GaussianWavepacket) and isinstance(b, GaussianWavepacket):
         if a == b:
             return complex(1.0)
-        return _gaussian_overlap(a, b)
+        with np.errstate(all="ignore"):
+            try:
+                value = _gaussian_overlap(a, b)
+            except ArithmeticError:  # overflow, or a width squared to 0
+                value = math.nan
+        if not np.isfinite(value):
+            raise ConfigurationError(f"the overlap of {a} and {b} is out of floating-point range")
+        return value
     if isinstance(a, CoefficientSpectrum) and isinstance(b, CoefficientSpectrum):
         if a.basis_size != b.basis_size:
             raise RepresentationError(

@@ -4,7 +4,7 @@ from pathlib import Path
 import bosonspectra
 import bosonspectra.cli
 
-REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples", "permanent_stack"}
+REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples", "permanent_stack", "enumerate_partitions"}
 ENGINE_MODULES = ("sampling", "oracle", "network", "spectra", "permanent")
 
 
@@ -21,7 +21,8 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.sampling, "mixture_tuples")
     assert not hasattr(bosonspectra.sampling, "_resolved_probability_padded")
     assert not hasattr(bosonspectra.sampling, "_resolved_sweep")
-    for name in ("_mixture_terms", "_nonresolved_chunks", "_resolved_chunks", "_pools"):
+    for name in ("_mixture_terms", "_nonresolved_chunks", "_resolved_chunks", "_pools", "enumerate_partitions",
+                 "_FACTORIALS", "_factorial_products"):
         assert not hasattr(bosonspectra.sampling, name), name
     assert "mixed" not in bosonspectra.cli.ExperimentConfig.__dataclass_fields__
     assert not hasattr(bosonspectra.cli, "_outcome_json")

@@ -386,6 +386,23 @@ class TestStrictInputs:
         # Both are refused while the JSON is read, before any later check.
         assert capsys.readouterr().err.count(f"non-finite number {literal}") == 2
 
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    @pytest.mark.parametrize("key,value", [("tau", 1e200), ("sigma", 1e-300), ("sigma", 1e300), ("mu", 1e200)])
+    def test_gaussian_overlap_out_of_range_exits_2(self, tmp_path, capsys, command, key, value):
+        # Finite parameters whose closed-form overlap overflows or divides by
+        # zero used to end in a traceback with exit 1.
+        extreme = {"mu": 0.0, "sigma": 1.0, "tau": 0.0, key: value}
+        cfg = write_json(tmp_path / "cfg.json", {
+            "network": {"preset": "beamsplitter"},
+            "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0, "tau": 0.0}}, {"gaussian": extreme}],
+        })
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--output", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the overlap of GaussianWavepacket"), err
+        assert f"{key}={value!r}" in err[0]
+        assert not out.exists()
+
     def test_overflowing_permanent_exits_2(self, tmp_path, capsys):
         # Per = 2e616 overflows a double; it used to be written as Infinity with exit 0.
         path = write_json(tmp_path / "m.json", [[1e308, 1e308], [1e308, 1e308]])

@@ -13,7 +13,7 @@ from bosonspectra import (
     permanent_naive,
     permanent_ryser,
 )
-from bosonspectra.permanent import BLOCK_BITS, _permanents, _stack_chunk
+from bosonspectra.permanent import BLOCK_BITS, _permanents, _sign_block, _stack_chunk
 
 
 def test_1x1_is_the_entry():
@@ -193,6 +193,42 @@ def test_outcome_keeps_its_bits_anywhere_in_a_chunk(rng, k):
             rows[pos] = target
             assert _permanents(rows, joint)[pos] == alone, (width, pos)
             rows[pos] = rng.integers(0, width, size=k)
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy only prints its config
+        return "numpy's BLAS"
+    return f"numpy's BLAS ({blas.get('name')} {blas.get('version')})"
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 13])
+def test_blas_rounds_each_product_row_on_its_own(rng, k):
+    # The property the bit-for-bit tests above rest on, checked on the
+    # kernel's own two products and shapes: the chunk's rows against the
+    # b x 2^b sign block, and the row products against the signs, a lone
+    # outcome beside a zero row. A row must round the same whatever the row
+    # count and its position. If not, the BLAS build is at fault, not the kernel.
+    b = min(BLOCK_BITS, k - 1)
+    deltas, signs = _sign_block(b)
+    step = _stack_chunk(k)
+    rows = _random_complex(rng, step * k, k)[:, 1 : b + 1]
+    sums = rows @ deltas
+    prods = np.zeros((max(step, 2), 1 << b), dtype=np.complex128)
+    prods[:step] = _random_complex(rng, step, 1 << b)
+    totals = prods @ signs
+    for batch in sorted({1, 2, 3, step // 2, step} & set(range(1, step + 1))):
+        for start in range(step - batch + 1):
+            part = slice(start * k, (start + batch) * k)
+            assert np.array_equal(rows[part] @ deltas, sums[part]), (
+                f"{_blas()} rounds rows of a {batch * k} x {b} by {b} x {1 << b} product apart from the "
+                f"same rows among {step * k} (offset {start * k}); the kernel's chunk-independence needs it not to")
+            padded = np.zeros((max(batch, 2), 1 << b), dtype=np.complex128)
+            padded[:batch] = prods[start : start + batch]
+            assert np.array_equal((padded @ signs)[:batch], totals[start : start + batch]), (
+                f"{_blas()} rounds rows of a {len(padded)} x {1 << b} by {1 << b} product apart from the "
+                f"same rows among {len(prods)} (offset {start}); the kernel's chunk-independence needs it not to")
 
 
 def _rational_rows(rnd, count, k):

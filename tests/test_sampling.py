@@ -15,7 +15,6 @@ from bosonspectra import (
     amplitude_resolved,
     distribution_nonresolved,
     distribution_resolved,
-    enumerate_partitions,
     enumerate_resolved_outcomes,
     fock_evolve,
     lambda_from_photons,
@@ -31,12 +30,12 @@ from bosonspectra import (
 import bosonspectra.sampling
 from bosonspectra.sampling import (
     STACK_SIZE,
-    _factorial_products,
     _joint_matrix,
     _occupations,
     _resolved_amplitudes,
     _resolved_counts,
     _split_sum,
+    _splits,
     _tau_sum,
 )
 import chi_reference
@@ -239,7 +238,8 @@ class TestResolvedSweep:
         outcomes = list(enumerate_resolved_outcomes(4, 4, 4))
         counts = np.array([sum(o, ()) for o in outcomes])
         joint = _joint_matrix(u, lam, (1, 2, 3, 4))
-        whole = _resolved_amplitudes(joint, counts, _factorial_products(counts))
+        norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
+        whole = _resolved_amplitudes(joint, counts, norms)
         dist = distribution_resolved(u, lam)
         assert list(dist) == outcomes
         assert list(dist.values()) == [abs(amp) ** 2 for amp in whole]
@@ -259,57 +259,60 @@ class TestResolvedSweep:
         assert list(enumerate_resolved_outcomes(n, m, nb)) == reference
 
 
-class TestEnumeratePartitions:
-    def test_all_photons_in_first_spectral_mode(self):
-        got = list(enumerate_partitions((1, 1), (2, 0)))
-        assert got == [(((1, 1)), (0, 0))] or got == [((1, 1), (0, 0))]
+class TestSplits:
+    """A signature's splits between basis functions, built mode by mode."""
 
-    def test_split_photons(self):
-        got = list(enumerate_partitions((1, 1), (1, 1)))
-        assert set(got) == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
+    @pytest.mark.parametrize(
+        "n,m,r", [(3, 3, 2), (4, 3, 3), (4, 4, 2), (3, 4, 4), (5, 3, 2), (4, 3, 1), (2, 5, 1)]
+    )
+    def test_splits_are_the_signatures_outcomes_in_sweep_order(self, n, m, r):
+        # Restricted to one signature, the resolved stream lists its splits:
+        # same rows, same norms, same order.
+        by_signature = {}
+        for outcomes, counts, norms in _resolved_counts(n, m, r):
+            for outcome, row, norm in zip(outcomes, counts.tolist(), norms):
+                rows, row_norms = by_signature.setdefault(tuple(map(sum, zip(*outcome))), ([], []))
+                rows.append(row)
+                row_norms.append(norm)
+        for sig in _occupations(n, (n,) * m):
+            counts, norms = _splits(sig, r)
+            assert (counts.tolist(), norms) == by_signature.pop(sig), sig
+        assert by_signature == {}
 
-    def test_bunched_signature_forces_same_mode(self):
-        got = list(enumerate_partitions((2, 0), (1, 1)))
-        assert got == [((1, 0), (1, 0))]
-
-    def test_infeasible_profile_is_empty(self):
-        assert list(enumerate_partitions((1, 1), (3, 0))) == []
-
-    @pytest.mark.parametrize("profile", [(2.9, 0.2), (True, 1), (1, "1"), (float("inf"), 0), (-1, 3)])
-    def test_invalid_profile_rejected(self, profile):
-        # int(k) used to run (2.9, 0.2) silently as (2, 0).
-        with pytest.raises(ConfigurationError):
-            list(enumerate_partitions((1, 1), profile))
-
-    def test_integer_like_profile_accepted(self):
-        expected = list(enumerate_partitions((1, 1), (1, 1)))
-        assert list(enumerate_partitions((1, 1), (1.0, np.int64(1)))) == expected
-
-    def test_lexicographic_and_complete(self):
-        sig = (2, 1)
-        profile = (2, 1)
-        got = list(enumerate_partitions(sig, profile))
-        assert got == sorted(got)
-        for parts in got:
-            assert tuple(sum(col) for col in zip(*parts)) == sig
-            assert tuple(sum(p) for p in parts) == profile
+    def test_small_cases_written_out(self):
+        counts, norms = _splits((1, 1), 2)
+        assert counts.tolist() == [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
+        assert norms == [1, 1, 1, 1]
+        counts, norms = _splits((2, 0), 2)
+        assert counts.tolist() == [[0, 0, 2, 0], [1, 0, 1, 0], [2, 0, 0, 0]]
+        assert norms == [2, 1, 2]
 
     def test_large_signature_single_split(self):
-        # One spectral part must take the whole signature: exactly one outcome.
+        # One basis function must take the whole signature: exactly one split.
         sig = (1,) * 16 + (0,) * 4
-        assert list(enumerate_partitions(sig, (16,))) == [(sig,)]
+        counts, norms = _splits(sig, 1)
+        assert counts.tolist() == [list(sig)]
+        assert norms == [1]
 
-    def test_total_count_over_profiles(self):
-        # Summed over all profiles, the partitions of M factorize into
-        # independent splits of each mode's photons.
-        sig = (2, 1, 0)
-        nb = 2
-        total = 0
-        for k1 in range(4):
-            k2 = 3 - k1
-            total += len(list(enumerate_partitions(sig, (k1, k2))))
-        expected = math.comb(2 + nb - 1, 2) * math.comb(1 + nb - 1, 1)
-        assert total == expected
+    @pytest.mark.parametrize("sig", [(2, 1, 0), (1, 1, 1, 1), (3, 0, 2), (0, 4), (1, 2, 0, 1)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_split_count_is_the_routing_count(self, sig, r):
+        # The splits factorize into independent splits of each mode's photons.
+        counts, norms = _splits(sig, r)
+        assert len(counts) == len(norms) == math.prod(math.comb(c + r - 1, r - 1) for c in sig)
+        assert len({tuple(row) for row in counts.tolist()}) == len(counts)
+        for row in counts.tolist():
+            parts = [row[i * len(sig) : (i + 1) * len(sig)] for i in range(r)]
+            assert tuple(map(sum, zip(*parts))) == sig
+
+    def test_norms_exact_past_int64(self):
+        # prod S_vec! = 21! > 2^63: norms stay exact Python ints.
+        counts, norms = _splits((21, 0), 1)
+        assert counts.tolist() == [[21, 0]]
+        assert norms == [math.factorial(21)] and type(norms[0]) is int
+        counts, norms = _splits((0, 21), 2)
+        assert norms[0] == norms[-1] == math.factorial(21)
+        assert norms == [math.factorial(k) * math.factorial(21 - k) for k in range(22)]
 
 
 class TestOccupations:

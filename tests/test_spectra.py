@@ -84,6 +84,23 @@ class TestOverlap:
         with pytest.raises(RepresentationError):
             overlap(CoefficientSpectrum([1.0]), CoefficientSpectrum([1.0, 0.0]))
 
+    @pytest.mark.parametrize("extreme", [
+        GaussianWavepacket(0.0, 1.0, 1e200), GaussianWavepacket(0.0, 1e-300), GaussianWavepacket(0.0, 1e300),
+        GaussianWavepacket(1e200, 1.0), GaussianWavepacket(0.0, 1e-160),
+    ])
+    def test_overlap_out_of_floating_point_range_rejected(self, extreme):
+        # Overflow, division by zero or an infinite value, never a traceback or inf.
+        with pytest.raises(ConfigurationError, match="overlap of GaussianWavepacket"):
+            overlap(GaussianWavepacket(0.0, 1.0), extreme)
+        with pytest.raises(ConfigurationError):
+            lambda_from_photons([extreme, GaussianWavepacket(0.0, 1.0)])
+
+    def test_overlap_near_the_range_keeps_its_value(self):
+        # Tiny but finite overlaps stay what the closed form gives.
+        assert overlap(GaussianWavepacket(0.0, 1.0), GaussianWavepacket(300.0, 1.0)) == 0.0
+        got = overlap(GaussianWavepacket(0.0, 1.0), GaussianWavepacket(0.0, 1e-150))
+        assert got == pytest.approx(math.sqrt(2.0) * 1e-75, rel=1e-12)
+
     def test_bad_wavepacket_parameters(self):
         with pytest.raises(ConfigurationError):
             GaussianWavepacket(0.0, 0.0)

@@ -38,14 +38,25 @@ def _refuse(constant):
     raise ValueError(f"non-finite summary value {constant}")
 
 
+def two_species(n: int, modes: int) -> dict:
+    """Photons of two alternating Gaussian spectra (r = 2), one collision-free signature."""
+    cfg = experiment(0, modes, "nonresolved", {"signature": [1] * n + [0] * (modes - n)})
+    cfg["photons"] = [{"gaussian": dict(zip(("mu", "sigma", "tau"), GAUSSIANS[j % 2]))} for j in range(n)]
+    return cfg
+
+
 # The n = 6 signature takes the tau-sum over 720 permutations, each kernel
-# call over a block of up to 256 * 6 rows.
+# call over a block of up to 256 * 6 rows; the two-species n = 8 signature
+# the split sum over 256 splits; verify the Fock oracle beside the engine.
 @pytest.mark.parametrize("command,payload", [
     (["distribution", "--config"], experiment(4, 5, "nonresolved")),
     (["distribution", "--config"], experiment(6, 6, "nonresolved", {"signature": [1] * 6})),
+    (["distribution", "--config"], two_species(8, 12)),
     (["distribution", "--config"], experiment(3, 4, "resolved")),
+    (["verify", "--config"], experiment(3, 4, "nonresolved")),
     (["permanent"], permanent_matrix(13)),
-], ids=["blind sweep", "blind signature n=6", "resolved sweep", "permanent k=13"])
+], ids=["blind sweep", "blind signature n=6", "two-species signature n=8", "resolved sweep", "verify sweep",
+        "permanent k=13"])
 def test_traced_run_ends_with_a_finite_summary(tmp_path, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
