@@ -259,6 +259,36 @@ class TestResolvedSweep:
         assert list(enumerate_resolved_outcomes(n, m, nb)) == reference
 
 
+class TestEnumeratePartitions:
+    """Small splits written out, picked from `_splits` by photons per basis function."""
+
+    @staticmethod
+    def _with_profile(sig, profile):
+        counts, norms = _splits(sig, len(profile))
+        m = len(sig)
+        return [
+            ([tuple(row[i * m : (i + 1) * m]) for i in range(len(profile))], norm)
+            for row, norm in zip(counts.tolist(), norms)
+            if [sum(row[i * m : (i + 1) * m]) for i in range(len(profile))] == list(profile)
+        ]
+
+    def test_all_photons_in_first_spectral_mode(self):
+        assert self._with_profile((1, 1), (2, 0)) == [([(1, 1), (0, 0)], 1)]
+        assert self._with_profile((2, 0), (2, 0)) == [([(2, 0), (0, 0)], 2)]
+
+    def test_split_photons(self):
+        assert self._with_profile((1, 1), (1, 1)) == [([(0, 1), (1, 0)], 1), ([(1, 0), (0, 1)], 1)]
+        counts, norms = _splits((1, 1), 2)
+        assert counts.tolist() == [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
+        assert norms == [1, 1, 1, 1]
+
+    def test_bunched_signature_forces_same_mode(self):
+        assert self._with_profile((2, 0), (1, 1)) == [([(1, 0), (1, 0)], 1)]
+        counts, norms = _splits((2, 0), 2)
+        assert counts.tolist() == [[0, 0, 2, 0], [1, 0, 1, 0], [2, 0, 0, 0]]
+        assert norms == [2, 1, 2]
+
+
 class TestSplits:
     """A signature's splits between basis functions, built mode by mode."""
 
@@ -278,14 +308,6 @@ class TestSplits:
             counts, norms = _splits(sig, r)
             assert (counts.tolist(), norms) == by_signature.pop(sig), sig
         assert by_signature == {}
-
-    def test_small_cases_written_out(self):
-        counts, norms = _splits((1, 1), 2)
-        assert counts.tolist() == [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
-        assert norms == [1, 1, 1, 1]
-        counts, norms = _splits((2, 0), 2)
-        assert counts.tolist() == [[0, 0, 2, 0], [1, 0, 1, 0], [2, 0, 0, 0]]
-        assert norms == [2, 1, 2]
 
     def test_large_signature_single_split(self):
         # One basis function must take the whole signature: exactly one split.
