@@ -25,10 +25,12 @@ NaN and Infinity are rejected, at every level of the config.
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
 probabilities printed to 15 significant digits; the document module
-writes them. A distribution sweep streams: sampling.probability_chunks
-hands over STACK_SIZE outcomes at a time, weighted over every mixture
-combination; each chunk is rendered and written before the next is
-made, and only one float per outcome is kept, for the trailing sum.
+writes them. The CLI hands it the engine's (outcomes, totals) chunks as
+columns, each naming its format, never as rows. A distribution sweep
+streams: sampling.probability_chunks hands over STACK_SIZE outcomes at
+a time, weighted over every mixture combination; each chunk is rendered
+and written before the next is made, and only one float per outcome is
+kept, for the trailing sum.
 Every check runs before the first byte goes out. The CLI calls only
 public engine names. Exit codes: 0 success, 2 input error, 3 capacity
 error, 4 verification failure.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .document import _Sig15, _sig15, _write_document
+from .document import _outcome_column, _repr_column, _sig15, _sig15_column, _write_document
 from .errors import BosonSpectraError, CapacityError, ConfigurationError
 from .network import (
     Interferometer,
@@ -326,7 +328,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _run_distribution(cfg: ExperimentConfig) -> dict:
-    """The results document, its outcomes a stream of row chunks (see _write_document).
+    """The results document, its outcomes a stream of column chunks (see _write_document).
 
     The stream's first chunk is taken here, so every check it makes has
     run before a byte is written.
@@ -337,31 +339,31 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
     # floats, in sweep order, as it did over the whole sweep's list.
     totals = []
 
-    def rows():
+    def columns():
         for outcomes, total in chunks:
             totals.append(total)
-            yield [{"outcome": o, "probability": _Sig15(p)} for o, p in zip(outcomes, total.tolist())]
+            yield {"outcome": (_outcome_column, outcomes), "probability": (_sig15_column, total.tolist())}
 
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
-        "outcomes": rows(),
+        "outcomes": columns(),
         "sum": lambda: _sig15(sum(itertools.chain.from_iterable(map(np.ndarray.tolist, totals)))),
     }
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
-    chunks = verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector)
-    rows = [
-        {"outcome": o, "engine": _Sig15(e), "oracle": _Sig15(q), "deviation": _Sig15(abs(e - q))}
-        for outcomes, totals in chunks
-        for o, (e, q) in zip(outcomes, totals.tolist())
-    ]
-    max_dev = max([0.0] + [row["deviation"] for row in rows])
+    chunks = []
+    for outcomes, totals in verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector):
+        engine, oracle = totals.T
+        columns = {"engine": engine, "oracle": oracle, "deviation": abs(engine - oracle)}
+        chunks.append({"outcome": (_outcome_column, outcomes),
+                       **{key: (_sig15_column, values.tolist()) for key, values in columns.items()}})
+    max_dev = max([0.0] + [max(chunk["deviation"][1]) for chunk in chunks])
     return {
         "config": cfg.echo,
         "metadata": _metadata(cfg),
-        "outcomes": [rows],
+        "outcomes": chunks,
         "max_deviation": _sig15(max_dev),
         "tolerance": VERIFY_TOLERANCE,
         "passed": bool(max_dev <= VERIFY_TOLERANCE),
@@ -399,15 +401,12 @@ def _run_hom_scan(grid_text: str) -> dict:
         engine[i] = probability_nonresolved(beamsplitter, lam, (1, 2), (1, 1))
         closed[i] = (1.0 - alpha**2) / 2.0
     diffs = np.abs(engine - closed)
+    columns = {"alpha": (_repr_column, alphas), "coincidence_probability": (_sig15_column, engine),
+               "closed_form": (_sig15_column, closed), "difference": (_sig15_column, diffs)}
 
-    def rows():
+    def chunks():
         for i in range(0, count, STACK_SIZE):
-            columns = (column[i : i + STACK_SIZE].tolist() for column in (alphas, engine, closed, diffs))
-            yield [
-                {"alpha": a, "coincidence_probability": _Sig15(p), "closed_form": _Sig15(c),
-                 "difference": _Sig15(d)}
-                for a, p, c, d in zip(*columns)
-            ]
+            yield {key: (render, values[i : i + STACK_SIZE].tolist()) for key, (render, values) in columns.items()}
 
     return {
         "config": {
@@ -419,7 +418,7 @@ def _run_hom_scan(grid_text: str) -> dict:
             "signature": [1, 1],
         },
         "metadata": {"engine": f"bosonspectra {__version__}"},
-        "outcomes": rows(),
+        "outcomes": chunks(),
         "max_abs_difference": _sig15(diffs.max()),
     }
 

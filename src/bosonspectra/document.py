@@ -2,10 +2,15 @@
 
 Each document is byte-identical to json.dumps(doc, indent=2,
 sort_keys=True) plus a newline (a list document, such as the
-permanent's [re, im] pair: json.dumps on one line), but its outcomes
-rows are filled into one template, column by column, rather than run
-through json's pure-Python indent encoder. The rows come in chunks and
-each chunk is rendered and written before the next is taken, so a
+permanent's [re, im] pair: json.dumps on one line), with its outcomes
+as rows. The writer takes those outcomes as chunks of columns: each
+chunk maps a row key to the values of that key, one per row, and names
+their format once, outcome tuples (_outcome_column), floats written by
+repr (_repr_column) or floats written to 15 significant digits
+(_sig15_column). Each column is rendered once and filled into one row
+template, rather than run through json's pure-Python indent encoder. A
+value strict JSON cannot spell, NaN or an infinity, raises ValueError.
+Each chunk is rendered and written before the next is taken, so a
 document never has to be held whole. A file output is written to a
 temporary file beside it and moved into place only once the whole
 document is written, so a run that fails leaves no partial document.
@@ -27,111 +32,77 @@ def _sig15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-class _Sig15(float):
-    """A row value that documents print to 15 significant digits, as _sig15(value) would print.
-
-    It holds the unrounded value: the writer formats it once
-    (_sig15_texts) rather than round it to a float and then search for
-    its shortest digits.
-    """
-
-
 # Exponents at which %.15g and repr may spell a value apart: 15 (repr
 # writes 1e15 to 1e16 in full) and every three-digit one (subnormals keep
 # fewer digits; the largest values round to infinity).
 _RESPELL = re.compile(r"e[+-]\d{3}|e\+15")
 
 
-def _sig15_texts(values: list):
-    """float.__repr__(_sig15(x)) for each x, formatted once from its 15 significant digits.
+def _repr_column(values: list):
+    """Floats as json writes them, float.__repr__; ValueError if one is not finite.
 
-    Two decimals of at most 15 digits never round to the same double
-    (DBL_DIG = 15), so repr finds the digits of %.15g without its
-    trailing zeros, and spells them alike apart from the ".0" of a
-    value without a point and the exponents _RESPELL finds; a column
-    with one of those is parsed and printed by repr. Returns None if a
-    rounded value is not finite.
+    A column format, as _rows_text takes it: returns (pieces, slots),
+    the constants around and between one row's slots and each slot's
+    texts, row by row.
+    """
+    if not all(map(math.isfinite, values)):
+        raise ValueError("a document value is not finite, and strict JSON has no spelling for it")
+    return ["", ""], [list(map(float.__repr__, values))]
+
+
+def _sig15_column(values: list):
+    """Floats as json writes _sig15(x), formatted once from their 15 significant digits.
+
+    A column format (see _repr_column). Two decimals of at most 15
+    digits never round to the same double (DBL_DIG = 15), so repr finds
+    the digits of %.15g without its trailing zeros, and spells them
+    alike apart from the ".0" of a value without a point and the
+    exponents _RESPELL finds; a column with one of those, or with nan
+    or inf, is parsed and goes through _repr_column, so a value that is
+    not finite, or rounds to infinity, raises ValueError.
     """
     text = ("%.15g\n" * len(values)) % tuple(values)
-    if "n" in text:  # nan, inf
-        return None
     texts = text.split("\n")
     texts.pop()
-    if _RESPELL.search(text):
-        rounded = list(map(float, texts))
-        return list(map(float.__repr__, rounded)) if all(map(math.isfinite, rounded)) else None
-    return [t if "." in t or "e" in t else t + ".0" for t in texts]
+    if "n" in text or _RESPELL.search(text):
+        return _repr_column(list(map(float, texts)))
+    return ["", ""], [[t if "." in t or "e" in t else t + ".0" for t in texts]]
 
 
-def _column_texts(values: list):
-    """One row key's values as json.dumps(indent=2) writes them inside a row, or None.
+def _outcome_column(values: list):
+    """Outcomes as json writes them inside a row: one slot per entry (see _repr_column).
 
-    Returns (pieces, slots): the text is pieces[0] + slots[0][i] +
-    pieces[1] + ... + pieces[-1] for value i. Takes what json writes
-    simply: finite floats, as float.__repr__, _Sig15 values whose 15
-    digits are finite, as _sig15_texts, and outcomes, tuples of one length
-    with one slot per entry, each entry an int or a tuple of ints. Each
-    distinct tuple entry is rendered once. Anything else returns None.
+    An outcome is a tuple of counts, a signature, or of count tuples, a
+    resolved outcome with one part per basis function; every outcome of
+    a column has one length and one kind. Each distinct part is rendered
+    once.
     """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            return None
-        return ["", ""], [list(map(float.__repr__, values))]
-    if kinds == {_Sig15}:
-        texts = _sig15_texts(values)
-        return None if texts is None else (["", ""], [texts])
-    widths = set(map(len, values)) if kinds == {tuple} else set()
-    if len(widths) != 1:
-        return None
-    (width,) = widths
-    items = list(itertools.chain.from_iterable(values))
-    item_kinds = set(map(type, items))
-    if item_kinds == {int}:
-        render = str
-    elif item_kinds == {tuple} and set(map(type, itertools.chain.from_iterable(items))) <= {int}:
+    width = len(values[0])
+    render = str
+    if isinstance(values[0][0], tuple):
         head, sep, tail = "[\n          ", ",\n          ", "\n        ]"
-        parts = {part: head + sep.join(map(str, part)) + tail if part else "[]" for part in set(items)}
-        render = parts.__getitem__
-    else:
-        return None
+        parts = set(itertools.chain.from_iterable(values))
+        render = {part: head + sep.join(map(str, part)) + tail for part in parts}.__getitem__
     pieces = ["[\n        "] + [",\n        "] * (width - 1) + ["\n      ]"]
     return pieces, [list(map(render, map(operator.itemgetter(i), values))) for i in range(width)]
 
 
-def _rows_text(rows: list) -> str:
-    """Non-empty rows as json.dumps(rows, indent=2, sort_keys=True) writes them, one level deeper.
+def _rows_text(chunk: dict) -> str:
+    """A chunk's rows as json.dumps(rows, indent=2, sort_keys=True) writes them, one level deeper.
 
-    The text runs from the first row's indent to the last row's closing
-    brace, without the brackets around the list.
-
-    Dict rows that share one set of string keys, each key holding values
-    _column_texts takes, follow one template: the same constant text
-    between the same slots in every row. The whole text is one join over
-    the slots and constants. Rows of any other shape go through
-    json.dumps, with _Sig15 values rounded by _sig15 first, so NaN,
-    infinities, booleans and nested values read as json writes them.
+    chunk maps each row key to a column, (format, values): one value
+    per row, at least one row, and the function that renders them,
+    _outcome_column, _repr_column or _sig15_column. The text runs from
+    the first row's indent to the last row's closing brace, without the
+    brackets around the list. Every row follows one template, the same
+    constant text between the same slots, so the whole text is one join
+    over the slots and constants.
     """
-    uniform = set(map(type, rows)) == {dict} and set(map(type, rows[0])) == {str}
-    keys = sorted(rows[0]) if uniform else []
-    try:
-        values = [[row[key] for row in rows] for key in keys]
-    except KeyError:  # a row lacks one of the first row's keys
-        values = []
-    # Rows as long as the first that hold all its keys have its keys.
-    same_keys = values and set(map(len, rows)) == {len(keys)}
-    columns = list(map(_column_texts, values)) if same_keys else [None]
-    if None in columns:
-        rows = [
-            {k: _sig15(v) if type(v) is _Sig15 else v for k, v in row.items()}
-            if isinstance(row, dict) else row
-            for row in rows
-        ]
-        return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")[2:-4]
-
     # A row is gaps[0] + slot 0 + gaps[1] + slot 1 + ... + the last slot + tail.
     gaps, slots, text = [], [], "    {\n"
-    for i, (key, (pieces, texts)) in enumerate(zip(keys, columns)):
+    for i, key in enumerate(sorted(chunk)):
+        render, values = chunk[key]
+        pieces, texts = render(values)
         text += (",\n" if i else "") + f"      {json.dumps(key)}: " + pieces[0]
         for piece, column in zip(pieces[1:], texts):
             gaps.append(text)
@@ -186,7 +157,7 @@ def _write_document(doc, output: str) -> None:
     """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, byte for byte.
 
     A list document (the permanent) goes on one line. A dict document's
-    `outcomes` holds its rows in chunks, lists of rows, each rendered by
+    `outcomes` holds its rows in column chunks, each rendered by
     _rows_text and written in its turn; every other value, all small,
     goes through json.dumps re-indented one level. Values are read in
     key order as they are written, and a callable value is called then,
@@ -202,10 +173,9 @@ def _write_document(doc, output: str) -> None:
             value = doc[key]
             if key == "outcomes":
                 opener = "[\n"
-                for rows in value:
-                    if rows:
-                        fh.write(opener + _rows_text(rows))
-                        opener = ",\n"
+                for chunk in value:
+                    fh.write(opener + _rows_text(chunk))
+                    opener = ",\n"
                 fh.write("[]" if opener == "[\n" else "\n  ]")
             else:
                 value = value() if callable(value) else value

@@ -138,9 +138,9 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
     oracle reads the same outcomes off the Fock state without the
     validation oracle_probability gives outside input.
     """
-    state = fock_evolve(interferometer, lam, input_modes)
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
+    state = fock_evolve(interferometer, lam, input_modes)
     for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector):
         if detector == "resolved":
             oracle = [float(abs(state.amplitudes.get(_joint_key(o), 0.0)) ** 2) for o in outcomes]

@@ -59,6 +59,7 @@ measurement signatures are single occupation tuples. Input modes are
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +184,11 @@ def _splits(sig, r: int):
     """sig's splits S_vec between r basis functions and their prod S_vec!, as _resolved_counts yields them.
 
     Each mode's M_k photons split on their own, so the splits are the
-    product over modes of _occupations(M_k, (M_k,) * r), and prod S_vec!
+    product over modes of _occupations(M_k, r), and prod S_vec!
     the product of per-mode norms, as Python ints. Rows are sorted profile
     first, then by count row: sig's outcomes in enumerate_resolved_outcomes order.
     """
-    occs = {c: tuple(_occupations(c, (c,) * r)) for c in set(sig)}
+    occs = {c: tuple(_occupations(c, r)) for c in set(sig)}
     starts = dict(zip(occs, itertools.accumulate(map(len, occs.values()), initial=0)))
     table = sum(occs.values(), ())
     sizes = [len(occs[c]) for c in sig]
@@ -215,17 +216,14 @@ def _probability_nonresolved(interferometer, lam, inputs, sig) -> float:
     return _split_sum(interferometer, lam, inputs, sig)
 
 
-def _occupations(total: int, caps: tuple[int, ...]):
-    """All occupation tuples with the given sum, elementwise below caps, lex order."""
-    if len(caps) == 0:
-        if total == 0:
-            yield ()
-        return
-    rest_caps = caps[1:]
-    # Counts below total - sum(rest_caps) leave more than the rest can hold.
-    for c in range(max(0, total - sum(rest_caps)), min(caps[0], total) + 1):
-        for rest in _occupations(total - c, rest_caps):
-            yield (c,) + rest
+def _occupations(total: int, parts: int):
+    """All occupation tuples of parts counts summing to total, in lex order.
+
+    Each is read off one choice of parts - 1 cut points in 0..total, in
+    order and repeats allowed: the counts are the gaps between the cuts.
+    """
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def amplitude_resolved(
@@ -303,14 +301,14 @@ def _resolved_counts(n: int, m: int, basis_size: int):
     product of its outcomes taken over pool indices, in numpy, and its
     norms the product of its pool entries'.
     """
-    pools = [tuple(_occupations(k, (k,) * m)) for k in range(n + 1)]
+    pools = [tuple(_occupations(k, m)) for k in range(n + 1)]
     # The smallest integer type that holds a count of n keeps chunks small.
     tables = [np.array(pool, dtype=np.min_scalar_type(n)).reshape(len(pool), m) for pool in pools]
     pool_norms = [
         np.array([math.prod(map(math.factorial, occ)) for occ in pool], dtype=object) for pool in pools
     ]
     outcomes, blocks, norms = [], [], []
-    for profile in _occupations(n, (n,) * basis_size):
+    for profile in _occupations(n, basis_size):
         sizes = [len(pools[k]) for k in profile]
         product = itertools.product(*[pools[k] for k in profile])
         start, total = 0, math.prod(sizes)
@@ -360,7 +358,7 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
         for outcomes, counts, norms in _resolved_counts(n, m, nb):
             yield outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)]
     else:
-        for sigs in _chunks(_occupations(n, (n,) * m)):
+        for sigs in _chunks(_occupations(n, m)):
             yield sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs]
 
 

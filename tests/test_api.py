@@ -3,6 +3,7 @@ from pathlib import Path
 
 import bosonspectra
 import bosonspectra.cli
+import bosonspectra.document
 
 REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples", "permanent_stack", "enumerate_partitions"}
 ENGINE_MODULES = ("sampling", "oracle", "network", "spectra", "permanent")
@@ -28,6 +29,8 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.cli, "_outcome_json")
     assert not hasattr(bosonspectra.cli, "_mixture_sweep")
     assert not hasattr(bosonspectra.permanent, "permanent_stack")
+    for name in ("_Sig15", "_column_texts", "_sig15_texts"):
+        assert not hasattr(bosonspectra.document, name), name
 
 
 def test_cli_binds_only_public_engine_names():

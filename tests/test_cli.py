@@ -41,8 +41,15 @@ from bosonspectra.cli import (
     load_config,
     main,
 )
-from bosonspectra.document import _rows_text, _Sig15, _sig15, _sig15_texts, _write_document
-from conftest import hom_lambda
+from bosonspectra.document import (
+    _outcome_column,
+    _repr_column,
+    _rows_text,
+    _sig15,
+    _sig15_column,
+    _write_document,
+)
+from conftest import SIG15_EDGES, SPECIAL_FLOATS, hom_lambda
 
 
 def write_json(path, payload):
@@ -821,7 +828,7 @@ def with_lists(value):
 
 
 def materialized(doc):
-    """doc as plain data: its outcome chunks in one list of rows, _Sig15 values rounded by _sig15.
+    """doc as plain data: its outcome chunks in one list of rows, _sig15_column values rounded by _sig15.
 
     Values are taken in key order and callables called, as the writer
     does. This is the document as it was built before documents
@@ -833,8 +840,12 @@ def materialized(doc):
     for key in sorted(doc):
         value = doc[key]
         if key == "outcomes":
-            value = [{k: _sig15(v) if isinstance(v, _Sig15) else v for k, v in row.items()}
-                     if isinstance(row, dict) else row for rows in value for row in rows]
+            value = [
+                dict(zip(chunk, row))
+                for chunk in value
+                for row in zip(*(list(map(_sig15, values)) if render is _sig15_column else values
+                                 for render, values in chunk.values()))
+            ]
         elif callable(value):
             value = value()
         plain[key] = value
@@ -846,13 +857,13 @@ def stdlib_text(doc) -> str:
     return json.dumps(with_lists(materialized(doc)), indent=indent, sort_keys=True) + "\n"
 
 
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, float("nan"), float("inf"), -float("inf")]
+FINITE_SPECIALS = [x for x in SPECIAL_FLOATS if math.isfinite(x)]
 
 
 def writer_documents(tmp_path):
     """One document of every kind the CLI writes, keyed by a short name.
 
-    Outcomes come as chunks of rows, as the writer takes them. The
+    Outcomes come as chunks of columns, as the writer takes them. The
     sweeps stream, so each call makes new documents.
     """
     def config(payload):
@@ -868,7 +879,6 @@ def writer_documents(tmp_path):
         "detector": "resolved",
     }
     mixed, _, _ = mixed_experiment()
-    special_rows = [{"outcome": (j, 1), "probability": x} for j, x in enumerate(SPECIAL_FLOATS)]
     docs = {
         "blind sweep": _run_distribution(config(blind)),
         "signature query": _run_distribution(config({**blind, "query": {"signature": [2, 0, 1, 0]}})),
@@ -884,87 +894,72 @@ def writer_documents(tmp_path):
         "hom-scan": _run_hom_scan("0:1:11"),
         "special floats": {
             "config": {"note": "line\nbreak", "nested": {"b": [1, 2.5], "a": {}}},
-            # A chunk the template takes, one that goes through json.dumps, and an empty one.
-            "outcomes": [[{"outcome": (0, 1), "probability": 0.5}] * 2, special_rows
-                         + [{"outcome": ((), (0,)), "probability": 1.0, "count": 3, "flag": True}], []],
-            "sum": float("nan"),
+            "outcomes": [{
+                "outcome": (_outcome_column, [(j, 1) for j in range(len(FINITE_SPECIALS))]),
+                "probability": (_repr_column, FINITE_SPECIALS),
+                "rounded": (_sig15_column, FINITE_SPECIALS),
+            }],
+            "sum": float("nan"),  # not an outcome column: json.dumps writes it
         },
-        "non-finite probabilities": {"outcomes": [special_rows]},
-        "rounded non-finite values": {"outcomes": [
-            [{"outcome": (j, 1), "probability": _Sig15(x)} for j, x in enumerate(SPECIAL_FLOATS)]
-            + [{"outcome": (9, 1), "probability": _Sig15(1.7976931348623157e308)}]]},
-        "rounded values": {"outcomes": [
-            [{"outcome": (j,), "probability": _Sig15(x)} for j, x in enumerate(SIG15_EDGES)]]},
-        "extra keys": {"outcomes": [[
-            {"outcome": (0, 1), "probability": 0.5},
-            {"outcome": (1, 0), "probability": 0.5, "weight": 2.0},
-        ]]},
-        "other keys": {"outcomes": [[
-            {"outcome": (0, 1), "probability": 0.5},
-            {"outcome": (1, 0), "weight": 0.5},
-        ]]},
-        # Equal to ints, but json writes them as true and 1.0.
-        "lookalike parts": {"outcomes": [[
-            {"outcome": ((1, 0), (0, 1)), "probability": 0.5},
-            {"outcome": ((True, 0), (0, 1.0)), "probability": 0.25},
-        ]]},
-        "lookalike counts": {"outcomes": [[
-            {"outcome": (1, 0), "probability": 0.5},
-            {"outcome": (True, 0.0), "probability": 0.25},
-        ]]},
-        "percent keys": {"outcomes": [[{"100%": 0.5, "%s": 0.25, "outcome": (0,)}] * 2]},
-        "empty outcomes": {"outcomes": [[{"outcome": (), "probability": 1.0}]]},
-        "ragged outcomes": {"outcomes": [[
-            {"outcome": (1, 0), "probability": 0.5}, {"outcome": (1,), "probability": 0.5}]]},
+        "rounded values": {"outcomes": [{
+            "outcome": (_outcome_column, [(j,) for j in range(len(SIG15_EDGES) - 1)]),
+            "probability": (_sig15_column, [x for x in SIG15_EDGES if x != 1.7976931348623157e308]),
+        }]},
+        "percent keys": {"outcomes": [{
+            "100%": (_repr_column, [0.5] * 2), "%s": (_sig15_column, [0.25] * 2),
+            "outcome": (_outcome_column, [(0,)] * 2),
+        }]},
         "no outcomes": {"config": {}, "outcomes": [], "passed": False},
-        "empty chunks": {"outcomes": [[], []]},
         "empty document": {},
         "permanent": _run_permanent(write_json(tmp_path / "m.json", [[1.0, 2.0], [3.0, -0.5]])),
     }
     return docs
 
 
-# Values whose 15 digits need care: the spelling boundaries of repr and
-# %.15g (1e-4, 1e15, 1e16), rounding across them, subnormals, and values
-# that round to infinity.
-SIG15_EDGES = [
-    0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 2 / 3, 1e-4, 9.99999999999999e-5, 0.99999999999999994,
-    1e-5, 1.5e-7, 123456.789, 999999999999999.4, 999999999999999.6, 1e15, 1234567890123456.0,
-    9999999999999998.0, 1e16, 1.5e20, 1e22, 1e99, 1e100, 1e-99, 1e-100, 2.2250738585072014e-308,
-    2.225073858507201e-308, 5e-324, 1e-320, 1.7976931348623157e308, 1.79769313486231e308,
-    -1.2e-17, 0.30000000000000004, 1e-16, 3.0000000000000004e-20,
-]
-
-
 @pytest.mark.parametrize("x", SIG15_EDGES + SPECIAL_FLOATS)
 def test_sig15_texts_are_repr_of_sig15(x):
+    # The 15-digit column; a value that is not finite, or rounds to infinity, raises.
     rounded = _sig15(x)
-    expected = float.__repr__(rounded) if math.isfinite(rounded) else None
-    assert _sig15_texts([x]) == (expected and [expected])
-    # In a column, one value that needs repr's spelling or is not finite decides for all.
-    column = _sig15_texts([0.25, x, 1 / 3, 0.0])
-    assert column == (expected and ["0.25", expected, "0.333333333333333", "0.0"])
+    if not math.isfinite(rounded):
+        for column in ([x], [0.25, x, 1 / 3, 0.0]):
+            with pytest.raises(ValueError, match="not finite"):
+                _sig15_column(column)
+        return
+    expected = float.__repr__(rounded)
+    assert _sig15_column([x]) == (["", ""], [[expected]])
+    # In a column, one value that needs repr's spelling decides for all.
+    assert _sig15_column([0.25, x, 1 / 3, 0.0]) == (["", ""], [["0.25", expected, "0.333333333333333", "0.0"]])
+
+
+@pytest.mark.parametrize("x", SPECIAL_FLOATS[-3:])
+def test_non_finite_values_raise_and_leave_no_file(tmp_path, x):
+    out = tmp_path / "out.json"
+    for render in (_repr_column, _sig15_column):
+        doc = {"outcomes": [{"outcome": (_outcome_column, [(0, 1), (1, 0)]), "probability": (render, [0.5, x])}]}
+        with pytest.raises(ValueError, match="not finite"):
+            _write_document(doc, str(out))
+        assert not out.exists()
 
 
 def test_writer_fills_a_template_for_every_cli_row(tmp_path, monkeypatch):
-    # json.dumps is the fallback for other shapes, not for what the CLI writes.
+    # Rows never go through json.dumps, only row keys do.
     docs = writer_documents(tmp_path)
 
     def dumps(value, **kwargs):
-        assert not isinstance(value, list), "rows went through json.dumps"
+        assert isinstance(value, str), "rows went through json.dumps"
         return json.dumps(value, **kwargs)
 
     monkeypatch.setattr("bosonspectra.document.json", SimpleNamespace(dumps=dumps))
     long_sweep = []
     for name in ["blind sweep", "long resolved sweep", "mixed resolved sweep", "resolved verify",
                  "hom-scan"]:
-        for rows in docs[name]["outcomes"]:
-            _rows_text(rows)
+        for chunk in docs[name]["outcomes"]:
+            _rows_text(chunk)
             if name == "long resolved sweep":
-                long_sweep.append(rows)
+                long_sweep.append(chunk["outcome"][1])
     # Several chunks, the kernel's stacks, of outcomes with four parts.
-    assert len(long_sweep) > 1 and {len(rows) for rows in long_sweep[:-1]} == {STACK_SIZE}
-    assert len(long_sweep[0][0]["outcome"]) == 4
+    assert len(long_sweep) > 1 and {len(outcomes) for outcomes in long_sweep[:-1]} == {STACK_SIZE}
+    assert len(long_sweep[0][0]) == 4
 
 
 def test_writer_matches_stdlib_indent_encoder(tmp_path, capsys):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import bosonspectra.oracle
 from bosonspectra import (
     CapacityError,
+    ConfigurationError,
     GaussianWavepacket,
     LambdaMatrix,
     fock_evolve,
@@ -120,7 +122,7 @@ class TestMarginals:
     def test_lookup_equals_rescan_on_every_signature(self, rng):
         for u, lam, inputs in marginal_instances(rng):
             state = fock_evolve(u, lam, inputs)
-            for sig in _occupations(lam.n, (lam.n,) * u.m):
+            for sig in _occupations(lam.n, u.m):
                 assert oracle_probability(state, sig, "nonresolved") == rescan_probability(state, sig)
 
     def test_signature_without_states_reads_zero(self):
@@ -164,3 +166,11 @@ class TestVerifyAgainstOracle:
         w = q * (np.diag(r) / np.abs(np.diag(r)))
         rows, dev = verify_against_oracle(u, lam.rotated(w), None, "nonresolved")
         assert dev <= 1e-9
+
+    def test_unknown_detector_rejected_before_the_fock_expansion(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("fock_evolve ran for an unknown detector")
+
+        monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            verify_against_oracle(make_beamsplitter_50_50(), hom_lambda(0.5), None, "bogus")

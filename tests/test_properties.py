@@ -1,8 +1,10 @@
-"""Property tests over small random experiments (n <= 4 photons, m <= 5 modes).
+"""Property tests over small random experiments (n <= 4 photons, m <= 5 modes), and the writer's 15-digit column.
 
 Examples come from the derandomized profile registered in conftest.py,
 so every run checks the same experiments.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from bosonspectra import (
     probability_indistinguishable_fast,
     verify_against_oracle,
 )
+from bosonspectra.document import _sig15, _sig15_column
+from conftest import SIG15_EDGES
 
 
 @st.composite
@@ -92,3 +96,12 @@ def test_identical_photons_give_indistinguishable_limit(experiment):
     for sig, p in blind.items():
         expected = probability_indistinguishable_fast(u, sig, input_occupation(u, inputs))
         assert abs(p - expected) <= 1e-12
+
+
+@given(st.lists(st.one_of(
+    st.floats(-1e308, 1e308),
+    st.floats(0.0, 1.0),
+    st.sampled_from([x for x in SIG15_EDGES if math.isfinite(_sig15(x))]),
+), min_size=1))
+def test_sig15_column_is_repr_of_sig15(values):
+    assert _sig15_column(values) == (["", ""], [[float.__repr__(_sig15(x)) for x in values]])

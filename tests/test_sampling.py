@@ -155,7 +155,7 @@ class TestPaperExpansion:
     def test_nonresolved_probabilities_match_configuration_sum(self):
         for u, lam, inputs in expansion_instances():
             modes = inputs or tuple(range(1, lam.n + 1))
-            for sig in _occupations(lam.n, (lam.n,) * u.m):
+            for sig in _occupations(lam.n, u.m):
                 got = probability_nonresolved(u, lam, inputs, sig)
                 expected = chi_reference.probability_nonresolved(u, lam, modes, sig)
                 assert abs(got - expected) <= 1e-12
@@ -163,7 +163,7 @@ class TestPaperExpansion:
     def test_tau_sum_equals_split_sum(self):
         for u, lam, inputs in expansion_instances():
             modes = inputs or tuple(range(1, lam.n + 1))
-            for sig in _occupations(lam.n, (lam.n,) * u.m):
+            for sig in _occupations(lam.n, u.m):
                 assert abs(_tau_sum(u, lam, modes, sig) - _split_sum(u, lam, modes, sig)) <= 1e-12
 
 
@@ -304,7 +304,7 @@ class TestSplits:
                 rows, row_norms = by_signature.setdefault(tuple(map(sum, zip(*outcome))), ([], []))
                 rows.append(row)
                 row_norms.append(norm)
-        for sig in _occupations(n, (n,) * m):
+        for sig in _occupations(n, m):
             counts, norms = _splits(sig, r)
             assert (counts.tolist(), norms) == by_signature.pop(sig), sig
         assert by_signature == {}
@@ -337,19 +337,25 @@ class TestSplits:
         assert norms == [math.factorial(k) * math.factorial(21 - k) for k in range(22)]
 
 
+def filtered_product(total, caps):
+    """Every tuple below caps, elementwise, that sums to total, in lex order."""
+    return [occ for occ in itertools.product(*(range(c + 1) for c in caps)) if sum(occ) == total]
+
+
 class TestOccupations:
+    # Every cap equals total, so the filtered product bounds nothing but the sum.
     @pytest.mark.parametrize(
         "total,caps",
-        [(0, ()), (1, ()), (0, (0, 0)), (2, (0, 0)), (3, (2, 0, 1)), (4, (1, 1)),
-         (4, (4, 0, 3, 2)), (5, (2, 2, 2)), (3, (3, 3, 3, 3)), (2, (0, 2, 0))],
+        [(t, (t,) * parts) for t, parts in
+         [(0, 1), (1, 1), (0, 3), (2, 2), (3, 3), (4, 2), (4, 6), (5, 5), (3, 6), (2, 4)]],
     )
     def test_matches_filtered_product_in_order(self, total, caps):
-        brute = [
-            occ
-            for occ in itertools.product(*(range(c + 1) for c in caps))
-            if sum(occ) == total
-        ]
-        assert list(_occupations(total, caps)) == brute
+        assert list(_occupations(total, len(caps))) == filtered_product(total, caps)
+
+    def test_every_small_total_and_part_count(self):
+        for total in range(8):
+            for parts in range(1, 7):
+                assert list(_occupations(total, parts)) == filtered_product(total, (total,) * parts)
 
 
 class TestProbabilityNonresolved:
