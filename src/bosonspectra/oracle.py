@@ -3,19 +3,21 @@
 Ground truth for the sampling engine at small scale: photons are
 expanded one at a time over their basis coefficients and the unitary's
 columns, so no permanent is ever computed here. Joint modes are ordered
-spatial-major (mode 1 basis 1, mode 1 basis 2, ..., mode 2 basis 1, ...)
-and occupation keys are tuples over all m * N joint modes.
+spatial-major (mode 1 basis 1, mode 1 basis 2, ..., mode 2 basis 1, ...).
 
-The expansion stays brute force and capped; anything bigger belongs to
-the engine. What blind detectors see, the spatial marginals, is
-tabulated once per state, so reading every signature costs one pass
-over the amplitudes rather than one pass per signature.
+The expansion runs on arrays: each photon's terms are listed in the
+order a term-by-term loop visits them, summed per occupation by
+np.bincount in that order, and the states kept in order of first
+appearance. Products on real parts and np.hypot round as Python's
+complex scalars do. Brute force and capped; anything bigger belongs to
+the engine. The spatial marginals are tabulated once per state.
 """
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import CapacityError, ConfigurationError
 from .network import Interferometer, as_occupation
@@ -26,28 +28,72 @@ MAX_PHOTONS = 6
 MAX_MODES = 8
 MAX_BASIS = 6
 AMPLITUDE_PRUNE = 1e-15
+_BITS = 6  # per photon in a key: a joint mode index is below m * N <= 48 < 2**6
+
+
+def _product(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi), each real product and sum rounded alone as in Python's complex product."""
+    return np.multiply(ar, br) - np.multiply(ai, bi), np.multiply(ar, bi) + np.multiply(ai, br)
+
+
+def _groups(keys: np.ndarray):
+    """Group ids numbered in order of first appearance, and each group's first index."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
 
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Sparse state over joint (spatial, spectral) occupation configurations."""
+    """Joint occupation states of n photons and their amplitudes, in expansion order.
+
+    occupations holds the states as int8 rows over the m * basis_size
+    joint modes; keys, int64, the joint modes of each in ascending order,
+    _BITS bits each, the first highest; values the complex128 amplitudes.
+    """
 
     m: int
     basis_size: int
-    amplitudes: dict = field(repr=False)
+    n: int
+    occupations: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @cached_property
+    def amplitudes(self) -> MappingProxyType:
+        """Read-only {occupation tuple: amplitude} view, in state order."""
+        return MappingProxyType(dict(zip(map(tuple, self.occupations.tolist()), self.values)))
+
+    @cached_property
+    def _probabilities(self) -> np.ndarray:
+        """|amp|^2 per state, squared on Python floats as abs(amp) ** 2 is."""
+        return np.array([a**2 for a in np.hypot(self.values.real, self.values.imag).tolist()])
 
     def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return float(sum(self._probabilities.tolist()))
 
     @cached_property
     def _marginals(self) -> dict[tuple[int, ...], float]:
-        """Summed |amp|^2 per spatial signature, added in amplitude order."""
-        nb = self.basis_size
-        table: dict[tuple[int, ...], float] = {}
-        for occ, amp in self.amplitudes.items():
-            marginal = tuple(sum(occ[k * nb : (k + 1) * nb]) for k in range(self.m))
-            table[marginal] = table.get(marginal, 0.0) + abs(amp) ** 2
-        return table
+        """Summed |amp|^2 per spatial signature, added in state order."""
+        sigs = self.occupations.reshape(-1, self.m, self.basis_size).sum(axis=2, dtype=np.int64)
+        group, first = _groups(sigs @ (self.n + 1) ** np.arange(self.m))
+        sums = np.bincount(group, weights=self._probabilities, minlength=len(first))
+        return dict(zip(map(tuple, sigs[first].tolist()), sums.tolist()))
+
+    def _resolved(self, outcomes) -> list[float]:
+        """|amp|^2 of each resolved n-photon outcome (basis_size parts over m modes); 0.0 if no state."""
+        rows = np.array(outcomes, dtype=np.int64).reshape(-1, self.basis_size, self.m).transpose(0, 2, 1)
+        modes = np.repeat(np.tile(np.arange(rows[0].size), len(rows)), rows.ravel()).reshape(len(rows), self.n)
+        wanted = (modes << (_BITS * np.arange(self.n - 1, -1, -1))).sum(axis=1)
+        order = self._key_order
+        found = order[np.minimum(np.searchsorted(self.keys, wanted, sorter=order), len(order) - 1)]
+        return np.where(self.keys[found] == wanted, self._probabilities[found], 0.0).tolist()
+
+    @cached_property
+    def _key_order(self) -> np.ndarray:
+        return np.argsort(self.keys)
 
 
 def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None) -> FockState:
@@ -73,40 +119,45 @@ def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=N
         )
     inputs = _validated_inputs(input_modes, n, m)
 
-    u = interferometer.matrix
-    vacuum = (0,) * (m * nb)
-    # Coefficients of operator monomials prod_w (a_w^dag)^{occ_w} |0>;
+    # State s is the operator monomial prod_w (a_w^dag)^{rows[s, w]} |0>
+    # with coefficient re[s] + i im[s] and prod_w rows[s, w]! in facts[s];
     # the sqrt(occ!) conversion to normalized states happens at the end.
-    raw: dict[tuple[int, ...], complex] = {vacuum: 1.0 + 0.0j}
+    rows = np.zeros((1, m * nb), dtype=np.int8)
+    keys, facts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    re, im = np.ones(1), np.zeros(1)
     for j in range(n):
-        row = lam.matrix[j]
-        port = inputs[j] - 1
-        new: dict[tuple[int, ...], complex] = {}
-        for occ, coeff in raw.items():
-            for i in range(nb):
-                li = row[i]
-                if li == 0.0:
-                    continue
-                for k in range(m):
-                    amp = coeff * li * u[k, port]
-                    if amp == 0.0:
-                        continue
-                    pos = k * nb + i
-                    key = occ[:pos] + (occ[pos] + 1,) + occ[pos + 1 :]
-                    new[key] = new.get(key, 0.0 + 0.0j) + amp
-        raw = new
+        li = lam.matrix[j]
+        basis = np.flatnonzero(li != 0.0)
+        col = interferometer.matrix[:, inputs[j] - 1]
+        # Terms (s, i, k): coeff[s] * li[i] * U[k, port] in the loop's order, zero terms skipped.
+        tr, ti = _product(re[:, None], im[:, None], li.real[basis], li.imag[basis])
+        ar, ai = _product(tr[:, :, None], ti[:, :, None], col.real, col.imag)
+        live = (ar != 0.0) | (ai != 0.0)
+        ar, ai = ar[live], ai[live]
+        src, mode = np.nonzero(live.reshape(len(rows), -1))
+        src = src.astype(np.int32)
+        mode = (np.arange(m, dtype=np.int8) * nb + basis[:, None].astype(np.int8)).ravel()[mode]
+        # The new mode takes its slot among the key's ascending modes: with
+        # weight the slot's 2^bits and low the key below it, K -> 2^_BITS (K - low) + mode weight + low.
+        weight = np.left_shift(1, _BITS * (j - rows.cumsum(axis=1, dtype=np.int8)[src, mode]), dtype=np.int64)
+        low = keys[src] & (weight - 1)
+        target = ((keys[src] - low) << _BITS) + low + weight * mode
+        del weight, low  # few candidate-sized arrays at once
+        group, first = _groups(target)
+        re = np.bincount(group, weights=ar, minlength=len(first))
+        im = np.bincount(group, weights=ai, minlength=len(first))
+        src, mode, keys = src[first], mode[first], target[first]
+        rows = rows[src]
+        rows[np.arange(len(first)), mode] += 1
+        facts = facts[src] * rows[np.arange(len(first)), mode]
 
-    amplitudes = {}
-    for occ, coeff in raw.items():
-        amp = coeff * math.sqrt(math.prod(math.factorial(c) for c in occ))
-        if abs(amp) > AMPLITUDE_PRUNE:
-            amplitudes[occ] = amp
-    return FockState(m=m, basis_size=nb, amplitudes=amplitudes)
-
-
-def _joint_key(outcome_parts) -> tuple[int, ...]:
-    """The joint-mode occupation key of a resolved outcome: mode 1's parts, then mode 2's, ..."""
-    return tuple(itertools.chain.from_iterable(zip(*outcome_parts)))
+    norms = np.sqrt(facts.astype(float))
+    # coeff * norm as numpy takes a complex times a real: norm + 0i.
+    re, im = _product(re, im, norms, 0.0)
+    keep = np.hypot(re, im) > AMPLITUDE_PRUNE
+    values = np.empty(int(keep.sum()), dtype=np.complex128)
+    values.real, values.imag = re[keep], im[keep]
+    return FockState(m=m, basis_size=nb, n=n, occupations=rows[keep], keys=keys[keep], values=values)
 
 
 def oracle_probability(state: FockState, outcome, detector: str = "nonresolved") -> float:
@@ -119,14 +170,19 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     amplitudes are summed over all joint states with that marginal. The
     sums for every signature are tabulated on the state's first such
     query, term by term in amplitude order, and later queries look them
-    up.
+    up. An outcome that does not hold the state's n photons raises
+    ConfigurationError.
     """
     if detector == "resolved":
         parts = as_resolved_outcome(outcome, state.m, state.basis_size)
-        amp = state.amplitudes.get(_joint_key(parts), 0.0)
-        return float(abs(amp) ** 2)
+        total = sum(map(sum, parts))
+        if total != state.n:
+            raise ConfigurationError(f"resolved outcome holds {total} photons, expected {state.n}")
+        return state._resolved([parts])[0]
     if detector == "nonresolved":
         sig = as_occupation(outcome, state.m)
+        if sum(sig) != state.n:
+            raise ConfigurationError(f"signature holds {sum(sig)} photons, expected {state.n}")
         return float(state._marginals.get(sig, 0.0))
     raise ConfigurationError(f"unknown detector model {detector!r}")
 
@@ -143,7 +199,7 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
     state = fock_evolve(interferometer, lam, input_modes)
     for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector):
         if detector == "resolved":
-            oracle = [float(abs(state.amplitudes.get(_joint_key(o), 0.0)) ** 2) for o in outcomes]
+            oracle = state._resolved(outcomes)
         else:
             oracle = [float(state._marginals.get(o, 0.0)) for o in outcomes]
         yield outcomes, list(zip(values, oracle))

@@ -1,22 +1,29 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import bosonspectra.oracle
+import fock_reference
 from bosonspectra import (
     CapacityError,
     ConfigurationError,
     GaussianWavepacket,
+    Interferometer,
     LambdaMatrix,
+    MixedPhotonSource,
     fock_evolve,
     lambda_from_photons,
     make_beamsplitter_50_50,
     make_dft,
     make_random_unitary,
+    mixture_lambdas,
     oracle_probability,
     verify_against_oracle,
 )
+from bosonspectra.oracle import _product
 from bosonspectra.sampling import _occupations
 from conftest import hom_lambda, random_unit_rows
 
@@ -70,6 +77,18 @@ class TestFockEvolve:
             per_basis = tuple(sum(occ[i::nb]) for i in range(nb))
             assert per_basis == (1, 1, 1)
 
+    def test_amplitudes_view_is_read_only(self):
+        state = fock_evolve(make_beamsplitter_50_50(), LambdaMatrix([[1.0]]), (1,))
+        with pytest.raises(TypeError):
+            state.amplitudes[(1, 0)] = 0.0
+        assert state.amplitudes is state.amplitudes
+
+    def test_oracle_imports_nothing_from_the_permanent_module(self):
+        tree = ast.parse(inspect.getsource(bosonspectra.oracle))
+        imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        assert not any("permanent" in name for name in imported), imported
+
     def test_caps_enforced(self):
         with pytest.raises(CapacityError):
             fock_evolve(make_dft(9), LambdaMatrix([[1.0]]), (1,))
@@ -92,6 +111,19 @@ class TestOracleProbability:
         assert oracle_probability(state, ((1, 1), (0, 0)), "resolved") == pytest.approx(0.0)
         bunched = oracle_probability(state, ((2, 0), (0, 0)), "resolved")
         assert bunched == pytest.approx(alpha**2 / 2.0)
+
+    def test_signature_with_wrong_photon_count_rejected(self):
+        state = fock_evolve(make_beamsplitter_50_50(), hom_lambda(0.6), (1, 2))
+        for sig in [(3, 0), (1, 0), (0, 0)]:
+            with pytest.raises(ConfigurationError, match=f"signature holds {sum(sig)} photons, expected 2"):
+                oracle_probability(state, sig, "nonresolved")
+
+    def test_resolved_outcome_with_wrong_photon_count_rejected(self):
+        state = fock_evolve(make_beamsplitter_50_50(), hom_lambda(0.6), (1, 2))
+        for outcome in [((1, 0), (0, 0)), ((2, 0), (0, 1)), ((0, 0), (0, 0))]:
+            held = sum(map(sum, outcome))
+            with pytest.raises(ConfigurationError, match=f"resolved outcome holds {held} photons, expected 2"):
+                oracle_probability(state, outcome, "resolved")
 
     def test_nonresolved_probabilities_sum_to_one(self, rng):
         u = make_random_unitary(4, 77)
@@ -174,3 +206,113 @@ class TestVerifyAgainstOracle:
         monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
         with pytest.raises(ConfigurationError, match="bogus"):
             verify_against_oracle(make_beamsplitter_50_50(), hom_lambda(0.5), None, "bogus")
+
+
+def bits(x) -> tuple[str, str]:
+    return float(x.real).hex(), float(x.imag).hex()
+
+
+def assert_equals_reference(u, lam, inputs=None):
+    """The array expansion equals the dict loop of tests/fock_reference.py bit for bit."""
+    state = fock_evolve(u, lam, inputs)
+    want = fock_reference.fock_amplitudes(u, lam, inputs or tuple(range(1, lam.n + 1)))
+    assert list(state.amplitudes) == list(want)
+    assert [bits(a) for a in state.amplitudes.values()] == [bits(a) for a in want.values()]
+    table = fock_reference.marginals(want, u.m, lam.basis_size)
+    assert [(sig, p.hex()) for sig, p in state._marginals.items()] == [
+        (sig, float(p).hex()) for sig, p in table.items()
+    ]
+    return state
+
+
+class TestFockReference:
+    def test_random_gaussian_instances(self, rng):
+        for trial in range(16):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 7))
+            u = make_random_unitary(m, int(rng.integers(0, 10**6)))
+            lam = lambda_from_photons(random_gaussians(rng, n))
+            inputs = tuple(sorted(rng.choice(np.arange(1, m + 1), size=n, replace=False).tolist()))
+            assert_equals_reference(u, lam, inputs)
+
+    def test_dense_rows(self, rng):
+        assert_equals_reference(make_random_unitary(4, 5), random_unit_rows(rng, 4, 3))
+        assert_equals_reference(make_random_unitary(5, 6), random_unit_rows(rng, 3, 5), (2, 3, 5))
+
+    def test_rank_deficient_lambda(self, rng):
+        u = make_random_unitary(4, 21)
+        assert_equals_reference(u, LambdaMatrix([[1, 0, 0], [1, 0, 0], [0, 0.6, 0.8]]))
+        assert_equals_reference(u, LambdaMatrix(np.tile(random_unit_rows(rng, 1, 3).matrix, (3, 1))))
+
+    def test_pruned_states_are_absent(self):
+        # HOM: the (1, 1) amplitude cancels exactly and is pruned.
+        state = assert_equals_reference(make_beamsplitter_50_50(), LambdaMatrix([[1.0], [1.0]]))
+        assert list(state.amplitudes) == [(2, 0), (0, 2)]
+        # DFT with identical photons: suppressed signatures never appear.
+        for m in (3, 4):
+            state = assert_equals_reference(make_dft(m), LambdaMatrix(np.ones((m, 1))))
+            assert len(state.amplitudes) < math.comb(2 * m - 1, m)
+        state = assert_equals_reference(make_dft(4), LambdaMatrix([[1, 0], [1, 0], [0, 1], [0, 1]]))
+        assert len(state.amplitudes) < math.comb(8 + 3, 4)
+
+    def test_zero_terms_skipped(self):
+        # A beamsplitter beside an untouched mode: most U entries are exactly 0.
+        r = 1.0 / math.sqrt(2.0)
+        u = Interferometer(np.array([[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]]))
+        state = assert_equals_reference(u, hom_lambda(0.6), (1, 3))
+        assert all(occ[4] + occ[5] == 1 for occ in state.amplitudes)
+
+    @pytest.mark.parametrize("detector", ["nonresolved", "resolved"])
+    def test_mixture_combinations(self, rng, detector):
+        g = random_gaussians(rng, 5)
+        photons = [g[0], MixedPhotonSource(((0.3, g[1]), (0.7, g[2]))),
+                   MixedPhotonSource(((0.6, g[3]), (0.4, g[4])))]
+        u = make_random_unitary(4, 9)
+        for _, lam in mixture_lambdas(photons, detector):
+            assert_equals_reference(u, lam, (1, 2, 4))
+
+    def test_wide_keys(self, rng):
+        # 48 joint modes: a base-(n + 1) key would need 4^48 = 2^96 values.
+        state = assert_equals_reference(make_random_unitary(8, 17), random_unit_rows(rng, 3, 6))
+        assert len(state.amplitudes) == math.comb(48 + 2, 3) == 19600
+        assert len(set(state.keys.tolist())) == 19600
+
+
+def _numpy_platform() -> str:
+    features = np._core._multiarray_umath.__cpu_features__
+    return f"numpy {np.__version__} on CPU features {sorted(f for f, on in features.items() if on)}"
+
+
+def test_numpy_rounds_as_python_scalars(rng):
+    # The properties the array expansion rests on, on the oracle's own
+    # shapes: a state column times a coefficient row, and that times a
+    # unitary column. If one fails, numpy's loops on this platform round
+    # apart from Python's complex arithmetic, and the oracle's bits with them.
+    def values(*shape):
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+        x.flat[:: 7] = 0.0
+        x.flat[3 :: 11] = -0.0
+        return x
+
+    states, basis, modes = 600, 6, 8
+    cr, ci = values(states, 1), values(states, 1)
+    lr, li = values(basis), values(basis)
+    ur, ui = values(modes), values(modes)
+    tr, ti = _product(cr, ci, lr, li)
+    ar, ai = _product(tr[:, :, None], ti[:, :, None], ur, ui)
+    coeffs = [complex(r, i) for r, i in zip(cr.ravel().tolist(), ci.ravel().tolist())]
+    row = [complex(r, i) for r, i in zip(lr.tolist(), li.tolist())]
+    col = [complex(r, i) for r, i in zip(ur.tolist(), ui.tolist())]
+    want = [c * x * y for c in coeffs for x in row for y in col]
+    got = [complex(r, i) for r, i in zip(ar.ravel().tolist(), ai.ravel().tolist())]
+    assert [bits(z) for z in got] == [bits(z) for z in want], (
+        f"{_numpy_platform()}: products on real parts round apart from Python's complex product")
+    assert np.hypot(ar, ai).ravel().tolist() == [abs(z) for z in want], (
+        f"{_numpy_platform()}: np.hypot rounds apart from abs() of a Python complex")
+    group = rng.integers(0, 997, ar.size)
+    sums = [0.0] * 997
+    for g, w in zip(group.tolist(), ar.ravel().tolist()):
+        sums[g] += w
+    assert [x.hex() for x in np.bincount(group, weights=ar.ravel(), minlength=997).tolist()] == [
+        x.hex() for x in sums
+    ], f"{_numpy_platform()}: np.bincount adds apart from sequential Python adds"
