@@ -39,10 +39,10 @@ def _product(ar, ai, br, bi):
 def _groups(keys: np.ndarray):
     """Group ids numbered in order of first appearance, and each group's first index."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], first[order]
+    # A group's id counts the first appearances before its own; no second sort.
+    firsts = np.zeros(len(keys), dtype=bool)
+    firsts[first] = True
+    return (np.cumsum(firsts) - 1)[first][inverse.ravel()], np.flatnonzero(firsts)
 
 
 @dataclass(frozen=True, eq=False)
