@@ -256,11 +256,14 @@ class TestFockReference:
         assert len(state.amplitudes) < math.comb(8 + 3, 4)
 
     def test_zero_terms_skipped(self):
-        # A beamsplitter beside an untouched mode: most U entries are exactly 0.
+        # Two beamsplitters in a row leave exact zeros in U. A term that is
+        # exactly 0 must not move its occupation earlier in the order.
         r = 1.0 / math.sqrt(2.0)
-        u = Interferometer(np.array([[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]]))
-        state = assert_equals_reference(u, hom_lambda(0.6), (1, 3))
-        assert all(occ[4] + occ[5] == 1 for occ in state.amplitudes)
+        first = np.array([[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]])
+        second = np.array([[r, 0.0, r], [0.0, 1.0, 0.0], [r, 0.0, -r]])
+        u = Interferometer(second @ first)
+        assert_equals_reference(u, hom_lambda(0.6), (1, 3))
+        assert_equals_reference(u, LambdaMatrix(np.ones((3, 1))), (1, 2, 3))
 
     @pytest.mark.parametrize("detector", ["nonresolved", "resolved"])
     def test_mixture_combinations(self, rng, detector):
