@@ -33,7 +33,7 @@ and written before the next is made, and only one float per outcome is
 kept, for the trailing sum.
 Every check runs before the first byte goes out. The CLI calls only
 public engine names. Exit codes: 0 success, 2 input error, 3 capacity
-error, 4 verification failure.
+error or out of memory, 4 verification failure.
 """
 
 import argparse
@@ -354,7 +354,7 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
     chunks = []
-    for outcomes, totals in verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector):
+    for outcomes, totals in verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector, cfg.outcome):
         engine, oracle = totals.T
         columns = {"engine": engine, "oracle": oracle, "deviation": abs(engine - oracle)}
         chunks.append({"outcome": (_outcome_column, outcomes),
@@ -478,8 +478,8 @@ def main(argv=None) -> int:
             _write_document(_run_permanent(args.matrix), args.output)
             return EXIT_OK
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY_ERROR
     except (BosonSpectraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,12 @@ The expansion runs on arrays: each photon's terms are listed in the
 order a term-by-term loop visits them, summed per occupation by
 np.bincount in that order, and the states kept in order of first
 appearance. Products on real parts and np.hypot round as Python's
-complex scalars do. Brute force and capped; anything bigger belongs to
-the engine. The spatial marginals are tabulated once per state.
+complex scalars do. Brute force and bounded by its work (STATE_BUDGET);
+anything bigger belongs to the engine. The spatial marginals are
+tabulated once per state.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -24,11 +26,15 @@ from .network import Interferometer, as_occupation
 from .sampling import _pure_chunks, _validated_inputs, _weighted_chunks, as_resolved_outcome
 from .spectra import LambdaMatrix
 
-MAX_PHOTONS = 6
-MAX_MODES = 8
-MAX_BASIS = 6
 AMPLITUDE_PRUNE = 1e-15
-_BITS = 6  # per photon in a key: a joint mode index is below m * N <= 48 < 2**6
+# Candidate terms in one photon step. Peak RSS ran to 250-290 B per
+# candidate where the bound is tight (distinguishable photons: 243 MB at
+# 10^6), so at most about 300 MB; far less where it is loose (33 B per
+# candidate for distinct Gaussians).
+STATE_BUDGET = 2**20
+# Per photon in a key: a joint mode index is below m * N <= 2**_BITS, and a
+# key's n fields fit in a positive int64 while n * _BITS <= 63.
+_BITS = 6
 
 
 def _product(ar, ai, br, bi):
@@ -77,10 +83,14 @@ class FockState:
     @cached_property
     def _marginals(self) -> dict[tuple[int, ...], float]:
         """Summed |amp|^2 per spatial signature, added in state order."""
-        sigs = self.occupations.reshape(-1, self.m, self.basis_size).sum(axis=2, dtype=np.int64)
-        group, first = _groups(sigs @ (self.n + 1) ** np.arange(self.m))
+        # A signature's key: its states' keys with each joint mode k * N + i read
+        # as k, still sorted. (A base-(n + 1) number over 64 modes overflows int64.)
+        shifts = _BITS * np.arange(self.n)
+        spatial = ((self.keys[:, None] >> shifts) & (2**_BITS - 1)) // self.basis_size
+        group, first = _groups((spatial << shifts).sum(axis=1))
         sums = np.bincount(group, weights=self._probabilities, minlength=len(first))
-        return dict(zip(map(tuple, sigs[first].tolist()), sums.tolist()))
+        sigs = self.occupations[first].reshape(-1, self.m, self.basis_size).sum(axis=2, dtype=np.int64)
+        return dict(zip(map(tuple, sigs.tolist()), sums.tolist()))
 
     def _resolved(self, outcomes) -> list[float]:
         """|amp|^2 of each resolved n-photon outcome (basis_size parts over m modes); 0.0 if no state."""
@@ -96,6 +106,21 @@ class FockState:
         return np.argsort(self.keys)
 
 
+def _largest_step(m: int, lam: LambdaMatrix) -> int:
+    """An upper bound on the candidate terms of fock_evolve's largest photon step.
+
+    Photon j makes a term per state, mode and basis function of its
+    row's support; the states it leaves are at most those terms and at
+    most the C(m N + j, j + 1) occupations of j + 1 photons.
+    """
+    states, largest = 1, 0
+    for j, row in enumerate(lam.matrix):
+        terms = states * m * int(np.count_nonzero(row))
+        largest = max(largest, terms)
+        states = min(terms, math.comb(m * lam.basis_size + j, j + 1))
+    return largest
+
+
 def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None) -> FockState:
     """Evolve n spectrally structured photons through the network exactly.
 
@@ -108,16 +133,23 @@ def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=N
     Columns of the unitary are input modes and rows are output modes
     (U[b, a] is the a -> b transfer amplitude), the orientation under
     which the permanent rule reads Per(U_{S,T}) with output rows.
+
+    After the inputs are validated and before any term is made,
+    CapacityError refuses n > 10 photons, m N > 64 joint modes (the key
+    format) and a photon step that may make over STATE_BUDGET terms.
     """
     m = interferometer.m
     n = lam.n
     nb = lam.basis_size
-    if n > MAX_PHOTONS or m > MAX_MODES or nb > MAX_BASIS:
-        raise CapacityError(
-            f"oracle caps exceeded (n={n} <= {MAX_PHOTONS}, m={m} <= {MAX_MODES}, "
-            f"N={nb} <= {MAX_BASIS})"
-        )
     inputs = _validated_inputs(input_modes, n, m)
+    if n * _BITS > 63 or m * nb > 2**_BITS:
+        raise CapacityError(
+            f"the oracle's keys hold n <= {63 // _BITS} photons over m * N <= {2**_BITS} joint modes, "
+            f"got n={n} over m * N = {m * nb}"
+        )
+    largest = _largest_step(m, lam)
+    if largest > STATE_BUDGET:
+        raise CapacityError(f"the oracle's largest photon step makes up to {largest} terms, over {STATE_BUDGET}")
 
     # State s is the operator monomial prod_w (a_w^dag)^{rows[s, w]} |0>
     # with coefficient re[s] + i im[s] and prod_w rows[s, w]! in facts[s];
@@ -187,21 +219,21 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     raise ConfigurationError(f"unknown detector model {detector!r}")
 
 
-def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str):
-    """One combination's sweep as (outcomes, (engine, oracle) pairs) chunks.
+def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
+    """One combination's sweep, or outcome alone, as (outcomes, (engine, oracle) pairs) chunks.
 
-    The engine column is the engine's own sweep, chunk by chunk, and the
-    oracle reads the same outcomes off the Fock state without the
-    validation oracle_probability gives outside input.
+    The engine column is the engine's own chunks (sampling._pure_chunks),
+    and the oracle reads the same outcomes off the Fock state without
+    the validation oracle_probability gives outside input.
     """
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
     state = fock_evolve(interferometer, lam, input_modes)
-    for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector):
+    for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector, outcome):
         if detector == "resolved":
             oracle = state._resolved(outcomes)
         else:
-            oracle = [float(state._marginals.get(o, 0.0)) for o in outcomes]
+            oracle = [float(state._marginals.get(tuple(o), 0.0)) for o in outcomes]
         yield outcomes, list(zip(values, oracle))
 
 
@@ -224,14 +256,18 @@ def verify_against_oracle(
     return rows, max([0.0] + [abs(engine_p - oracle_p) for _, engine_p, oracle_p in rows])
 
 
-def verify_chunks(interferometer: Interferometer, photons, input_modes=None, detector: str = "nonresolved"):
+def verify_chunks(
+    interferometer: Interferometer, photons, input_modes=None, detector: str = "nonresolved", outcome=None
+):
     """Engine and oracle for a whole experiment, as a stream of (outcomes, totals) chunks.
 
-    totals is an (outcomes x 2) float64 array of the engine's and the
-    oracle's probabilities, each weighted over every mixture combination
-    by the loop behind sampling.probability_chunks.
+    The stream is the detector's whole sweep, or one chunk holding
+    outcome alone, as in sampling.probability_chunks. totals is an
+    (outcomes x 2) float64 array of the engine's and the oracle's
+    probabilities, each weighted over every mixture combination by the
+    loop behind probability_chunks.
     """
     # Whole per combination, so each Fock state is freed before the next is made.
     yield from _weighted_chunks(
-        photons, detector, lambda lam: list(_compared_chunks(interferometer, lam, input_modes, detector))
+        photons, detector, lambda lam: list(_compared_chunks(interferometer, lam, input_modes, detector, outcome))
     )

@@ -31,6 +31,8 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.permanent, "permanent_stack")
     for name in ("_Sig15", "_column_texts", "_sig15_texts"):
         assert not hasattr(bosonspectra.document, name), name
+    for name in ("MAX_PHOTONS", "MAX_MODES", "MAX_BASIS"):
+        assert not hasattr(bosonspectra.oracle, name), name
 
 
 def test_cli_binds_only_public_engine_names():

@@ -82,6 +82,9 @@ def hom_config(alpha, **overrides):
 GAUSSIANS = [(0.0, 1.0, 0.0), (0.3, 0.8, 0.9), (-0.4, 1.2, -0.6), (0.2, 1.0, 1.5), (0.5, 0.7, -1.1)]
 
 
+SIX_GAUSSIANS = [{"gaussian": {"mu": 0.1 * k, "sigma": 1.0 + 0.1 * k, "tau": 0.3 * k}} for k in range(6)]
+
+
 def mixed_experiment():
     """Three photons on a random 4-mode network, two of them 2-component mixtures.
 
@@ -418,6 +421,25 @@ class TestStrictInputs:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000) and data type complex128"),
+        MemoryError(),
+    ])
+    def test_out_of_memory_exits_3_with_one_error_line(self, tmp_path, monkeypatch, capsys, error):
+        # It used to end in a traceback and exit 1.
+        def exhausted(modes):
+            raise error
+
+        monkeypatch.setattr("bosonspectra.cli.make_dft", exhausted)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "network": {"preset": "dft", "modes": 100000},
+            "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}],
+        })
+        out = tmp_path / "out.json"
+        assert main(["distribution", "--config", cfg, "--output", str(out)]) == EXIT_CAPACITY_ERROR
+        assert capsys.readouterr().err == f"error: {str(error) or 'out of memory'}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["distribution", "verify"])
     @pytest.mark.parametrize("network", [
         # --seed used to be dropped without a word beside any other network
@@ -624,12 +646,41 @@ class TestVerify:
         assert doc["metadata"]["mixture_terms"] == 4
         assert len(doc["outcomes"]) == math.comb(4 * 5 + 3 - 1, 3)
 
-    def test_over_cap_instance_exits_3(self, tmp_path):
+    def test_over_cap_instance_exits_3(self, tmp_path, capsys):
+        # Over the oracle's state budget, and beyond its key format (65 joint modes).
+        over_budget = {"network": {"preset": "dft", "modes": 8}, "photons": SIX_GAUSSIANS}
+        beyond_keys = {"network": {"preset": "dft", "modes": 65}, "photons": SIX_GAUSSIANS[:1]}
+        for name, config in [("budget", over_budget), ("keys", beyond_keys)]:
+            out = tmp_path / f"{name}.out"
+            cfg = write_json(tmp_path / f"{name}.json", config)
+            assert main(["verify", "--config", cfg, "--output", str(out)]) == EXIT_CAPACITY_ERROR
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: the oracle's") and err.count("\n") == 1
+
+    def test_over_budget_instance_with_bad_inputs_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
-            "network": {"preset": "dft", "modes": 9},
-            "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}],
+            "network": {"preset": "dft", "modes": 8},
+            "photons": SIX_GAUSSIANS,
+            "input_modes": [1, 1, 2, 3, 4, 5],
         })
-        assert main(["verify", "--config", cfg]) == EXIT_CAPACITY_ERROR
+        assert main(["verify", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detector", ["nonresolved", "resolved"])
+    def test_single_outcome_query(self, tmp_path, detector):
+        config, _, _ = mixed_experiment()
+        config["detector"] = detector
+        code, sweep = run(tmp_path, ["verify", "--config", write_json(tmp_path / "sweep.json", config)])
+        assert code == EXIT_OK
+        row = max(sweep["outcomes"], key=lambda row: row["engine"])
+        kind = "signature" if detector == "nonresolved" else "resolved"
+        config["query"] = {kind: row["outcome"]}
+        code, doc = run(tmp_path, ["verify", "--config", write_json(tmp_path / "query.json", config)])
+        assert code == EXIT_OK
+        assert doc["config"]["query"] == config["query"]
+        assert doc["outcomes"] == [row]
+        assert doc["max_deviation"] == row["deviation"]
 
     def test_failed_verification_exits_4(self, tmp_path, monkeypatch):
         import bosonspectra.cli as cli_mod

@@ -22,8 +22,9 @@ from bosonspectra import (
     mixture_lambdas,
     oracle_probability,
     verify_against_oracle,
+    verify_chunks,
 )
-from bosonspectra.oracle import _product
+from bosonspectra.oracle import STATE_BUDGET, _groups, _largest_step, _product
 from bosonspectra.sampling import _occupations
 from conftest import hom_lambda, random_unit_rows
 
@@ -37,6 +38,11 @@ def rescan_probability(state, sig):
         if marginal == tuple(sig):
             total += abs(amp) ** 2
     return float(total)
+
+
+def six_gaussians():
+    """Six distinct Gaussian photons: a triangular coefficient matrix over six basis functions."""
+    return [GaussianWavepacket(0.1 * k, 1.0 + 0.1 * k, 0.3 * k) for k in range(6)]
 
 
 def random_gaussians(rng, n):
@@ -89,11 +95,64 @@ class TestFockEvolve:
         imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
         assert not any("permanent" in name for name in imported), imported
 
-    def test_caps_enforced(self):
-        with pytest.raises(CapacityError):
-            fock_evolve(make_dft(9), LambdaMatrix([[1.0]]), (1,))
-        with pytest.raises(CapacityError):
-            fock_evolve(make_dft(8), LambdaMatrix(np.ones((7, 1))), tuple(range(1, 8)))
+    def test_caps_enforced(self, monkeypatch):
+        def no_step(keys):
+            raise AssertionError("a photon step ran")
+
+        monkeypatch.setattr(bosonspectra.oracle, "_groups", no_step)
+        # Over the state budget: six distinct Gaussians on eight modes.
+        distinct = lambda_from_photons(six_gaussians())
+        assert distinct.basis_size == 6
+        with pytest.raises(CapacityError, match=f"124750080 terms, over {STATE_BUDGET}"):
+            fock_evolve(make_dft(8), distinct)
+        # Beyond the key format: 11 photons, 65 and 68 joint modes.
+        with pytest.raises(CapacityError, match="keys hold n <= 10 photons over m \\* N <= 64 joint modes"):
+            fock_evolve(make_dft(11), LambdaMatrix(np.ones((11, 1))))
+        for m, nb in [(65, 1), (17, 4)]:
+            with pytest.raises(CapacityError, match=f"m \\* N = {m * nb}"):
+                fock_evolve(make_dft(m), LambdaMatrix(np.eye(1, nb)))
+
+    def test_malformed_inputs_rejected_before_the_budget(self):
+        distinct = lambda_from_photons(six_gaussians())
+        with pytest.raises(ConfigurationError, match="distinct"):
+            fock_evolve(make_dft(8), distinct, (1, 1, 2, 3, 4, 5))
+        with pytest.raises(ConfigurationError, match="input modes"):
+            fock_evolve(make_dft(8), LambdaMatrix(np.ones((11, 1))))
+
+    def test_state_bound(self):
+        # Distinguishable photons: 8^6 states, each step under the budget.
+        assert _largest_step(8, LambdaMatrix(np.eye(6))) == 8**6 <= STATE_BUDGET
+        # Identical photons: the occupation count C(m + j, j + 1) caps each step.
+        assert _largest_step(8, LambdaMatrix(np.ones((7, 1)))) == math.comb(13, 6) * 8
+
+    def test_state_bound_covers_every_step(self, rng, monkeypatch):
+        steps = []
+
+        def counted(keys):
+            steps.append(len(keys))
+            return _groups(keys)
+
+        monkeypatch.setattr(bosonspectra.oracle, "_groups", counted)
+        instances = [(make_random_unitary(4, 3), random_unit_rows(rng, 4, 3)),
+                     (make_random_unitary(5, 8), lambda_from_photons(random_gaussians(rng, 4))),
+                     (make_dft(4), LambdaMatrix(np.ones((4, 1)))),
+                     (make_random_unitary(3, 2), LambdaMatrix(np.eye(3)))]
+        for u, lam in instances:
+            steps.clear()
+            fock_evolve(u, lam)
+            assert len(steps) == lam.n and max(steps) <= _largest_step(u.m, lam)
+        # Distinguishable photons on a generic network reach the bound.
+        assert steps[-1] == _largest_step(3, LambdaMatrix(np.eye(3)))
+
+    def test_budget_is_the_limit(self, monkeypatch):
+        lam = hom_lambda(0.6)
+        bound = _largest_step(2, lam)
+        assert bound == 8
+        monkeypatch.setattr(bosonspectra.oracle, "STATE_BUDGET", bound)
+        assert fock_evolve(make_beamsplitter_50_50(), lam).norm_squared() == pytest.approx(1.0)
+        monkeypatch.setattr(bosonspectra.oracle, "STATE_BUDGET", bound - 1)
+        with pytest.raises(CapacityError, match="8 terms, over 7"):
+            fock_evolve(make_beamsplitter_50_50(), lam)
 
 
 class TestOracleProbability:
@@ -199,6 +258,19 @@ class TestVerifyAgainstOracle:
         rows, dev = verify_against_oracle(u, lam.rotated(w), None, "nonresolved")
         assert dev <= 1e-9
 
+    @pytest.mark.parametrize("detector", ["nonresolved", "resolved"])
+    def test_verify_chunks_single_outcome_equals_its_sweep_row(self, rng, detector):
+        g = random_gaussians(rng, 4)
+        u, photons = make_random_unitary(3, 7), [g[0], g[1], MixedPhotonSource(((0.4, g[2]), (0.6, g[3])))]
+        sweep = [(o, row) for outcomes, totals in verify_chunks(u, photons, None, detector)
+                 for o, row in zip(outcomes, totals.tolist())]
+        outcome, row = max(sweep, key=lambda item: item[1][0])
+        # The outcome as lists: the oracle's lookup must not need tuples.
+        as_lists = [list(part) for part in outcome] if detector == "resolved" else list(outcome)
+        ((outcomes, totals),) = verify_chunks(u, photons, None, detector, as_lists)
+        assert outcomes == [as_lists]
+        assert totals.tolist() == [row]
+
     def test_unknown_detector_rejected_before_the_fock_expansion(self, monkeypatch):
         def no_expansion(*args):
             raise AssertionError("fock_evolve ran for an unknown detector")
@@ -273,6 +345,26 @@ class TestFockReference:
         u = make_random_unitary(4, 9)
         for _, lam in mixture_lambdas(photons, detector):
             assert_equals_reference(u, lam, (1, 2, 4))
+
+    def test_shapes_past_the_old_caps(self):
+        # Nine modes, and seven photons: shapes the budget admits.
+        assert_equals_reference(make_dft(9), LambdaMatrix([[1.0]]))
+        assert_equals_reference(make_dft(8), LambdaMatrix(np.ones((7, 1))))
+
+    def test_sixty_bit_keys(self):
+        # Ten photons, the most the key format holds: 10 * 6 = 60 bits.
+        state = assert_equals_reference(make_random_unitary(10, 4), LambdaMatrix(np.ones((10, 1))))
+        assert len(state.amplitudes) == math.comb(19, 10) == 92378
+        # All ten photons in joint mode 9 fill the top of the tenth field.
+        assert int(state.keys.max()) == sum(9 << 6 * p for p in range(10)) >= 2**57
+
+    @pytest.mark.parametrize("m, nb, n", [(16, 4, 2), (64, 1, 3)])
+    def test_sixty_four_joint_modes(self, rng, m, nb, n):
+        # The most joint modes the key format holds. At m = 64, a signature
+        # keyed as a base-(n + 1) number would wrap int64 and merge signatures.
+        state = assert_equals_reference(make_random_unitary(m, 5), random_unit_rows(rng, n, nb))
+        assert len(state.amplitudes) == math.comb(m * nb + n - 1, n)
+        assert len(state._marginals) == math.comb(m + n - 1, n)
 
     def test_wide_keys(self, rng):
         # 48 joint modes: a base-(n + 1) key would need 4^48 = 2^96 values.
