@@ -34,6 +34,13 @@ kept, for the trailing sum.
 Every check runs before the first byte goes out. The CLI calls only
 public engine names. Exit codes: 0 success, 2 input error, 3 capacity
 error or out of memory, 4 verification failure.
+
+A job imports only what its subcommand runs. At module level this
+file imports document, errors and permanent, all that `permanent`
+needs; the functions that parse configs and run the other subcommands
+import network, spectra and sampling themselves, so `distribution`
+and `hom-scan` load every module but oracle, and only `verify`
+(_run_verify) imports oracle.
 """
 
 import argparse
@@ -42,29 +49,17 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .document import _outcome_column, _repr_column, _sig15, _sig15_column, _write_document
 from .errors import BosonSpectraError, CapacityError, ConfigurationError
-from .network import (
-    Interferometer,
-    make_beamsplitter_50_50,
-    make_dft,
-    make_random_unitary,
-)
-from .oracle import verify_chunks
 from .permanent import permanent_ryser
-from .sampling import (
-    DISTRIBUTION_OUTCOME_CAP,
-    STACK_SIZE,
-    MixedPhotonSource,
-    mixture_terms,
-    probability_chunks,
-    probability_nonresolved,
-)
-from .spectra import CoefficientSpectrum, GaussianWavepacket, LambdaMatrix
+
+if TYPE_CHECKING:
+    from .network import Interferometer
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -139,7 +134,9 @@ def _parse_matrix(data, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
+def _parse_network(data, seed_flag) -> "tuple[Interferometer, dict]":
+    from .network import Interferometer, make_beamsplitter_50_50, make_dft, make_random_unitary
+
     if not isinstance(data, dict):
         raise ConfigurationError("config 'network' must be an object")
     preset = data.get("preset")
@@ -186,6 +183,8 @@ def _parse_network(data, seed_flag) -> tuple[Interferometer, dict]:
 
 
 def _parse_pure_spec(data, where: str, extra_keys=()):
+    from .spectra import CoefficientSpectrum, GaussianWavepacket
+
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where}: photon spec must be an object")
     kind = "gaussian" if "gaussian" in data else "coefficients"
@@ -212,6 +211,8 @@ def _parse_pure_spec(data, where: str, extra_keys=()):
 
 
 def _parse_photon(data, where: str):
+    from .sampling import MixedPhotonSource
+
     if isinstance(data, dict) and "mixture" in data:
         _check_keys(data, {"mixture"}, where)
         comps = data["mixture"]
@@ -263,7 +264,7 @@ def _parse_query(data, n: int, m: int, detector: str):
 
 @dataclass
 class ExperimentConfig:
-    interferometer: Interferometer
+    interferometer: "Interferometer"
     photons: list
     input_modes: tuple
     detector: str
@@ -324,6 +325,8 @@ def load_config(path: str, seed_flag=None) -> ExperimentConfig:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
+    from .sampling import mixture_terms
+
     return {"engine": f"bosonspectra {__version__}", "mixture_terms": mixture_terms(cfg.photons)}
 
 
@@ -333,6 +336,8 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
     The stream's first chunk is taken here, so every check it makes has
     run before a byte is written.
     """
+    from .sampling import probability_chunks
+
     chunks = probability_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector, cfg.outcome)
     chunks = itertools.chain([next(chunks)], chunks)
     # One float64 array per chunk; the sum runs over their values as Python
@@ -353,6 +358,8 @@ def _run_distribution(cfg: ExperimentConfig) -> dict:
 
 
 def _run_verify(cfg: ExperimentConfig) -> dict:
+    from .oracle import verify_chunks
+
     chunks = []
     for outcomes, totals in verify_chunks(cfg.interferometer, cfg.photons, cfg.input_modes, cfg.detector, cfg.outcome):
         engine, oracle = totals.T
@@ -371,6 +378,8 @@ def _run_verify(cfg: ExperimentConfig) -> dict:
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
+    from .sampling import DISTRIBUTION_OUTCOME_CAP
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"--alpha-grid must be start:stop:count, got {text!r}")
@@ -392,6 +401,10 @@ def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
 def _run_hom_scan(grid_text: str) -> dict:
     # max_abs_difference sorts before outcomes: a first pass keeps four
     # floats per grid point, and the rows go out STACK_SIZE at a time.
+    from .network import make_beamsplitter_50_50
+    from .sampling import STACK_SIZE, probability_nonresolved
+    from .spectra import LambdaMatrix
+
     start, stop, count = _parse_alpha_grid(grid_text)
     beamsplitter = make_beamsplitter_50_50()
     alphas = np.linspace(start, stop, count)

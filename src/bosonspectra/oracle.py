@@ -14,6 +14,7 @@ anything bigger belongs to the engine. The spatial marginals are
 tabulated once per state.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,6 +122,25 @@ def _largest_step(m: int, lam: LambdaMatrix) -> int:
     return largest
 
 
+def _checked_inputs(interferometer: Interferometer, lam: LambdaMatrix, input_modes) -> tuple[int, ...]:
+    """The validated input modes of an expansion that the key format and STATE_BUDGET admit.
+
+    Raises CapacityError for n > 10 photons, m N > 64 joint modes (the
+    key format) or a photon step that may make over STATE_BUDGET terms.
+    """
+    m, n, nb = interferometer.m, lam.n, lam.basis_size
+    inputs = _validated_inputs(input_modes, n, m)
+    if n * _BITS > 63 or m * nb > 2**_BITS:
+        raise CapacityError(
+            f"the oracle's keys hold n <= {63 // _BITS} photons over m * N <= {2**_BITS} joint modes, "
+            f"got n={n} over m * N = {m * nb}"
+        )
+    largest = _largest_step(m, lam)
+    if largest > STATE_BUDGET:
+        raise CapacityError(f"the oracle's largest photon step makes up to {largest} terms, over {STATE_BUDGET}")
+    return inputs
+
+
 def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=None) -> FockState:
     """Evolve n spectrally structured photons through the network exactly.
 
@@ -141,15 +161,7 @@ def fock_evolve(interferometer: Interferometer, lam: LambdaMatrix, input_modes=N
     m = interferometer.m
     n = lam.n
     nb = lam.basis_size
-    inputs = _validated_inputs(input_modes, n, m)
-    if n * _BITS > 63 or m * nb > 2**_BITS:
-        raise CapacityError(
-            f"the oracle's keys hold n <= {63 // _BITS} photons over m * N <= {2**_BITS} joint modes, "
-            f"got n={n} over m * N = {m * nb}"
-        )
-    largest = _largest_step(m, lam)
-    if largest > STATE_BUDGET:
-        raise CapacityError(f"the oracle's largest photon step makes up to {largest} terms, over {STATE_BUDGET}")
+    inputs = _checked_inputs(interferometer, lam, input_modes)
 
     # State s is the operator monomial prod_w (a_w^dag)^{rows[s, w]} |0>
     # with coefficient re[s] + i im[s] and prod_w rows[s, w]! in facts[s];
@@ -224,12 +236,17 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
 
     The engine column is the engine's own chunks (sampling._pure_chunks),
     and the oracle reads the same outcomes off the Fock state without
-    the validation oracle_probability gives outside input.
+    the validation oracle_probability gives outside input. Every check
+    runs before the expansion: the detector, the oracle's own bound, and
+    the engine's inputs and sweep cap, made when its first chunk is taken.
     """
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
+    _checked_inputs(interferometer, lam, input_modes)
+    chunks = _pure_chunks(interferometer, lam, input_modes, detector, outcome)
+    chunks = itertools.chain([next(chunks)], chunks)
     state = fock_evolve(interferometer, lam, input_modes)
-    for outcomes, values in _pure_chunks(interferometer, lam, input_modes, detector, outcome):
+    for outcomes, values in chunks:
         if detector == "resolved":
             oracle = state._resolved(outcomes)
         else:

@@ -1,5 +1,12 @@
+import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import bosonspectra
 import bosonspectra.cli
@@ -7,6 +14,16 @@ import bosonspectra.document
 
 REMOVED = {"chi", "enumerate_configurations", "t_sets", "mixture_tuples", "permanent_stack", "enumerate_partitions"}
 ENGINE_MODULES = ("sampling", "oracle", "network", "spectra", "permanent")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter with this checkout's src first on PYTHONPATH, as perfbench starts its jobs."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 def test_every_exported_name_resolves():
@@ -36,9 +53,8 @@ def test_removed_names_are_gone():
 
 
 def test_cli_binds_only_public_engine_names():
-    # The CLI reaches the engine through public names only, bound at module
-    # level: perfbench's tracer times a cli -> engine call only through such
-    # a binding, and it replaces every one it finds.
+    # The CLI reaches the engine through public names only: permanent_ryser
+    # at module level, the rest imported inside the functions that use them.
     engine = {f"bosonspectra.{name}" for name in ENGINE_MODULES}
     private = [
         name for name, obj in vars(bosonspectra.cli).items()
@@ -46,13 +62,80 @@ def test_cli_binds_only_public_engine_names():
         and (name.startswith("_") or obj.__name__.startswith("_"))
     ]
     assert private == []
-    for module, name in [("sampling", "probability_chunks"), ("sampling", "mixture_terms"),
-                         ("sampling", "probability_nonresolved"), ("oracle", "verify_chunks"),
-                         ("permanent", "permanent_ryser")]:
-        assert getattr(bosonspectra.cli, name) is getattr(getattr(bosonspectra, module), name), name
+    assert bosonspectra.cli.permanent_ryser is bosonspectra.permanent.permanent_ryser
+    tree = ast.parse(Path(bosonspectra.cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if isinstance(node, ast.ImportFrom) and node.module in ENGINE_MODULES
+        for alias in node.names
+    ]
+    assert {module for module, _ in imported} == {"network", "oracle", "sampling", "spectra"}
+    for module, name in imported:
+        assert not name.startswith("_") and hasattr(getattr(bosonspectra, module), name), (module, name)
 
 
 def test_package_imported_from_this_checkout():
     # Tier-1 must test these sources, never an installed copy.
     src = Path(__file__).resolve().parents[1] / "src"
     assert Path(bosonspectra.__file__).resolve().is_relative_to(src)
+
+
+# Each runs in a new interpreter, so that no earlier import has loaded a name.
+LAZY_EXPORTS = {
+    "bare import loads no submodule":
+        "import sys, bosonspectra\n"
+        "assert [m for m in sys.modules if m.startswith('bosonspectra.')] == []",
+    "each name is its module's object":
+        "import importlib, bosonspectra\n"
+        "for name in bosonspectra.__all__:\n"
+        "    obj = getattr(bosonspectra, name)\n"
+        "    assert obj.__module__.startswith('bosonspectra.'), name\n"
+        "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name",
+    "dir lists every name":
+        "import bosonspectra\n"
+        "assert set(bosonspectra.__all__) <= set(dir(bosonspectra))",
+    "star import binds every name":
+        "import bosonspectra\n"
+        "names = {}\n"
+        "exec('from bosonspectra import *', names)\n"
+        "assert all(names[name] is getattr(bosonspectra, name) for name in bosonspectra.__all__)",
+    "submodule after a bare import":
+        "import bosonspectra\n"
+        "assert bosonspectra.sampling.probability_chunks is bosonspectra.probability_chunks",
+    "unknown names raise":
+        "import bosonspectra\n"
+        "assert not hasattr(bosonspectra, 'chi')\n"
+        "try:\n"
+        "    from bosonspectra import chi\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('bosonspectra.chi imported')",
+}
+
+
+@pytest.mark.parametrize("check", LAZY_EXPORTS.values(), ids=LAZY_EXPORTS.keys())
+def test_lazy_exports(check):
+    fresh_python("-c", check)
+
+
+CONFIG_MODULES = {"errors", "document", "permanent", "network", "spectra", "sampling"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["permanent", "matrix.json"], {"errors", "document", "permanent"}),
+    (["distribution", "--config", "config.json"], CONFIG_MODULES),
+    (["hom-scan", "--alpha-grid", "0:1:3"], CONFIG_MODULES),
+    (["verify", "--config", "config.json"], CONFIG_MODULES | {"oracle"}),
+], ids=["permanent", "distribution", "hom-scan", "verify"])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
+    (tmp_path / "matrix.json").write_text(json.dumps([[[0.5, -0.25]]]))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "network": {"preset": "beamsplitter"},
+        "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}, {"gaussian": {"mu": 0.5, "sigma": 1.0}}],
+    }))
+    paths = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    done = fresh_python("-X", "importtime", "-m", "bosonspectra.cli", *paths, "--output", str(tmp_path / "out.json"))
+    modules = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert {name.split(".", 1)[1] for name in modules if name.startswith("bosonspectra.")} == loaded

@@ -430,7 +430,7 @@ class TestStrictInputs:
         def exhausted(modes):
             raise error
 
-        monkeypatch.setattr("bosonspectra.cli.make_dft", exhausted)
+        monkeypatch.setattr("bosonspectra.network.make_dft", exhausted)
         cfg = write_json(tmp_path / "cfg.json", {
             "network": {"preset": "dft", "modes": 100000},
             "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}],
@@ -541,7 +541,7 @@ class TestHomScan:
             raise AssertionError("the grid was allocated")
 
         monkeypatch.setattr(np, "linspace", refuse)
-        monkeypatch.setattr("bosonspectra.cli.probability_nonresolved", refuse)
+        monkeypatch.setattr("bosonspectra.sampling.probability_nonresolved", refuse)
         code = main(["hom-scan", "--alpha-grid", f"0:1:{count}"])
         assert code == EXIT_CAPACITY_ERROR
         assert "exceeds the sweep cap" in capsys.readouterr().err
@@ -647,16 +647,20 @@ class TestVerify:
         assert len(doc["outcomes"]) == math.comb(4 * 5 + 3 - 1, 3)
 
     def test_over_cap_instance_exits_3(self, tmp_path, capsys):
-        # Over the oracle's state budget, and beyond its key format (65 joint modes).
+        # Over the oracle's state budget, beyond its key format (65 joint
+        # modes), and within the budget but over the engine's sweep cap.
         over_budget = {"network": {"preset": "dft", "modes": 8}, "photons": SIX_GAUSSIANS}
         beyond_keys = {"network": {"preset": "dft", "modes": 65}, "photons": SIX_GAUSSIANS[:1]}
-        for name, config in [("budget", over_budget), ("keys", beyond_keys)]:
+        over_sweep = {"network": {"preset": "dft", "modes": 10}, "detector": "resolved",
+                      "photons": [{"coefficients": row} for row in np.eye(6).tolist()]}
+        for name, config, error in [("budget", over_budget, "the oracle's"), ("keys", beyond_keys, "the oracle's"),
+                                    ("sweep", over_sweep, "82598880 resolved outcomes")]:
             out = tmp_path / f"{name}.out"
             cfg = write_json(tmp_path / f"{name}.json", config)
             assert main(["verify", "--config", cfg, "--output", str(out)]) == EXIT_CAPACITY_ERROR
             assert not out.exists()
             err = capsys.readouterr().err
-            assert err.startswith("error: the oracle's") and err.count("\n") == 1
+            assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
     def test_over_budget_instance_with_bad_inputs_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {

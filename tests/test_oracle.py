@@ -9,6 +9,7 @@ import bosonspectra.oracle
 import fock_reference
 from bosonspectra import (
     CapacityError,
+    CoefficientSpectrum,
     ConfigurationError,
     GaussianWavepacket,
     Interferometer,
@@ -278,6 +279,22 @@ class TestVerifyAgainstOracle:
         monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
         with pytest.raises(ConfigurationError, match="bogus"):
             verify_against_oracle(make_beamsplitter_50_50(), hom_lambda(0.5), None, "bogus")
+
+    @pytest.mark.parametrize("skipped,m,distinguishable,detector,error", [
+        # Within the state budget (10^6 candidates), but 82598880 resolved
+        # outcomes are over the sweep cap.
+        ("fock_evolve", 10, True, "resolved", "82598880 resolved outcomes exceed the sweep cap"),
+        # Over the state budget: refused before the engine's first chunk.
+        ("_pure_chunks", 8, False, "nonresolved", f"over {STATE_BUDGET}"),
+    ])
+    def test_every_check_runs_before_any_work(self, monkeypatch, skipped, m, distinguishable, detector, error):
+        def no_work(*args):
+            raise AssertionError(f"{skipped} ran before every check")
+
+        monkeypatch.setattr(bosonspectra.oracle, skipped, no_work)
+        photons = [CoefficientSpectrum(row) for row in np.eye(6)] if distinguishable else six_gaussians()
+        with pytest.raises(CapacityError, match=error):
+            list(verify_chunks(make_dft(m), photons, None, detector))
 
 
 def bits(x) -> tuple[str, str]:
