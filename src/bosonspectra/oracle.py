@@ -14,7 +14,6 @@ anything bigger belongs to the engine. The spatial marginals are
 tabulated once per state.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,8 +22,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError
-from .network import Interferometer, as_occupation
-from .sampling import _pure_chunks, _validated_inputs, _weighted_chunks, as_resolved_outcome
+from .network import Interferometer
+from .sampling import _checked_outcome, _pure_chunks, _validated_inputs, _weighted_chunks
 from .spectra import LambdaMatrix
 
 AMPLITUDE_PRUNE = 1e-15
@@ -112,13 +111,15 @@ def _largest_step(m: int, lam: LambdaMatrix) -> int:
 
     Photon j makes a term per state, mode and basis function of its
     row's support; the states it leaves are at most those terms and at
-    most the C(m N + j, j + 1) occupations of j + 1 photons.
+    most the C(m u + j, j + 1) occupations of j + 1 photons over the m u
+    joint modes of the u basis functions that rows 0..j use.
     """
     states, largest = 1, 0
     for j, row in enumerate(lam.matrix):
         terms = states * m * int(np.count_nonzero(row))
         largest = max(largest, terms)
-        states = min(terms, math.comb(m * lam.basis_size + j, j + 1))
+        used = int(np.count_nonzero(lam.matrix[: j + 1].any(axis=0)))
+        states = min(terms, math.comb(m * used + j, j + 1))
     return largest
 
 
@@ -217,41 +218,41 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     up. An outcome that does not hold the state's n photons raises
     ConfigurationError.
     """
+    if detector not in ("resolved", "nonresolved"):
+        raise ConfigurationError(f"unknown detector model {detector!r}")
+    outcome = _checked_outcome(outcome, detector, state.n, state.m, state.basis_size)
     if detector == "resolved":
-        parts = as_resolved_outcome(outcome, state.m, state.basis_size)
-        total = sum(map(sum, parts))
-        if total != state.n:
-            raise ConfigurationError(f"resolved outcome holds {total} photons, expected {state.n}")
-        return state._resolved([parts])[0]
-    if detector == "nonresolved":
-        sig = as_occupation(outcome, state.m)
-        if sum(sig) != state.n:
-            raise ConfigurationError(f"signature holds {sum(sig)} photons, expected {state.n}")
-        return float(state._marginals.get(sig, 0.0))
-    raise ConfigurationError(f"unknown detector model {detector!r}")
+        return state._resolved([outcome])[0]
+    return float(state._marginals.get(outcome, 0.0))
 
 
 def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
     """One combination's sweep, or outcome alone, as (outcomes, (engine, oracle) pairs) chunks.
 
-    The engine column is the engine's own chunks (sampling._pure_chunks),
-    and the oracle reads the same outcomes off the Fock state without
-    the validation oracle_probability gives outside input. Every check
-    runs before the expansion: the detector, the oracle's own bound, and
-    the engine's inputs and sweep cap, made when its first chunk is taken.
+    The detector and the oracle's own bound are checked at the call; the
+    engine's stream (sampling._pure_chunks, whose checks come first) and
+    the Fock expansion wait for the first chunk. The oracle reads the same
+    outcomes unvalidated, and the state is dropped once the whole
+    comparison is built, so a mixture's combinations hold one at a time.
     """
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
     _checked_inputs(interferometer, lam, input_modes)
-    chunks = _pure_chunks(interferometer, lam, input_modes, detector, outcome)
-    chunks = itertools.chain([next(chunks)], chunks)
-    state = fock_evolve(interferometer, lam, input_modes)
-    for outcomes, values in chunks:
-        if detector == "resolved":
-            oracle = state._resolved(outcomes)
-        else:
-            oracle = [float(state._marginals.get(tuple(o), 0.0)) for o in outcomes]
-        yield outcomes, list(zip(values, oracle))
+
+    def compared():
+        chunks = _pure_chunks(interferometer, lam, input_modes, detector, outcome)
+        state = fock_evolve(interferometer, lam, input_modes)
+        pairs = []
+        for outcomes, values in chunks:
+            if detector == "resolved":
+                oracle = state._resolved(outcomes)
+            else:
+                oracle = [float(state._marginals.get(tuple(o), 0.0)) for o in outcomes]
+            pairs.append((outcomes, list(zip(values, oracle))))
+        del state
+        yield from pairs
+
+    return compared()
 
 
 def verify_against_oracle(
@@ -282,9 +283,9 @@ def verify_chunks(
     outcome alone, as in sampling.probability_chunks. totals is an
     (outcomes x 2) float64 array of the engine's and the oracle's
     probabilities, each weighted over every mixture combination by the
-    loop behind probability_chunks.
+    loop behind probability_chunks. Each combination's STATE_BUDGET is
+    checked at the call; every check runs before the first expansion.
     """
-    # Whole per combination, so each Fock state is freed before the next is made.
-    yield from _weighted_chunks(
-        photons, detector, lambda lam: list(_compared_chunks(interferometer, lam, input_modes, detector, outcome))
+    return _weighted_chunks(
+        photons, detector, lambda lam: _compared_chunks(interferometer, lam, input_modes, detector, outcome)
     )

@@ -39,6 +39,7 @@ An experiment's probabilities are one stream, probability_chunks: the
 combinations' chunks walked in lockstep by _weighted_chunks, the one
 loop that adds weight * value. probability_mixed is its one-outcome
 case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
+Every stream is checked when made and does its work as it is read.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
 row of indices into one joint matrix: A for resolved outcomes, and for
@@ -132,6 +133,16 @@ def as_resolved_outcome(outcome, m: int, basis_size: int) -> tuple[tuple[int, ..
             f"resolved outcome has {len(parts)} spectral parts, expected {basis_size}"
         )
     return parts
+
+
+def _checked_outcome(outcome, detector: str, n: int, m: int, basis_size: int):
+    """outcome normalized and holding n photons: a resolved outcome for "resolved", else a signature."""
+    resolved = detector == "resolved"
+    outcome = as_resolved_outcome(outcome, m, basis_size) if resolved else as_occupation(outcome, m)
+    total = sum(map(sum, outcome)) if resolved else sum(outcome)
+    if total != n:
+        raise ConfigurationError(f"{'resolved outcome' if resolved else 'signature'} holds {total} photons, expected {n}")
+    return outcome
 
 
 def _chunks(items):
@@ -236,13 +247,7 @@ def amplitude_resolved(
     """
     m = interferometer.m
     inputs = _validated_inputs(input_modes, lam.n, m)
-    parts = as_resolved_outcome(outcome, m, lam.basis_size)
-    total_photons = sum(sum(p) for p in parts)
-    if total_photons != lam.n:
-        raise ConfigurationError(
-            f"resolved outcome holds {total_photons} photons, expected {lam.n}"
-        )
-    row = sum(parts, ())
+    row = sum(_checked_outcome(outcome, "resolved", lam.n, m, lam.basis_size), ())
     joint = _joint_matrix(interferometer, lam, inputs)
     return _resolved_amplitudes(joint, np.array([row]), [math.prod(map(math.factorial, row))])[0]
 
@@ -259,9 +264,7 @@ def probability_nonresolved(
 ) -> float:
     """Probability that non-resolving detectors report the signature M."""
     inputs = _validated_inputs(input_modes, lam.n, interferometer.m)
-    sig = as_occupation(signature, interferometer.m)
-    if sum(sig) != lam.n:
-        raise ConfigurationError(f"signature holds {sum(sig)} photons, expected {lam.n}")
+    sig = _checked_outcome(signature, "nonresolved", lam.n, interferometer.m, lam.basis_size)
     return _probability_nonresolved(interferometer, lam, inputs, sig)
 
 
@@ -338,14 +341,13 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
 def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
     """One pure combination's (outcomes, probabilities) chunks: outcome alone, or the whole sweep.
 
-    A sweep runs in sweep order, in chunks of at most STACK_SIZE (a
-    resolved chunk is one kernel call). Its inputs and the sweep cap
-    are checked when the first chunk is taken.
+    The inputs, then the outcome (computed then too) or the sweep cap,
+    are checked at the call. A sweep runs as it is read, in sweep order,
+    in chunks of at most STACK_SIZE (a resolved chunk is one kernel call).
     """
     if outcome is not None:
         probability = probability_resolved if detector == "resolved" else probability_nonresolved
-        yield [outcome], [probability(interferometer, lam, input_modes, outcome)]
-        return
+        return iter([([outcome], [probability(interferometer, lam, input_modes, outcome)])])
     n, m, nb = lam.n, interferometer.m, lam.basis_size
     inputs = _validated_inputs(input_modes, n, m)
     resolved = detector == "resolved"
@@ -355,11 +357,10 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
         raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
     if resolved:
         joint = _joint_matrix(interferometer, lam, inputs)
-        for outcomes, counts, norms in _resolved_counts(n, m, nb):
-            yield outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)]
-    else:
-        for sigs in _chunks(_occupations(n, m)):
-            yield sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs]
+        return ((outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)])
+                for outcomes, counts, norms in _resolved_counts(n, m, nb))
+    return ((sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs])
+            for sigs in _chunks(_occupations(n, m)))
 
 
 def _gathered(chunks) -> dict:
@@ -426,24 +427,25 @@ def _weighted_chunks(photons, detector: str, chunks_of):
     """Per outcome, the weighted sum over every mixture combination of its value or values.
 
     chunks_of(lam) returns one combination's (outcomes, values) chunks,
-    each value a number or a tuple of them. The combinations are walked
-    in lockstep, chunk by chunk; every chunk must list the outcomes of
-    the first combination's, or RuntimeError is raised. Totals start at
-    0.0 and add weight * value in combination order, in float64 as
-    Python floats would, so pure photons keep their values exactly.
-    Yields (outcomes, totals) per chunk, totals a float64 array.
+    each value a number or a tuple of them. All are made at the call, so
+    every check runs first, and read in lockstep; every chunk must list
+    the outcomes of the first combination's, or RuntimeError is raised.
+    Totals start at 0.0 and add weight * value in combination order, in
+    float64 as Python floats would, so pure photons keep their values
+    exactly. Yields (outcomes, totals) per chunk, totals a float64 array.
     """
-    weights, streams = [], []
-    for weight, lam in mixture_lambdas(photons, detector):
-        weights.append(weight)
-        streams.append(chunks_of(lam))
-    for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
-        outcomes, total = chunks[0][0], 0.0
-        for weight, (chunk_outcomes, values) in zip(weights, chunks):
-            if chunk_outcomes != outcomes:
-                raise RuntimeError("mixture combinations list different outcomes")
-            total = total + weight * np.array(values, dtype=float)
-        yield outcomes, total
+    weights, streams = zip(*[(weight, chunks_of(lam)) for weight, lam in mixture_lambdas(photons, detector)])
+
+    def totals():
+        for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
+            outcomes, total = chunks[0][0], 0.0
+            for weight, (chunk_outcomes, values) in zip(weights, chunks):
+                if chunk_outcomes != outcomes:
+                    raise RuntimeError("mixture combinations list different outcomes")
+                total = total + weight * np.array(values, dtype=float)
+            yield outcomes, total
+
+    return totals()
 
 
 def probability_chunks(
@@ -455,10 +457,10 @@ def probability_chunks(
     stream is the detector's whole sweep in chunks of at most STACK_SIZE,
     or one chunk holding outcome alone; totals, a float64 array, weights
     each probability over every combination from mixture_lambdas. The
-    detector, MIXTURE_TERM_CAP, the inputs and the sweep cap are checked
-    when the first chunk is taken.
+    detector, MIXTURE_TERM_CAP, the inputs and the outcome or the sweep
+    cap are checked at the call.
     """
-    yield from _weighted_chunks(
+    return _weighted_chunks(
         photons, detector, lambda lam: _pure_chunks(interferometer, lam, input_modes, detector, outcome)
     )
 

@@ -488,6 +488,60 @@ class TestStrictInputs:
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"network": {"preset": "beamsplitter"}, "detector": "nonresolved", "detector": "resolved", '
+         '"photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]}', "detector"),
+        ('{"network": {"preset": "dft", "modes": 2, "modes": 2}, '
+         '"photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]}', "modes"),
+        # json.load used to keep the last value: this ran with mu = 0.0.
+        ('{"network": {"preset": "beamsplitter"}, '
+         '"photons": [{"gaussian": {"mu": 0.5, "mu": 0.0, "sigma": 1.0}}]}', "mu"),
+        ('{"network": {"preset": "beamsplitter"}, "photons": [{"mixture": '
+         '[{"probability": 1.0, "probability": 1.0, "gaussian": {"mu": 0.0, "sigma": 1.0}}]}]}', "probability"),
+        ('{"network": {"preset": "beamsplitter"}, "query": {"signature": [1, 0], "signature": [0, 1]}, '
+         '"photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}]}', "signature"),
+    ], ids=["top level", "network", "gaussian", "mixture component", "query"])
+    def test_duplicate_keys_exit_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert json.loads(text)  # valid JSON, whose last value would win
+        assert main(["distribution", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: duplicate key {key!r}\n"
+
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    @pytest.mark.parametrize("overrides,error", [
+        # Each was checked by the CLI itself before the engine, which now
+        # makes every check when its stream is made, before a byte goes out.
+        ({"query": {"signature": [1, 1, 0]}}, "occupation has 3 modes, expected 2"),
+        ({"query": {"signature": [3, -1]}}, "occupation counts must be non-negative"),
+        ({"query": {"signature": [1, 0]}}, "signature holds 1 photons, expected 2"),
+        ({"detector": "resolved", "query": {"resolved": [[1, 0], [0, 0]]}},
+         "resolved outcome holds 1 photons, expected 2"),
+        ({"detector": "resolved", "query": {"resolved": [[1, 1, 0], [0, 0, 0]]}}, "occupation has 3 modes, expected 2"),
+        ({"photons": [{"coefficients": [[1.0, 0.0]]}] * 3}, "input modes must lie in 1..2, got (1, 2, 3)"),
+        ({"detector": "bogus"}, "unknown detector model 'bogus'"),
+    ], ids=["signature length", "negative count", "signature photons", "resolved photons", "part length",
+            "default modes", "detector"])
+    def test_engine_checks_exit_2_before_any_output(self, tmp_path, capsys, command, overrides, error):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, **overrides))
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg]) == EXIT_INPUT_ERROR
+        assert main([command, "--config", cfg, "--output", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and all(line.startswith(f"error: {error}") for line in lines)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    def test_null_input_modes_mean_the_default(self, tmp_path, command):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, input_modes=None))
+        code, doc = run(tmp_path, [command, "--config", cfg])
+        assert code == EXIT_OK
+        assert doc["config"]["input_modes"] == [1, 2]
+
 
 class TestHomScan:
     def test_endpoints_and_tolerance(self, tmp_path):

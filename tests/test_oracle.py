@@ -104,7 +104,7 @@ class TestFockEvolve:
         # Over the state budget: six distinct Gaussians on eight modes.
         distinct = lambda_from_photons(six_gaussians())
         assert distinct.basis_size == 6
-        with pytest.raises(CapacityError, match=f"124750080 terms, over {STATE_BUDGET}"):
+        with pytest.raises(CapacityError, match=f"52128384 terms, over {STATE_BUDGET}"):
             fock_evolve(make_dft(8), distinct)
         # Beyond the key format: 11 photons, 65 and 68 joint modes.
         with pytest.raises(CapacityError, match="keys hold n <= 10 photons over m \\* N <= 64 joint modes"):
@@ -125,6 +125,10 @@ class TestFockEvolve:
         assert _largest_step(8, LambdaMatrix(np.eye(6))) == 8**6 <= STATE_BUDGET
         # Identical photons: the occupation count C(m + j, j + 1) caps each step.
         assert _largest_step(8, LambdaMatrix(np.ones((7, 1)))) == math.comb(13, 6) * 8
+        # Seven identical photons and one more over two basis functions: the
+        # first seven use one function, so C(8 + 6, 7) states meet the last
+        # photon, not C(16 + 6, 7) (2728704 candidates, over the budget).
+        assert _largest_step(8, LambdaMatrix([[1.0, 0.0]] * 7 + [[0.6, 0.8]])) == math.comb(14, 7) * 8 * 2
 
     def test_state_bound_covers_every_step(self, rng, monkeypatch):
         steps = []
@@ -137,6 +141,7 @@ class TestFockEvolve:
         instances = [(make_random_unitary(4, 3), random_unit_rows(rng, 4, 3)),
                      (make_random_unitary(5, 8), lambda_from_photons(random_gaussians(rng, 4))),
                      (make_dft(4), LambdaMatrix(np.ones((4, 1)))),
+                     (make_dft(5), LambdaMatrix([[1.0, 0.0]] * 3 + [[0.6, 0.8]])),
                      (make_random_unitary(3, 2), LambdaMatrix(np.eye(3)))]
         for u, lam in instances:
             steps.clear()
@@ -295,6 +300,22 @@ class TestVerifyAgainstOracle:
         photons = [CoefficientSpectrum(row) for row in np.eye(6)] if distinguishable else six_gaussians()
         with pytest.raises(CapacityError, match=error):
             list(verify_chunks(make_dft(m), photons, None, detector))
+
+    def test_later_combination_over_budget_refused_at_the_call(self, monkeypatch):
+        # The first combination (six distinguishable photons) is within the
+        # budget; the second, whose last photon spreads over all six basis
+        # functions, bounds 6000000 candidates.
+        def no_work(*args):
+            raise AssertionError("work ran before every combination was checked")
+
+        monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_work)
+        monkeypatch.setattr(bosonspectra.oracle, "_pure_chunks", no_work)
+        rows = np.eye(6)
+        photons = [CoefficientSpectrum(row) for row in rows[:5]]
+        photons.append(MixedPhotonSource(((0.5, CoefficientSpectrum(rows[5])),
+                                          (0.5, CoefficientSpectrum(np.ones(6) / math.sqrt(6))))))
+        with pytest.raises(CapacityError, match=f"6000000 terms, over {STATE_BUDGET}"):
+            verify_chunks(make_dft(10), photons, None, "nonresolved")
 
 
 def bits(x) -> tuple[str, str]:

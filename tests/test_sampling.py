@@ -588,6 +588,22 @@ class TestProbabilityMixed:
         with pytest.raises(ConfigurationError):
             probability_mixed(bs, [psi, psi], None, (1, 1), "heterodyne")
 
+    @pytest.mark.parametrize("case", ["detector", "mixture cap", "inputs", "outcome", "sweep cap"])
+    def test_probability_chunks_checks_at_the_call(self, case):
+        # No chunk is taken: every check runs when the stream is made.
+        u = Interferometer(np.eye(30))
+        psi = GaussianWavepacket(0.0, 1.0, 0.0)
+        wide = MixedPhotonSource(tuple((1.0 / 400.0, GaussianWavepacket(float(k), 1.0, 0.0)) for k in range(400)))
+        args, error = {
+            "detector": (([psi, psi], None, "heterodyne"), "unknown detector"),
+            "mixture cap": (([wide, wide],), "160000 mixture combinations"),
+            "inputs": (([psi, psi], (1, 1)), "distinct"),
+            "outcome": (([psi, psi], None, "nonresolved", (1,) + (0,) * 29), "signature holds 1 photons"),
+            "sweep cap": (([psi] * 30,), "exceed the sweep cap"),
+        }[case]
+        with pytest.raises((ConfigurationError, CapacityError), match=error):
+            bosonspectra.sampling.probability_chunks(u, *args)
+
     def test_outcome_required(self):
         # Without an outcome the stream would be the whole sweep, not one probability.
         bs = make_beamsplitter_50_50()
