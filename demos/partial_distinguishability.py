@@ -5,9 +5,9 @@ With identical photons, output probabilities are |Per(U_MT)|^2 for a
 complex submatrix: genuine multi-photon interference. With fully
 distinguishable photons they collapse to Per(|U_MT|^2), a purely
 classical combination of single-photon probabilities. In between, the
-engine weighs permanents by the photons' mutual overlaps (the tau-sum)
-or sums them over the ways the photons split between spectral basis
-functions, whichever has fewer terms.
+engine sums over the ways the photons split between spectral basis
+functions: term by term (the split sum), or in closed form over pairs
+of Glynn sign vectors (the pair sum), whichever costs less.
 
 This script stretches the mutual delays of three Gaussian photons in a
 random 5-mode interferometer and watches selected output probabilities

@@ -16,18 +16,17 @@ probability is a sum of permanents in one of two closed forms:
   spectral configurations v (photon j in basis function v_j), each
   weighted by prod_j lambda[j, v_j] and carrying one permanent of U per
   basis function.
-* Non-resolving detectors see only the spatial signature M. Either the
-  tau-sum (Shchesnovich, PRA 91, 013844; Tichy, PRA 91, 022316)
-
-      P(M) = (1 / prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau])),
-
-  with G = lambda lambda^dag, B = U_{M,T} and o the entrywise product,
-  skipping tau whose product of G entries is zero; or the split sum
-  P(M) = sum_{S_vec |- M} |amp(S_vec)|^2 over every split of M between
-  the basis functions, a product over modes of each M_k's splits, summed
-  in resolved sweep order (_splits). The tau-sum has n! terms, the split
-  sum prod_k C(M_k + r - 1, r - 1); each signature takes the one with
-  fewer, the tau-sum on a tie.
+* Non-resolving detectors see only the spatial signature M, a sum over
+  every split S_vec of M between the basis functions. Either the split
+  sum P(M) = sum_{S_vec |- M} |amp(S_vec)|^2, its splits a product over
+  modes of each M_k's splits, summed in resolved sweep order (_splits);
+  or the pair sum (pairsum), Glynn's formula for both permutations of
+  |Per(A_S)|^2 with the splits summed in closed form. The pair sum costs
+  n r 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
+  prod_k C(M_k + r - 1, r - 1) splits; each signature takes the cheaper,
+  the split sum on a tie (_costs). A pair sum whose terms cancel, with
+  kappa = sum |terms| / |sum of terms| above PAIR_SUM_KAPPA, falls back
+  to the split sum.
 
 Mixed photons average over every combination of mixture components
 (mixture_lambdas). Resolved outcomes name basis functions, so there all
@@ -42,14 +41,15 @@ case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
 Every stream is checked when made and does its work as it is read.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
-row of indices into one joint matrix: A for resolved outcomes, and for
-the tau-sum a block holding row i of B o conj(B[:, tau]) for every tau
-of a chunk. A sweep is a stream of chunks of STACK_SIZE outcomes in
-sweep order (see _resolved_counts), so nothing held grows with the
-sweep; a resolved chunk's count rows give its outcomes' row indices
-into A. Only Per / sqrt(prod S_vec!) and its squared modulus run per
-outcome, on Python scalars: numpy's complex division and its ** 2 round
-differently. A single query's value is the sweep's bit for bit.
+row of indices into the joint matrix A: resolved outcomes, and the
+splits of a chunk's split-sum signatures. A sweep is a stream of chunks
+of STACK_SIZE outcomes in sweep order (see _resolved_counts), so nothing
+held grows with the sweep; a resolved chunk's count rows give its
+outcomes' row indices into A. A blind chunk's pair sums share one set of
+per-mode tables and their powers (pairsum._pair_sums). Only
+Per / sqrt(prod S_vec!) and its squared modulus run per outcome, on
+Python scalars: numpy's complex division and its ** 2 round differently.
+A single query's value is the sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -69,7 +69,6 @@ from .errors import CapacityError, ConfigurationError
 from .network import (
     Interferometer,
     _exact_int,
-    _repeat_indices,
     amplitude_ideal,
     as_occupation,
     submatrix,
@@ -80,9 +79,16 @@ from .spectra import LambdaMatrix, lambda_from_photons
 DISTRIBUTION_OUTCOME_CAP = 10**6
 MIXTURE_TERM_CAP = 10**5
 MIXTURE_WEIGHT_TOL = 1e-10
-# Permanents per kernel call: bounds working memory on n! tau terms and on
-# sweeps over thousands of resolved outcomes.
+# Permanents per kernel call, and outcomes per sweep chunk: bounds working
+# memory on sweeps over thousands of outcomes.
 STACK_SIZE = 256
+# The pair sum's accuracy guard: a signature whose terms have a summation
+# condition number kappa = sum |terms| / |sum of terms| above it takes the
+# split sum; an exact zero has kappa = inf. Against exact values, the pair
+# sum erred by at most 5.5e-15 below kappa 32, on the exact reference
+# (n <= 5) and on Haar sweeps (n = 4, m = 5, double inputs); above it, by up
+# to 1.2e-13 (n = 5, r = 5, fully bunched, kappa 1489) and 2.9e-13.
+PAIR_SUM_KAPPA = 32.0
 
 
 @dataclass(frozen=True)
@@ -173,24 +179,6 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
     return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
 
 
-def _tau_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
-    """P(M) = (1/prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau]))."""
-    n = lam.n
-    gram = lam.matrix @ lam.matrix.conj().T
-    b = interferometer.matrix[np.ix_(_repeat_indices(sig), [x - 1 for x in inputs])]
-    total = 0.0 + 0.0j
-    for chunk in _chunks(itertools.permutations(range(n))):
-        taus = np.array(chunk)
-        weights = np.prod(gram[np.arange(n), taus], axis=1)
-        keep = weights != 0.0
-        if keep.any():
-            # Row t * n + i is row i of B o conj(B[:, tau_t]); np.multiply, as *
-            # may multiply in place into the temporary and round another way.
-            block = np.multiply(b, b.conj()[np.arange(n)[:, None], taus[keep][:, None, :]]).reshape(-1, n)
-            total += weights[keep] @ _permanents(np.arange(len(block)).reshape(-1, n), block)
-    return float(total.real) / math.prod(math.factorial(c) for c in sig)
-
-
 def _splits(sig, r: int):
     """sig's splits S_vec between r basis functions and their prod S_vec!, as _resolved_counts yields them.
 
@@ -213,18 +201,51 @@ def _splits(sig, r: int):
     return keys[r:, order].T, norms[picks].prod(axis=0)[order].tolist()
 
 
-def _split_sum(interferometer: Interferometer, lam: LambdaMatrix, inputs, sig) -> float:
-    """P(M) = sum of |amp(S_vec)|^2 over every split S_vec of M between basis functions."""
-    counts, norms = _splits(sig, lam.basis_size)
-    amps = _resolved_amplitudes(_joint_matrix(interferometer, lam, inputs), counts, norms)
-    return float(sum(abs(amp) ** 2 for amp in amps))
+def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
+    """P(M) for each signature M of sigs, by the pair sum or the split sum.
+
+    A signature takes the pair sum if _costs says it costs fewer
+    multiply-adds, and keeps its value if its terms' condition number
+    kappa = sum |terms| / |sum of terms| is at most PAIR_SUM_KAPPA. The
+    rest, fallbacks included, take the split sum: every split of every
+    one of them in one _resolved_amplitudes call. A fallback of more than
+    DISTRIBUTION_OUTCOME_CAP splits raises CapacityError first.
+    """
+    n = joint.shape[1]
+    values = [None] * len(sigs)
+    pair = [i for i, sig in enumerate(sigs) if operator.lt(*_costs(n, r, sig))]
+    if pair:
+        # Imported here: resolved sweeps and split-sum queries never compile it.
+        from .pairsum import _pair_sums
+
+        totals, abs_sums = _pair_sums(joint, r, np.array([sigs[i] for i in pair]))
+        for i, total, abs_sum in zip(pair, totals.tolist(), abs_sums.tolist()):
+            kappa = abs_sum / abs(total) if total else math.inf
+            if kappa <= PAIR_SUM_KAPPA:
+                values[i] = total * 0.25 ** (n - 1) / math.prod(map(math.factorial, sigs[i]))
+            elif (splits := _split_count(sigs[i], r)) > DISTRIBUTION_OUTCOME_CAP:
+                raise CapacityError(f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > {PAIR_SUM_KAPPA})"
+                                    f" and its {splits} splits exceed the cap {DISTRIBUTION_OUTCOME_CAP}")
+    split = [i for i, value in enumerate(values) if value is None]
+    if split:
+        parts = [_splits(sigs[i], r) for i in split]
+        amps = iter(_resolved_amplitudes(
+            joint, np.vstack([counts for counts, _ in parts]), [norm for _, norms in parts for norm in norms]))
+        for i, (_, norms) in zip(split, parts):
+            values[i] = float(sum(abs(amp) ** 2 for amp in itertools.islice(amps, len(norms))))
+    return values
 
 
-def _probability_nonresolved(interferometer, lam, inputs, sig) -> float:
-    r = lam.basis_size
-    if math.factorial(lam.n) <= math.prod(math.comb(c + r - 1, r - 1) for c in sig):
-        return _tau_sum(interferometer, lam, inputs, sig)
-    return _split_sum(interferometer, lam, inputs, sig)
+def _split_count(sig, r: int) -> int:
+    return math.prod(math.comb(c + r - 1, r - 1) for c in sig)
+
+
+def _costs(n: int, r: int, sig) -> tuple[int, int]:
+    """Multiply-adds of sig's pair sum, n r 4^(n-1), and of its split sum, n 2^(n-1) per split.
+
+    The pair sum takes sig only if it costs less.
+    """
+    return n * r * 4 ** (n - 1), n * 2 ** (n - 1) * _split_count(sig, r)
 
 
 def _occupations(total: int, parts: int):
@@ -265,7 +286,7 @@ def probability_nonresolved(
     """Probability that non-resolving detectors report the signature M."""
     inputs = _validated_inputs(input_modes, lam.n, interferometer.m)
     sig = _checked_outcome(signature, "nonresolved", lam.n, interferometer.m, lam.basis_size)
-    return _probability_nonresolved(interferometer, lam, inputs, sig)
+    return _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), lam.basis_size, [sig])[0]
 
 
 def probability_indistinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
@@ -343,7 +364,8 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
 
     The inputs, then the outcome (computed then too) or the sweep cap,
     are checked at the call. A sweep runs as it is read, in sweep order,
-    in chunks of at most STACK_SIZE (a resolved chunk is one kernel call).
+    in chunks of at most STACK_SIZE (a resolved chunk is one kernel call,
+    a blind chunk one _probabilities_nonresolved call).
     """
     if outcome is not None:
         probability = probability_resolved if detector == "resolved" else probability_nonresolved
@@ -355,12 +377,11 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
     if count > DISTRIBUTION_OUTCOME_CAP:
         what = "resolved outcomes" if resolved else "output signatures"
         raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
+    joint = _joint_matrix(interferometer, lam, inputs)
     if resolved:
-        joint = _joint_matrix(interferometer, lam, inputs)
         return ((outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)])
                 for outcomes, counts, norms in _resolved_counts(n, m, nb))
-    return ((sigs, [_probability_nonresolved(interferometer, lam, inputs, sig) for sig in sigs])
-            for sigs in _chunks(_occupations(n, m)))
+    return ((sigs, _probabilities_nonresolved(joint, nb, sigs)) for sigs in _chunks(_occupations(n, m)))
 
 
 def _gathered(chunks) -> dict:

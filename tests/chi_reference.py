@@ -10,7 +10,7 @@ the amplitude
 Non-resolving detectors add |amplitude|^2 over every split of the
 signature M between the basis functions. Permanents come from
 permanent_naive, so nothing here shares the engine's joint-mode matrix,
-its tau-sum or the Glynn kernel.
+its pair sum or the Glynn kernel.
 """
 
 import itertools

@@ -134,13 +134,17 @@ def _dot(a, b):
 
 
 def unit_row(r: int, pick: int):
-    """A unit coefficient row of length r in {1, 2, 4} from Pythagorean triples; odd slots imaginary."""
+    """A unit coefficient row of length r from Pythagorean triples.
+
+    r = 2 gives (a/c, i b/c); a longer row joins rows of length
+    ceil(r/2) and floor(r/2), scaled by a/c and b/c.
+    """
     if r == 1:
         return [ONE]
     a, b, c = PYTHAGOREAN[pick % len(PYTHAGOREAN)]
     if r == 2:
         return [(Fraction(a, c), Fraction(0)), (Fraction(0), Fraction(b, c))]
-    first, second = unit_row(2, pick + 1), unit_row(2, pick + 2)
+    first, second = unit_row((r + 1) // 2, pick + 1), unit_row(r // 2, pick + 2)
     return [mul((Fraction(a, c), Fraction(0)), x) for x in first] + [
         mul((Fraction(b, c), Fraction(0)), x) for x in second
     ]

@@ -126,14 +126,20 @@ CONFIG_MODULES = {"errors", "document", "permanent", "network", "spectra", "samp
 @pytest.mark.parametrize("argv,loaded", [
     (["permanent", "matrix.json"], {"errors", "document", "permanent"}),
     (["distribution", "--config", "config.json"], CONFIG_MODULES),
+    (["distribution", "--config", "three.json"], CONFIG_MODULES | {"pairsum"}),
     (["hom-scan", "--alpha-grid", "0:1:3"], CONFIG_MODULES),
     (["verify", "--config", "config.json"], CONFIG_MODULES | {"oracle"}),
-], ids=["permanent", "distribution", "hom-scan", "verify"])
+], ids=["permanent", "distribution", "distribution, pair sum", "hom-scan", "verify"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
+    # Two photons take the split sum; three distinct ones (r = 3) the pair sum.
     (tmp_path / "matrix.json").write_text(json.dumps([[[0.5, -0.25]]]))
     (tmp_path / "config.json").write_text(json.dumps({
         "network": {"preset": "beamsplitter"},
         "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}, {"gaussian": {"mu": 0.5, "sigma": 1.0}}],
+    }))
+    (tmp_path / "three.json").write_text(json.dumps({
+        "network": {"preset": "dft", "modes": 3},
+        "photons": [{"gaussian": {"mu": mu, "sigma": 1.0}} for mu in (0.0, 0.5, 1.0)],
     }))
     paths = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     done = fresh_python("-X", "importtime", "-m", "bosonspectra.cli", *paths, "--output", str(tmp_path / "out.json"))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,16 +28,18 @@ from bosonspectra import (
     probability_nonresolved,
     probability_resolved,
 )
+import bosonspectra.pairsum
 import bosonspectra.sampling
+from bosonspectra.pairsum import _pair_sums
 from bosonspectra.sampling import (
+    PAIR_SUM_KAPPA,
     STACK_SIZE,
+    _costs,
     _joint_matrix,
     _occupations,
     _resolved_amplitudes,
     _resolved_counts,
-    _split_sum,
     _splits,
-    _tau_sum,
 )
 import chi_reference
 from conftest import hom_lambda, random_unit_rows
@@ -160,17 +163,135 @@ class TestPaperExpansion:
                 expected = chi_reference.probability_nonresolved(u, lam, modes, sig)
                 assert abs(got - expected) <= 1e-12
 
-    def test_tau_sum_equals_split_sum(self):
+    def test_pair_sum_equals_split_sum(self):
         for u, lam, inputs in expansion_instances():
             modes = inputs or tuple(range(1, lam.n + 1))
             for sig in _occupations(lam.n, u.m):
-                assert abs(_tau_sum(u, lam, modes, sig) - _split_sum(u, lam, modes, sig)) <= 1e-12
+                assert abs(pair_sum(u, lam, modes, sig)[0] - split_sum(u, lam, modes, sig)) <= 1e-12
+
+
+def pair_sum(u, lam, inputs, sig):
+    """sig's pair-sum probability, unguarded, and the kappa of its terms."""
+    totals, abs_sums = _pair_sums(_joint_matrix(u, lam, inputs), lam.basis_size, np.array([sig]))
+    value = totals[0] * 0.25 ** (lam.n - 1) / math.prod(map(math.factorial, sig))
+    return float(value), abs_sums[0] / abs(totals[0]) if totals[0] else math.inf
+
+
+def split_sum(u, lam, inputs, sig):
+    """sig's split-sum probability: |amp|^2 summed over its splits."""
+    counts, norms = _splits(sig, lam.basis_size)
+    return float(sum(abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(u, lam, inputs), counts, norms)))
+
+
+def fallbacks(u, lam, inputs, sigs) -> int:
+    """How many of sigs the cost rule gives to the pair sum and the kappa guard then to the split sum."""
+    return sum(_takes_pair_sum(lam.n, lam.basis_size, sig) and not pair_sum(u, lam, inputs, sig)[1] <= PAIR_SUM_KAPPA
+               for sig in sigs)
+
+
+def _takes_pair_sum(n, r, sig) -> bool:
+    pair, split = _costs(n, r, sig)
+    return pair < split
 
 
 def rank_two_rows(rng, n: int, nb: int) -> LambdaMatrix:
     """n unit rows over nb basis functions that span only two of them."""
     plane = np.linalg.qr(rng.standard_normal((nb, 2)) + 1j * rng.standard_normal((nb, 2)))[0].T
     return random_unit_rows(rng, n, 2).matrix @ plane
+
+
+class TestBlindSweep:
+    """A blind sweep gives every signature what a single query gives, whichever sum takes it."""
+
+    @pytest.mark.parametrize("case", ["generic", "two species", "rank deficient", "permuted inputs"])
+    def test_sweep_equals_single_queries_bit_for_bit(self, rng, case):
+        # 330 signatures, more than a chunk. r = 4 takes the pair sum but for
+        # the kappa fallbacks; two species (r = 2) take the split sum.
+        u, inputs = make_random_unitary(8, 37), None
+        if case == "two species":
+            lam = LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]])
+        elif case == "rank deficient":
+            lam = LambdaMatrix(rank_two_rows(rng, 4, 4))
+        else:
+            lam = random_unit_rows(rng, 4, 4)
+            if case == "permuted inputs":
+                inputs = (5, 2, 8, 3)
+        dist = distribution_nonresolved(u, lam, inputs)
+        assert len(dist) == 330 > STACK_SIZE
+        for sig, p in dist.items():
+            assert p == probability_nonresolved(u, lam, inputs, sig), sig
+        takes_pair = [_takes_pair_sum(4, lam.basis_size, sig) for sig in dist]
+        if case == "two species":
+            assert not any(takes_pair)
+        else:
+            assert all(takes_pair)
+            assert fallbacks(u, lam, inputs or (1, 2, 3, 4), dist) >= 1
+
+    def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
+        # n = 8, r = 8: four blocks of delta, and 43 signatures in passes of 16.
+        u, lam = make_random_unitary(9, 41), random_unit_rows(rng, 8, 8)
+        sigs = np.array(list(itertools.islice(_occupations(8, 9), 0, None, 300)))
+        assert len(sigs) == 43
+        joint = _joint_matrix(u, lam, tuple(range(1, 9)))
+        totals, abs_sums = _pair_sums(joint, 8, sigs)
+        for k, sig in enumerate(sigs):
+            alone = _pair_sums(joint, 8, sig[None])
+            assert (totals[k], abs_sums[k]) == (alone[0][0], alone[1][0]), sig
+
+    @pytest.mark.parametrize("n,r,sig,pair", [
+        (8, 2, (1,) * 8 + (0,) * 4, False),  # two species, the perfbench block: a tie
+        (16, 1, (2,) + (1,) * 14 + (0,) * 5, False),  # identical photons
+        (4, 2, (1, 1, 1, 1, 0), False),
+        (4, 4, (1, 1, 1, 1, 0), True),
+        (5, 5, (2, 1, 1, 1, 0, 0, 0, 0, 0), True),
+        (2, 2, (1, 1), False),  # HOM
+    ])
+    def test_routing(self, n, r, sig, pair):
+        assert _takes_pair_sum(n, r, sig) == pair
+
+    def test_bigperm_shapes_take_the_split_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair sum called")
+
+        monkeypatch.setattr(bosonspectra.pairsum, "_pair_sums", refuse)
+        assert _costs(8, 2, (1,) * 8 + (0,) * 4) == (262144, 262144)
+        species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
+        lam = lambda_from_photons([species[j % 2] for j in range(8)])
+        p = probability_nonresolved(make_random_unitary(12, 43), lam, None, (1,) * 8 + (0,) * 4)
+        assert 0.0 < p < 1.0
+        lam = LambdaMatrix(np.ones((16, 1)))
+        p = probability_nonresolved(make_random_unitary(20, 47), lam, None, (2,) + (1,) * 14 + (0,) * 5)
+        assert 0.0 < p < 1.0
+
+    def test_pair_sum_memory_is_blocked(self, rng):
+        # One generic n = 10 signature: 4^9 pairs per mode, taken in blocks
+        # of 6 x 512. Unblocked, its table of D_k alone would hold 42 MB.
+        u, lam = make_random_unitary(12, 53), random_unit_rows(rng, 10, 10)
+        tracemalloc.start()
+        try:
+            p = probability_nonresolved(u, lam, None, (1,) * 10 + (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < p < 1.0
+        assert peak < 6e6
+
+    def test_fallback_over_the_split_cap_is_refused(self, monkeypatch):
+        # HOM at alpha = 1 forced onto the pair sum falls back, and its 4
+        # splits exceed a cap of 3.
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (0, 1))
+        monkeypatch.setattr(bosonspectra.sampling, "DISTRIBUTION_OUTCOME_CAP", 3)
+        with pytest.raises(CapacityError, match="4 splits"):
+            probability_nonresolved(make_beamsplitter_50_50(), hom_lambda(1.0), None, (1, 1))
+
+    def test_hom_zero_falls_back_to_the_split_sum(self, monkeypatch):
+        # At alpha = 1 the coincidence cancels exactly; forced onto the pair
+        # sum, its kappa is past the guard and the split sum answers 0.
+        bs, lam = make_beamsplitter_50_50(), hom_lambda(1.0)
+        assert not pair_sum(bs, lam, (1, 2), (1, 1))[1] <= PAIR_SUM_KAPPA
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (0, 1))
+        assert probability_nonresolved(bs, lam, None, (1, 1)) == 0.0
+        assert distribution_nonresolved(bs, lam)[(1, 1)] == 0.0
 
 
 class TestResolvedSweep:

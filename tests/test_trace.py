@@ -45,19 +45,20 @@ def two_species(n: int, modes: int) -> dict:
     return cfg
 
 
-# The n = 6 signature takes the tau-sum over 720 permutations, each kernel
-# call over a block of up to 256 * 6 rows; the two-species n = 8 signature
-# the split sum over 256 splits; verify the Fock oracle beside the engine.
-@pytest.mark.parametrize("command,payload", [
-    (["distribution", "--config"], experiment(4, 5, "nonresolved")),
-    (["distribution", "--config"], experiment(6, 6, "nonresolved", {"signature": [1] * 6})),
-    (["distribution", "--config"], two_species(8, 12)),
-    (["distribution", "--config"], experiment(3, 4, "resolved")),
-    (["verify", "--config"], experiment(3, 4, "nonresolved")),
-    (["permanent"], permanent_matrix(13)),
+# The blind sweep and the n = 6 signature take the pair sum, which calls no
+# permanent: their check is that the photons' basis was built (spectra.calls,
+# one per run through mixture_lambdas). The two-species n = 8 signature takes
+# the split sum over 256 splits, and verify the Fock oracle beside the engine.
+@pytest.mark.parametrize("command,payload,counter", [
+    (["distribution", "--config"], experiment(4, 5, "nonresolved"), "spectra.calls"),
+    (["distribution", "--config"], experiment(6, 6, "nonresolved", {"signature": [1] * 6}), "spectra.calls"),
+    (["distribution", "--config"], two_species(8, 12), "permanent.calls"),
+    (["distribution", "--config"], experiment(3, 4, "resolved"), "permanent.calls"),
+    (["verify", "--config"], experiment(3, 4, "nonresolved"), "spectra.calls"),
+    (["permanent"], permanent_matrix(13), "permanent.calls"),
 ], ids=["blind sweep", "blind signature n=6", "two-species signature n=8", "resolved sweep", "verify sweep",
         "permanent k=13"])
-def test_traced_run_ends_with_a_finite_summary(tmp_path, command, payload):
+def test_traced_run_ends_with_a_finite_summary(tmp_path, command, payload, counter):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     summary = tmp_path / "summary.json"
@@ -71,4 +72,4 @@ def test_traced_run_ends_with_a_finite_summary(tmp_path, command, payload):
     assert done.returncode == 0, done.stderr
     values = json.loads(summary.read_text(), parse_constant=_refuse)
     assert all(isinstance(v, (int, float)) for v in values.values())
-    assert values["permanent.calls"] > 0
+    assert values[counter] > 0
