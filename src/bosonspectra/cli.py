@@ -31,9 +31,11 @@ streams: sampling.probability_chunks hands over STACK_SIZE outcomes at
 a time, weighted over every mixture combination; each chunk is rendered
 and written before the next is made, and only one float per outcome is
 kept, for the trailing sum.
-Every check runs before the first byte goes out. The CLI calls only
-public engine names. Exit codes: 0 success, 2 input error, 3 capacity
-error or out of memory, 4 verification failure.
+Every check runs before the first byte goes out; only a kappa fallback
+over the split cap, or MemoryError, can stop a sweep midway, leaving a
+partial document on stdout and a file output as it was. The CLI calls
+only public engine names. Exit codes: 0 success, 2 input error, 3
+capacity error or out of memory, 4 verification failure.
 
 A job imports only what its subcommand runs. At module level this
 file imports document, errors and permanent, all that `permanent`

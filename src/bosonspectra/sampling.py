@@ -19,7 +19,7 @@ probability is a sum of permanents in one of two closed forms:
 * Non-resolving detectors see only the spatial signature M, a sum over
   every split S_vec of M between the basis functions. Either the split
   sum P(M) = sum_{S_vec |- M} |amp(S_vec)|^2, its splits a product over
-  modes of each M_k's splits, summed in resolved sweep order (_splits);
+  modes of each M_k's splits (_splits), summed by math.fsum;
   or the pair sum (pairsum), Glynn's formula for both permutations of
   |Per(A_S)|^2 with the splits summed in closed form. The pair sum costs
   n r 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
@@ -41,15 +41,16 @@ case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
 Every stream is checked when made and does its work as it is read.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
-row of indices into the joint matrix A: resolved outcomes, and the
-splits of a chunk's split-sum signatures. A sweep is a stream of chunks
-of STACK_SIZE outcomes in sweep order (see _resolved_counts), so nothing
-held grows with the sweep; a resolved chunk's count rows give its
-outcomes' row indices into A. A blind chunk's pair sums share one set of
-per-mode tables and their powers (pairsum._pair_sums). Only
+row of indices into the joint matrix A: resolved outcomes, and split-sum
+signatures' splits in groups of about STACK_SIZE. A sweep is a stream of
+chunks of STACK_SIZE outcomes in sweep order (see _resolved_counts), so
+nothing held grows with the sweep; a resolved chunk's count rows give
+its outcomes' row indices into A. A blind chunk's pair sums share one
+set of per-mode tables and their powers (pairsum._pair_sums). Only
 Per / sqrt(prod S_vec!) and its squared modulus run per outcome, on
 Python scalars: numpy's complex division and its ** 2 round differently.
-A single query's value is the sweep's bit for bit.
+A split sum is correctly rounded whatever its splits' order or group, so
+a single query's value is the sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -180,12 +181,11 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
 
 
 def _splits(sig, r: int):
-    """sig's splits S_vec between r basis functions and their prod S_vec!, as _resolved_counts yields them.
+    """sig's splits S_vec between r basis functions, as count rows, and their prod S_vec!.
 
     Each mode's M_k photons split on their own, so the splits are the
-    product over modes of _occupations(M_k, r), and prod S_vec!
-    the product of per-mode norms, as Python ints. Rows are sorted profile
-    first, then by count row: sig's outcomes in enumerate_resolved_outcomes order.
+    product over modes of _occupations(M_k, r), in that product's order,
+    and prod S_vec! the product of per-mode norms, as Python ints.
     """
     occs = {c: tuple(_occupations(c, r)) for c in set(sig)}
     starts = dict(zip(occs, itertools.accumulate(map(len, occs.values()), initial=0)))
@@ -193,12 +193,9 @@ def _splits(sig, r: int):
     sizes = [len(occs[c]) for c in sig]
     # picks[k, s]: the row of table that split s takes for mode k.
     picks = np.array(np.unravel_index(np.arange(math.prod(sizes)), sizes)) + [[starts[c]] for c in sig]
-    splits = np.array(table, dtype=np.min_scalar_type(sum(sig))).T[:, picks]
-    # Column s: split s's profile, then its count row.
-    keys = np.concatenate([splits.sum(axis=1, dtype=splits.dtype), splits.reshape(-1, picks.shape[1])])
-    order = np.lexsort(keys[::-1])
+    counts = np.array(table, dtype=np.min_scalar_type(sum(sig))).T[:, picks].reshape(-1, picks.shape[1]).T
     norms = np.array([math.prod(map(math.factorial, occ)) for occ in table], dtype=object)
-    return keys[r:, order].T, norms[picks].prod(axis=0)[order].tolist()
+    return counts, norms[picks].prod(axis=0).tolist()
 
 
 def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
@@ -207,9 +204,9 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
     A signature takes the pair sum if _costs says it costs fewer
     multiply-adds, and keeps its value if its terms' condition number
     kappa = sum |terms| / |sum of terms| is at most PAIR_SUM_KAPPA. The
-    rest, fallbacks included, take the split sum: every split of every
-    one of them in one _resolved_amplitudes call. A fallback of more than
-    DISTRIBUTION_OUTCOME_CAP splits raises CapacityError first.
+    rest, fallbacks included, take the split sum, a math.fsum, in groups
+    of about STACK_SIZE splits per _resolved_amplitudes call. A fallback
+    of more than DISTRIBUTION_OUTCOME_CAP splits raises CapacityError first.
     """
     n = joint.shape[1]
     values = [None] * len(sigs)
@@ -227,12 +224,13 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
                 raise CapacityError(f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > {PAIR_SUM_KAPPA})"
                                     f" and its {splits} splits exceed the cap {DISTRIBUTION_OUTCOME_CAP}")
     split = [i for i, value in enumerate(values) if value is None]
-    if split:
-        parts = [_splits(sigs[i], r) for i in split]
-        amps = iter(_resolved_amplitudes(
-            joint, np.vstack([counts for counts, _ in parts]), [norm for _, norms in parts for norm in norms]))
-        for i, (_, norms) in zip(split, parts):
-            values[i] = float(sum(abs(amp) ** 2 for amp in itertools.islice(amps, len(norms))))
+    # Signatures grouped by the STACK_SIZE window their first split falls in.
+    starts = itertools.accumulate((_split_count(sigs[i], r) for i in split), initial=0)
+    for _, group in itertools.groupby(zip(split, starts), key=lambda item: item[1] // STACK_SIZE):
+        parts = [(i, *_splits(sigs[i], r)) for i, _ in group]
+        amps = iter(_resolved_amplitudes(joint, np.vstack([c for _, c, _ in parts]), [x for *_, ns in parts for x in ns]))
+        for i, _, norms in parts:
+            values[i] = math.fsum(abs(amp) ** 2 for amp in itertools.islice(amps, len(norms)))
     return values
 
 

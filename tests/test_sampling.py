@@ -178,9 +178,9 @@ def pair_sum(u, lam, inputs, sig):
 
 
 def split_sum(u, lam, inputs, sig):
-    """sig's split-sum probability: |amp|^2 summed over its splits."""
+    """sig's split-sum probability: the math.fsum of |amp|^2 over its splits."""
     counts, norms = _splits(sig, lam.basis_size)
-    return float(sum(abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(u, lam, inputs), counts, norms)))
+    return math.fsum(abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(u, lam, inputs), counts, norms))
 
 
 def fallbacks(u, lam, inputs, sigs) -> int:
@@ -226,6 +226,51 @@ class TestBlindSweep:
         else:
             assert all(takes_pair)
             assert fallbacks(u, lam, inputs or (1, 2, 3, 4), dist) >= 1
+
+    def test_split_sum_is_the_fsum_of_the_resolved_stream(self):
+        # Each split is one resolved outcome, so a split-summed signature is
+        # the math.fsum of the resolved sweep's values over its outcomes.
+        species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
+        u, lam = make_random_unitary(5, 61), lambda_from_photons([species[j % 2] for j in range(4)])
+        by_signature = {}
+        for outcome, p in distribution_resolved(u, lam).items():
+            by_signature.setdefault(tuple(map(sum, zip(*outcome))), []).append(p)
+        assert lam.basis_size == 2 and len(by_signature) == 70
+        for sig, ps in by_signature.items():
+            assert not _takes_pair_sum(4, 2, sig)
+            assert probability_nonresolved(u, lam, None, sig) == math.fsum(ps), sig
+
+    def test_split_sum_does_not_depend_on_the_order_of_its_splits(self, rng, monkeypatch):
+        # Shuffled splits change a left-to-right sum's last bits, not the split sum's.
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
+        u, lam = make_random_unitary(6, 59), random_unit_rows(rng, 4, 4)
+        joint = _joint_matrix(u, lam, (1, 2, 3, 4))
+        for sig in [(2, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0), (0, 2, 0, 0, 2, 0)]:
+            value = probability_nonresolved(u, lam, None, sig)
+            counts, norms = _splits(sig, 4)
+            sequential = set()
+            for _ in range(5):
+                order = rng.permutation(len(norms))
+                squares = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts[order], [norms[k] for k in order])]
+                assert math.fsum(squares) == value, sig
+                sequential.add(sum(squares))
+            assert len(sequential) > 1, sig
+
+    def test_fallback_split_sums_are_grouped(self, monkeypatch):
+        # Every signature of a generic n = 4, m = 8 sweep falls back: 52360
+        # splits over two chunks, about 25 MB if a chunk's were stacked at once.
+        monkeypatch.setattr(bosonspectra.sampling, "PAIR_SUM_KAPPA", -1.0)
+        photons = [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(4)]
+        u, lam = make_random_unitary(8, 1), lambda_from_photons(photons)
+        tracemalloc.start()
+        try:
+            dist = distribution_nonresolved(u, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == 330 and all(_takes_pair_sum(4, 4, sig) for sig in dist)
+        assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        assert peak < 4e6
 
     def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
         # n = 8, r = 8: four blocks of delta, and 43 signatures in passes of 16.
@@ -417,17 +462,17 @@ class TestSplits:
         "n,m,r", [(3, 3, 2), (4, 3, 3), (4, 4, 2), (3, 4, 4), (5, 3, 2), (4, 3, 1), (2, 5, 1)]
     )
     def test_splits_are_the_signatures_outcomes_in_sweep_order(self, n, m, r):
-        # Restricted to one signature, the resolved stream lists its splits:
-        # same rows, same norms, same order.
+        # Restricted to one signature, the resolved stream lists its splits,
+        # each once and with its norm. Only the multisets must agree: a split
+        # sum is a math.fsum, so _splits keeps no order, and both sides are
+        # sorted before they are compared.
         by_signature = {}
         for outcomes, counts, norms in _resolved_counts(n, m, r):
             for outcome, row, norm in zip(outcomes, counts.tolist(), norms):
-                rows, row_norms = by_signature.setdefault(tuple(map(sum, zip(*outcome))), ([], []))
-                rows.append(row)
-                row_norms.append(norm)
+                by_signature.setdefault(tuple(map(sum, zip(*outcome))), []).append((row, norm))
         for sig in _occupations(n, m):
             counts, norms = _splits(sig, r)
-            assert (counts.tolist(), norms) == by_signature.pop(sig), sig
+            assert sorted(zip(counts.tolist(), norms)) == sorted(by_signature.pop(sig)), sig
         assert by_signature == {}
 
     def test_large_signature_single_split(self):
