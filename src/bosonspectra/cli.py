@@ -37,27 +37,35 @@ partial document on stdout and a file output as it was. The CLI calls
 only public engine names. Exit codes: 0 success, 2 input error, 3
 capacity error or out of memory, 4 verification failure.
 
+_COMMANDS is the argv grammar: each subcommand's options and their
+defaults. An option takes its value as the next argument or after '=',
+permanent's MATRIX may come before or after --output, and an option is
+never abbreviated. -h/--help prints help to stdout and exits 0; a usage
+error prints the usage and one error line to stderr and exits 2 (both
+by SystemExit, before any other work).
+
 A job imports only what its subcommand runs. At module level this
 file imports document, errors and permanent, all that `permanent`
 needs; the functions that parse configs and run the other subcommands
 import network, spectra and sampling themselves, so `distribution`
 and `hom-scan` load every module but oracle, and only `verify`
-(_run_verify) imports oracle.
+(_run_verify) imports oracle. Of the standard library, no job loads
+argparse (with gettext and locale) or dataclasses (with copy): the
+records are plain classes on errors._Record, and _parse_args reads
+argv.
 """
 
-import argparse
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .document import _outcome_column, _repr_column, _sig15, _sig15_column, _write_document
-from .errors import BosonSpectraError, CapacityError, ConfigurationError
+from .errors import BosonSpectraError, CapacityError, ConfigurationError, _Record
 from .permanent import permanent_ryser
 
 if TYPE_CHECKING:
@@ -267,14 +275,22 @@ def _parse_query(data, detector: str):
     )
 
 
-@dataclass
-class ExperimentConfig:
-    interferometer: "Interferometer"
-    photons: list
-    input_modes: tuple
-    detector: str
-    outcome: tuple | None  # a single outcome to query, or None for the whole sweep
-    echo: dict
+class ExperimentConfig(_Record):
+    """A parsed config: the engine's inputs and the echo its document prints.
+
+    outcome is a single outcome to query, or None for the whole sweep.
+    Unlike the engine's records, a config can be changed and has no hash.
+    """
+
+    _fields = ("interferometer", "photons", "input_modes", "detector", "outcome", "echo")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, interferometer: "Interferometer", photons: list, input_modes: tuple, detector: str,
+                 outcome: tuple | None, echo: dict) -> None:
+        vars(self).update(interferometer=interferometer, photons=photons, input_modes=input_modes,
+                          detector=detector, outcome=outcome, echo=echo)
 
 
 def load_config(path: str, seed_flag=None) -> ExperimentConfig:
@@ -442,53 +458,114 @@ def _run_permanent(path: str) -> list:
     return _complex_pair(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bosonspectra",
-        description="Exact interferometer statistics for spectrally structured photons",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_OUTPUT = {"--output": ("-", "results path, or '-' for stdout")}
+_CONFIG = {"--config": (_REQUIRED, "experiment config JSON path"), **_OUTPUT,
+           "--seed": (None, "integer seed for the 'random' network preset")}
+# Each subcommand's help line and options, {name: (default, help)}. An option
+# whose default is _REQUIRED must be given; MATRIX is a positional argument.
+_COMMANDS = {
+    "distribution": ("outcome probabilities for a config", _CONFIG),
+    "hom-scan": ("two-photon coincidence dip vs distinguishability",
+                 {"--alpha-grid": ("0:1:21", "start:stop:count within [0, 1]"), **_OUTPUT}),
+    "verify": ("engine vs brute-force Fock oracle", _CONFIG),
+    "permanent": ("permanent of a complex matrix file",
+                  {"MATRIX": (_REQUIRED, "JSON matrix path (entries are numbers or [re, im])"), **_OUTPUT}),
+}
 
-    p_dist = sub.add_parser("distribution", help="outcome probabilities for a config")
-    p_dist.add_argument("--config", required=True, help="experiment config JSON path")
-    p_dist.add_argument("--output", default="-", help="results path or '-' for stdout")
-    p_dist.add_argument("--seed", type=int, default=None, help="seed for the 'random' network preset")
 
-    p_hom = sub.add_parser("hom-scan", help="two-photon coincidence dip vs distinguishability")
-    p_hom.add_argument("--alpha-grid", default="0:1:21", help="start:stop:count within [0, 1]")
-    p_hom.add_argument("--output", default="-", help="results path or '-' for stdout")
+def _usage(command=None) -> str:
+    """The usage lines of command, or of every subcommand."""
+    lines = []
+    for name in [command] if command else _COMMANDS:
+        words = [f"bosonspectra {name} [-h]"]
+        for option, (default, _) in _COMMANDS[name][1].items():
+            word = f"{option} {option[2:].upper().replace('-', '_')}" if option.startswith("--") else option
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines)
 
-    p_verify = sub.add_parser("verify", help="engine vs brute-force Fock oracle")
-    p_verify.add_argument("--config", required=True, help="experiment config JSON path")
-    p_verify.add_argument("--output", default="-", help="results path or '-' for stdout")
-    p_verify.add_argument("--seed", type=int, default=None, help="seed for the 'random' network preset")
 
-    p_perm = sub.add_parser("permanent", help="permanent of a complex matrix file")
-    p_perm.add_argument("matrix", help="JSON matrix path (entries are numbers or [re, im])")
-    p_perm.add_argument("--output", default="-", help="results path or '-' for stdout")
+def _help(command=None) -> str:
+    text = [_usage(command), "", "Exact interferometer statistics for spectrally structured photons."]
+    for name in [command] if command else _COMMANDS:
+        text += ["", f"{name}: {_COMMANDS[name][0]}"]
+        text += [f"  {option:14} {what}" + ("" if default in (None, _REQUIRED) else f" (default {default})")
+                 for option, (default, what) in _COMMANDS[name][1].items()]
+    return "\n".join(text)
 
-    return parser
+
+def _parse_args(argv: list) -> tuple[str, dict]:
+    """The subcommand and its options' values, defaults filled in.
+
+    An option's value follows it as the next argument or after '='.
+    -h or --help prints help to stdout and exits 0; a usage error prints
+    the usage and one error line to stderr and exits 2.
+    """
+    command = argv[0] if argv else None
+    known = command if command in _COMMANDS else None
+
+    def fail(message):
+        print(_usage(known), file=sys.stderr)
+        print(f"bosonspectra{' ' + known if known else ''}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+    if command in ("-h", "--help"):
+        print(_help())
+        raise SystemExit(EXIT_OK)
+    if known is None:
+        fail("no subcommand" if command is None else f"unknown subcommand {command!r}")
+    options = _COMMANDS[command][1]
+    values = {}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        if arg.startswith("-") and arg != "-":
+            name, has_value, value = arg.partition("=")
+            if name not in options:
+                fail(f"unrecognized argument {name}")
+            if not has_value:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    fail(f"argument {name} expects a value")
+        elif "MATRIX" in options and "MATRIX" not in values:
+            name, value = "MATRIX", arg
+        else:
+            fail(f"unrecognized argument {arg!r}")
+        values[name] = value
+    for name, (default, _) in options.items():
+        if name not in values:
+            if default is _REQUIRED:
+                fail(f"argument {name} is required")
+            values[name] = default
+    if values.get("--seed") is not None:
+        try:
+            values["--seed"] = int(values["--seed"])
+        except ValueError:
+            fail(f"argument --seed: invalid integer {values['--seed']!r}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code; argv defaults to sys.argv[1:]."""
+    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+    output = args["--output"]
     try:
-        if args.command == "distribution":
-            cfg = load_config(args.config, args.seed)
-            _write_document(_run_distribution(cfg), args.output)
+        if command == "permanent":
+            _write_document(_run_permanent(args["MATRIX"]), output)
             return EXIT_OK
-        if args.command == "hom-scan":
-            _write_document(_run_hom_scan(args.alpha_grid), args.output)
+        if command == "hom-scan":
+            _write_document(_run_hom_scan(args["--alpha-grid"]), output)
             return EXIT_OK
-        if args.command == "verify":
-            cfg = load_config(args.config, args.seed)
-            doc = _run_verify(cfg)
-            _write_document(doc, args.output)
-            return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAILURE
-        if args.command == "permanent":
-            _write_document(_run_permanent(args.matrix), args.output)
+        cfg = load_config(args["--config"], args["--seed"])
+        if command == "distribution":
+            _write_document(_run_distribution(cfg), output)
             return EXIT_OK
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        doc = _run_verify(cfg)
+        _write_document(doc, output)
+        return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAILURE
     except (CapacityError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY_ERROR

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all bosonspectra modules."""
+"""Exception hierarchy and the read-only record base shared by all bosonspectra modules."""
 
 
 class BosonSpectraError(Exception):
@@ -19,3 +19,36 @@ class RepresentationError(BosonSpectraError):
 
 class CapacityError(BosonSpectraError):
     """Requested computation exceeds a hard size guard; refusing to hang."""
+
+
+class _Record:
+    """A read-only record: a frozen dataclass's repr, == and hash, without importing dataclasses.
+
+    __init__ stores the fields in vars(self); repr, == and hash run over
+    the names in _fields. Assigning or deleting any attribute raises
+    AttributeError, while copy, pickle and functools.cached_property
+    write vars(self) directly and work as on any class.
+    """
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash(self._field_values())

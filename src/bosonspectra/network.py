@@ -6,31 +6,31 @@ such as input modes are 1-based, matching the usual optics convention.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, _Record
 from .permanent import permanent_ryser
 
 UNITARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Interferometer:
+class Interferometer(_Record):
     """An m-mode linear-optical network, i.e. an m x m unitary matrix.
 
     Columns are input modes, rows are output modes: U[b, a] is the
     single-photon transfer amplitude from mode a to mode b, so the
     permanent rule reads output configurations off the rows. Unitarity
     is checked at construction (max absolute entry of U U^dag - I below
-    1e-10); the stored matrix is read-only.
+    1e-10); the stored matrix is read-only. Two networks are equal only
+    if they are the same object.
     """
 
-    matrix: np.ndarray = field(repr=False)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        u = np.array(self.matrix, dtype=np.complex128)
+    def __init__(self, matrix: np.ndarray) -> None:
+        u = np.array(matrix, dtype=np.complex128)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
             raise DimensionError(f"interferometer matrix must be square and non-empty, got {u.shape}")
         if not np.all(np.isfinite(u)):
@@ -41,7 +41,7 @@ class Interferometer:
                 f"matrix is not unitary: max |U U^dag - I| = {deviation:.3e} > {UNITARITY_TOL}"
             )
         u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
+        vars(self)["matrix"] = u
 
     @property
     def m(self) -> int:

@@ -15,13 +15,12 @@ tabulated once per state.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, _Record
 from .network import Interferometer
 from .sampling import _checked_outcome, _pure_chunks, _validated_inputs, _weighted_chunks
 from .spectra import LambdaMatrix
@@ -51,21 +50,22 @@ def _groups(keys: np.ndarray):
     return (np.cumsum(firsts) - 1)[first][inverse.ravel()], np.flatnonzero(firsts)
 
 
-@dataclass(frozen=True, eq=False)
-class FockState:
+class FockState(_Record):
     """Joint occupation states of n photons and their amplitudes, in expansion order.
 
     occupations holds the states as int8 rows over the m * basis_size
     joint modes; keys, int64, the joint modes of each in ascending order,
     _BITS bits each, the first highest; values the complex128 amplitudes.
+    Two states are equal only if they are the same object.
     """
 
-    m: int
-    basis_size: int
-    n: int
-    occupations: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    _fields = ("m", "basis_size", "n")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, m: int, basis_size: int, n: int, occupations: np.ndarray, keys: np.ndarray,
+                 values: np.ndarray) -> None:
+        vars(self).update(m=m, basis_size=basis_size, n=n, occupations=occupations, keys=keys, values=values)
 
     @cached_property
     def amplitudes(self) -> MappingProxyType:

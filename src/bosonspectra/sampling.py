@@ -62,11 +62,10 @@ measurement signatures are single occupation tuples. Input modes are
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, _Record
 from .network import (
     Interferometer,
     _exact_int,
@@ -92,18 +91,17 @@ STACK_SIZE = 256
 PAIR_SUM_KAPPA = 32.0
 
 
-@dataclass(frozen=True)
-class MixedPhotonSource:
+class MixedPhotonSource(_Record):
     """A photon prepared as a classical mixture of pure spectral states.
 
     components holds (probability, spec) pairs; probabilities must be
     non-negative and sum to 1.
     """
 
-    components: tuple
+    _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple((float(p), spec) for p, spec in self.components)
+    def __init__(self, components: tuple) -> None:
+        comps = tuple((float(p), spec) for p, spec in components)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
         if not all(math.isfinite(p) and p >= 0 for p, _ in comps):
@@ -111,7 +109,7 @@ class MixedPhotonSource:
         total = sum(p for p, _ in comps)
         if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
             raise ConfigurationError(f"mixture weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "components", comps)
+        vars(self)["components"] = comps
 
 
 def default_input_modes(n: int) -> tuple[int, ...]:
@@ -168,15 +166,17 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
     """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
 
     norms holds each row's prod S_vec! as a Python int. The permanents
-    go to the kernel STACK_SIZE outcomes at a time. The division runs on
-    Python scalars: numpy's complex / float multiplies by the reciprocal
-    and rounds differently.
+    go to the kernel STACK_SIZE outcomes at a time, each block's kernel
+    rows built on their own, so no index array spans the whole count
+    matrix. The division runs on Python scalars: numpy's complex / float
+    multiplies by the reciprocal and rounds differently.
     """
-    batch, width = counts.shape
-    rows = np.repeat(np.arange(counts.size) % width, counts.ravel()).reshape(batch, -1)
+    width = counts.shape[1]
     pers = []
-    for start in range(0, batch, STACK_SIZE):
-        pers += _permanents(rows[start : start + STACK_SIZE], joint).tolist()
+    for start in range(0, len(counts), STACK_SIZE):
+        block = counts[start : start + STACK_SIZE]
+        rows = np.repeat(np.arange(block.size) % width, block.ravel()).reshape(len(block), -1)
+        pers += _permanents(rows, joint).tolist()
     return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
 
 

@@ -10,19 +10,17 @@ xi_1, xi_2, ... naming of the basis functions.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RepresentationError
+from .errors import ConfigurationError, DimensionError, RepresentationError, _Record
 
 ROW_NORM_TOL = 1e-10
 GRAM_PSD_TOL = 1e-9
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianWavepacket:
+class GaussianWavepacket(_Record):
     """Normalized Gaussian spectral amplitude with a temporal delay.
 
     psi(w) = (2 pi sigma^2)^(-1/4) exp(-(w - mu)^2 / (4 sigma^2)) exp(i w tau),
@@ -30,30 +28,26 @@ class GaussianWavepacket:
     delay tau enters as a pure phase.
     """
 
-    mu: float
-    sigma: float
-    tau: float = 0.0
+    _fields = ("mu", "sigma", "tau")
 
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+    def __init__(self, mu: float, sigma: float, tau: float = 0.0) -> None:
+        if not (sigma > 0):
+            raise ConfigurationError(f"sigma must be positive, got {sigma}")
+        vars(self).update(mu=mu, sigma=sigma, tau=tau)
 
 
-@dataclass(frozen=True)
-class CoefficientSpectrum:
+class CoefficientSpectrum(_Record):
     """Explicit unit-norm coefficient row in a caller-declared orthonormal basis."""
 
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=np.complex128).reshape(-1)
+    def __init__(self, coefficients: np.ndarray) -> None:
+        c = np.array(coefficients, dtype=np.complex128).reshape(-1)
         if c.size == 0 or not np.all(np.isfinite(c)):
             raise ConfigurationError("coefficient row must be non-empty and finite")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > ROW_NORM_TOL:
             raise ConfigurationError(f"coefficient row must have unit norm, got {norm!r}")
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        vars(self)["coefficients"] = c
 
     @property
     def basis_size(self) -> int:

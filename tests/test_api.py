@@ -1,11 +1,14 @@
 import ast
+import copy
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bosonspectra
@@ -42,7 +45,8 @@ def test_removed_names_are_gone():
     for name in ("_mixture_terms", "_nonresolved_chunks", "_resolved_chunks", "_pools", "enumerate_partitions",
                  "_FACTORIALS", "_factorial_products"):
         assert not hasattr(bosonspectra.sampling, name), name
-    assert "mixed" not in bosonspectra.cli.ExperimentConfig.__dataclass_fields__
+    assert "mixed" not in inspect.signature(bosonspectra.cli.ExperimentConfig).parameters
+    assert not hasattr(bosonspectra.cli, "build_parser")
     assert not hasattr(bosonspectra.cli, "_outcome_json")
     assert not hasattr(bosonspectra.cli, "_mixture_sweep")
     assert not hasattr(bosonspectra.permanent, "permanent_stack")
@@ -50,6 +54,65 @@ def test_removed_names_are_gone():
         assert not hasattr(bosonspectra.document, name), name
     for name in ("MAX_PHOTONS", "MAX_MODES", "MAX_BASIS"):
         assert not hasattr(bosonspectra.oracle, name), name
+
+
+def test_records_keep_their_dataclass_behaviour(tmp_path):
+    # Constructors, repr, ==, hash, read-only fields, copy and pickle, as the
+    # dataclasses these six classes once were gave them.
+    from bosonspectra import (CoefficientSpectrum, GaussianWavepacket, Interferometer, LambdaMatrix,
+                              MixedPhotonSource, fock_evolve, make_dft)
+
+    g = GaussianWavepacket(0.1, 1.5)
+    assert g == GaussianWavepacket(mu=0.1, sigma=1.5, tau=0.0) and hash(g) == hash(GaussianWavepacket(0.1, 1.5, 0.0))
+    assert g != GaussianWavepacket(0.1, 1.5, 0.2) and g.__eq__((0.1, 1.5, 0.0)) is NotImplemented
+    c = CoefficientSpectrum(coefficients=np.array([0.6, 0.8j]))
+    mixed = MixedPhotonSource(components=((0.25, g), (0.75, c)))
+    assert mixed == MixedPhotonSource(((0.25, GaussianWavepacket(0.1, 1.5)), (0.75, CoefficientSpectrum([0.6, 0.8j]))))
+    u = Interferometer(matrix=np.eye(2))
+    state = fock_evolve(make_dft(2), LambdaMatrix([[1.0, 0.0], [0.6, 0.8]]))
+    (tmp_path / "c.json").write_text(json.dumps({
+        "network": {"preset": "dft", "modes": 2}, "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}],
+    }))
+    cfg = bosonspectra.cli.load_config(str(tmp_path / "c.json"))
+    assert repr(g) == "GaussianWavepacket(mu=0.1, sigma=1.5, tau=0.0)"
+    assert repr(mixed) == ("MixedPhotonSource(components=((0.25, GaussianWavepacket(mu=0.1, sigma=1.5, tau=0.0)), "
+                           "(0.75, CoefficientSpectrum())))")
+    assert repr(u) == "Interferometer()" and repr(state) == "FockState(m=2, basis_size=2, n=2)"
+    assert repr(cfg) == (
+        "ExperimentConfig(interferometer=Interferometer(), photons=[GaussianWavepacket(mu=0.0, sigma=1.0, tau=0.0)], "
+        "input_modes=(1,), detector='nonresolved', outcome=None, echo={'network': {'preset': 'dft', 'modes': 2}, "
+        "'photons': [{'gaussian': {'mu': 0.0, 'sigma': 1.0, 'tau': 0.0}}], 'input_modes': [1], "
+        "'detector': 'nonresolved', 'query': 'distribution'})"
+    )
+    assert str(inspect.signature(type(state))) == (
+        "(m: int, basis_size: int, n: int, occupations: numpy.ndarray, keys: numpy.ndarray, values: numpy.ndarray)"
+        " -> None"
+    )
+    twins = {id(record): (copy.copy(record), pickle.loads(pickle.dumps(record)))
+             for record in (g, c, mixed, u, state, cfg)}
+    for record in (g, c, mixed, u, state, cfg):
+        assert all(twin is not record and repr(twin) == repr(record) for twin in twins[id(record)])
+    for record in (g, c, mixed):
+        assert all(twin == record and hash(twin) == hash(record) for twin in twins[id(record)])
+    # Networks and Fock states are equal only to themselves, so a config's
+    # copy, which shares its network, is equal to it, and its pickle is not.
+    assert all(twin != record for record in (u, state) for twin in twins[id(record)])
+    assert twins[id(cfg)][0] == cfg and twins[id(cfg)][1] != cfg
+    twin = pickle.loads(pickle.dumps(state))
+    assert dict(twin.amplitudes) == dict(state.amplitudes) and twin.norm_squared() == state.norm_squared()
+    for record, field in ((g, "mu"), (c, "coefficients"), (mixed, "components"), (u, "matrix"), (state, "n")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # A config stays changeable and unhashable.
+    twin = copy.copy(cfg)
+    twin.detector = "resolved"
+    assert twin != cfg and cfg.detector == "nonresolved"
+    with pytest.raises(TypeError):
+        hash(cfg)
 
 
 def test_cli_binds_only_public_engine_names():
@@ -145,3 +208,5 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
     done = fresh_python("-X", "importtime", "-m", "bosonspectra.cli", *paths, "--output", str(tmp_path / "out.json"))
     modules = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert {name.split(".", 1)[1] for name in modules if name.startswith("bosonspectra.")} == loaded
+    # Nor does a job load a standard-library framework to build records or read argv.
+    assert modules.isdisjoint({"argparse", "dataclasses", "gettext", "locale", "copy"})

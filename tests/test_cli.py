@@ -313,6 +313,62 @@ class TestErrors:
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
 
+class TestArgv:
+    """The argv grammar: a subcommand, then --opt value or --opt=value, with MATRIX anywhere after permanent."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["distribution", "-h"], ["permanent", "--help"],
+                                      ["hom-scan", "--output", "x.json", "-h"]])
+    def test_help_prints_usage_to_stdout_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: bosonspectra ") and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--config", "c.json"],
+        ["distribution"], ["verify", "--output", "o.json"], ["permanent"], ["permanent", "--output", "o.json"],
+        ["distribution", "--config"], ["hom-scan", "--alpha-grid"], ["distribution", "--config", "--output", "o.json"],
+        ["distribution", "--config", "c.json", "--seed", "1.5"], ["verify", "--config", "c.json", "--seed=x"],
+        ["distribution", "--conf", "c.json"], ["hom-scan", "--seed", "1"], ["hom-scan", "0:1:3"],
+        ["permanent", "m.json", "extra.json"],
+    ])
+    def test_usage_errors_exit_2_with_usage_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: bosonspectra ")
+        *usage, error = err.splitlines()
+        assert error.startswith("bosonspectra") and ": error: " in error
+        assert not any("error:" in line for line in usage)
+
+    def test_equals_form_writes_the_same_document(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, network={"preset": "random", "modes": 2}))
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["distribution", "--config", cfg, "--seed", "3", "--output", str(spaced)]) == EXIT_OK
+        assert main(["distribution", f"--config={cfg}", "--seed=3", f"--output={joined}"]) == EXIT_OK
+        assert joined.read_bytes() == spaced.read_bytes()
+        assert json.loads(joined.read_text())["config"]["network"]["seed"] == 3
+
+    def test_matrix_before_or_after_output(self, tmp_path):
+        path = write_json(tmp_path / "m.json", [[1.0] * 4] * 4)
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["permanent", "--output", str(before), path]) == EXIT_OK
+        assert main(["permanent", path, f"--output={after}"]) == EXIT_OK
+        assert before.read_bytes() == after.read_bytes() == b"[24.0, 0.0]\n"
+
+    def test_negative_seed_reaches_the_network(self, tmp_path, capsys):
+        # -5 is --seed's value, not an option; the seed check then refuses it
+        # as it refuses the same seed written in the config.
+        cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, network={"preset": "random", "modes": 2}))
+        assert main(["distribution", "--config", cfg, "--seed", "-5"]) == EXIT_INPUT_ERROR
+        from_flag = capsys.readouterr()
+        cfg = write_json(tmp_path / "seeded.json", hom_config(0.5, network={"preset": "random", "modes": 2, "seed": -5}))
+        assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == from_flag and from_flag.err.startswith("error: ")
+
+
 class TestStrictInputs:
     """Every config value is used exactly as written or rejected with exit 2."""
 

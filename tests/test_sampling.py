@@ -272,6 +272,27 @@ class TestBlindSweep:
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert peak < 4e6
 
+    def test_kernel_rows_are_built_per_block(self, rng):
+        # 51200 two-photon rows over 64 columns. Built for the whole count
+        # matrix at once, the kernel rows took two int64 index arrays of
+        # 26 MB each.
+        picks = rng.integers(0, 64, size=(51200, 2))
+        counts = np.zeros((51200, 64), dtype=np.uint8)
+        np.add.at(counts, (np.arange(51200)[:, None], picks), 1)
+        norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
+        joint = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+        tracemalloc.start()
+        try:
+            amps = _resolved_amplitudes(joint, counts, norms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        for k in (0, 12345, 51199):
+            i, j = picks[k]
+            per = joint[i, 0] * joint[j, 1] + joint[j, 0] * joint[i, 1]
+            assert amps[k] == pytest.approx(per / math.sqrt(norms[k]), rel=1e-12)
+
     def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
         # n = 8, r = 8: four blocks of delta, and 43 signatures in passes of 16.
         u, lam = make_random_unitary(9, 41), random_unit_rows(rng, 8, 8)
