@@ -19,7 +19,7 @@ probability is a sum of permanents in one of two closed forms:
 * Non-resolving detectors see only the spatial signature M, a sum over
   every split S_vec of M between the basis functions. Either the split
   sum P(M) = sum_{S_vec |- M} |amp(S_vec)|^2, its splits a product over
-  modes of each M_k's splits (_splits), summed by math.fsum;
+  modes of each M_k's splits, summed by math.fsum;
   or the pair sum (pairsum), Glynn's formula for both permutations of
   |Per(A_S)|^2 with the splits summed in closed form. The pair sum costs
   n r 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
@@ -41,16 +41,17 @@ case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
 Every stream is checked when made and does its work as it is read.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
-row of indices into the joint matrix A: resolved outcomes, and split-sum
-signatures' splits in groups of about STACK_SIZE. A sweep is a stream of
-chunks of STACK_SIZE outcomes in sweep order (see _resolved_counts), so
-nothing held grows with the sweep; a resolved chunk's count rows give
-its outcomes' row indices into A. A blind chunk's pair sums share one
-set of per-mode tables and their powers (pairsum._pair_sums). Only
-Per / sqrt(prod S_vec!) and its squared modulus run per outcome, on
-Python scalars: numpy's complex division and its ** 2 round differently.
-A split sum is correctly rounded whatever its splits' order or group, so
-a single query's value is the sweep's bit for bit.
+row of indices into the joint matrix A. One stream, _count_blocks, makes
+every count row in blocks of STACK_SIZE: a resolved sweep's outcomes,
+and split-sum signatures' splits, run across signatures. A sweep is a
+stream of chunks of STACK_SIZE outcomes in sweep order, so nothing held
+grows with the sweep or with a signature's splits. A blind chunk's pair
+sums share one set of per-mode tables and their powers
+(pairsum._pair_sums). Only Per / sqrt(prod S_vec!) and its squared
+modulus run per outcome, on Python scalars: numpy's complex division
+and its ** 2 round differently. A split sum is correctly rounded
+whatever its splits' order or block, so a single query's value is the
+sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -165,37 +166,67 @@ def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> 
 def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]) -> list[complex]:
     """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
 
-    norms holds each row's prod S_vec! as a Python int. The permanents
-    go to the kernel STACK_SIZE outcomes at a time, each block's kernel
-    rows built on their own, so no index array spans the whole count
-    matrix. The division runs on Python scalars: numpy's complex / float
-    multiplies by the reciprocal and rounds differently.
+    norms holds each row's prod S_vec! as a Python int; counts holds at
+    most STACK_SIZE rows, one kernel call. The division runs on Python
+    scalars: numpy's complex / float multiplies by the reciprocal and
+    rounds differently.
     """
-    width = counts.shape[1]
-    pers = []
-    for start in range(0, len(counts), STACK_SIZE):
-        block = counts[start : start + STACK_SIZE]
-        rows = np.repeat(np.arange(block.size) % width, block.ravel()).reshape(len(block), -1)
-        pers += _permanents(rows, joint).tolist()
-    return [per / math.sqrt(norm) for per, norm in zip(pers, norms)]
+    rows = np.repeat(np.arange(counts.size) % counts.shape[1], counts.ravel()).reshape(len(counts), -1)
+    return [per / math.sqrt(norm) for per, norm in zip(_permanents(rows, joint).tolist(), norms)]
 
 
-def _splits(sig, r: int):
-    """sig's splits S_vec between r basis functions, as count rows, and their prod S_vec!.
+def _count_blocks(n: int, m: int, r: int, sigs=None):
+    """Count rows S_vec over r basis functions and m modes, and their prod S_vec!, STACK_SIZE rows a block.
 
-    Each mode's M_k photons split on their own, so the splits are the
-    product over modes of _occupations(M_k, r), in that product's order,
-    and prod S_vec! the product of per-mode norms, as Python ints.
+    The rows are every resolved outcome of n photons in sweep order or,
+    given sigs, each signature's splits in turn: one product per profile
+    of basis function i's pool _occupations(k, m), in columns i * m + k',
+    or one per signature of mode k's pool _occupations(M_k, r), in
+    columns i * m + k. A row takes one entry per pool, in
+    itertools.product order; its norm, a Python int, is theirs
+    multiplied. Pools of no photons add nothing, and a row's picks come
+    by divmod over the pools of more than one entry, so no array has a
+    dimension per pool. Blocks run across products; only the last may be
+    shorter.
     """
-    occs = {c: tuple(_occupations(c, r)) for c in set(sig)}
-    starts = dict(zip(occs, itertools.accumulate(map(len, occs.values()), initial=0)))
-    table = sum(occs.values(), ())
-    sizes = [len(occs[c]) for c in sig]
-    # picks[k, s]: the row of table that split s takes for mode k.
-    picks = np.array(np.unravel_index(np.arange(math.prod(sizes)), sizes)) + [[starts[c]] for c in sig]
-    counts = np.array(table, dtype=np.min_scalar_type(sum(sig))).T[:, picks].reshape(-1, picks.shape[1]).T
-    norms = np.array([math.prod(map(math.factorial, occ)) for occ in table], dtype=object)
-    return counts, norms[picks].prod(axis=0).tolist()
+    # The smallest integer type that holds a count of n keeps blocks small.
+    dtype, parts = np.min_scalar_type(n), m if sigs is None else r
+    if sigs is None:
+        products = ([(slice(i * m, i * m + m), k) for i, k in enumerate(prof) if k] for prof in _occupations(n, r))
+    else:
+        products = ([(slice(k, None, m), c) for k, c in enumerate(sig) if c] for sig in sigs)
+    tables = {}
+    block, norms = np.zeros((STACK_SIZE, r * m), dtype), []
+    for factors in products:
+        fixed, varying, base = [], [], 1
+        for cols, total in factors:
+            if total not in tables:
+                pool = tuple(_occupations(total, parts))
+                tables[total] = np.array(pool, dtype), np.array([math.prod(map(math.factorial, o)) for o in pool], object)
+            table, table_norms = tables[total]
+            if len(table) > 1:
+                varying.append((cols, table, table_norms))
+            else:
+                fixed.append((cols, table[0]))
+                base *= table_norms[0]
+        start, size = 0, math.prod(len(table) for _, table, _ in varying)
+        while start < size:
+            stop = min(size, start + STACK_SIZE - len(norms))
+            rows = block[len(norms) : len(norms) + stop - start]
+            for cols, entry in fixed:
+                rows[:, cols] = entry
+            index, product = np.arange(start, stop), np.full(stop - start, base, dtype=object)
+            for cols, table, table_norms in reversed(varying):
+                index, pick = np.divmod(index, len(table))
+                rows[:, cols] = table[pick]
+                product *= table_norms[pick]
+            norms += product.tolist()
+            start = stop
+            if len(norms) == STACK_SIZE:
+                yield block, norms
+                block, norms = np.zeros((STACK_SIZE, r * m), dtype), []
+    if norms:
+        yield block[: len(norms)], norms
 
 
 def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
@@ -204,9 +235,10 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
     A signature takes the pair sum if _costs says it costs fewer
     multiply-adds, and keeps its value if its terms' condition number
     kappa = sum |terms| / |sum of terms| is at most PAIR_SUM_KAPPA. The
-    rest, fallbacks included, take the split sum, a math.fsum, in groups
-    of about STACK_SIZE splits per _resolved_amplitudes call. A fallback
-    of more than DISTRIBUTION_OUTCOME_CAP splits raises CapacityError first.
+    rest, fallbacks included, take the split sum: each the math.fsum of
+    its rows of one _count_blocks stream, so a call holds one block of
+    splits. A fallback of more than DISTRIBUTION_OUTCOME_CAP splits
+    raises CapacityError first.
     """
     n = joint.shape[1]
     values = [None] * len(sigs)
@@ -224,13 +256,10 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
                 raise CapacityError(f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > {PAIR_SUM_KAPPA})"
                                     f" and its {splits} splits exceed the cap {DISTRIBUTION_OUTCOME_CAP}")
     split = [i for i, value in enumerate(values) if value is None]
-    # Signatures grouped by the STACK_SIZE window their first split falls in.
-    starts = itertools.accumulate((_split_count(sigs[i], r) for i in split), initial=0)
-    for _, group in itertools.groupby(zip(split, starts), key=lambda item: item[1] // STACK_SIZE):
-        parts = [(i, *_splits(sigs[i], r)) for i, _ in group]
-        amps = iter(_resolved_amplitudes(joint, np.vstack([c for _, c, _ in parts]), [x for *_, ns in parts for x in ns]))
-        for i, _, norms in parts:
-            values[i] = math.fsum(abs(amp) ** 2 for amp in itertools.islice(amps, len(norms)))
+    blocks = _count_blocks(n, joint.shape[0] // r, r, [sigs[i] for i in split])
+    squares = (abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
+    for i in split:
+        values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
     return values
 
 
@@ -311,50 +340,17 @@ def probability_distinguishable_fast(interferometer: Interferometer, signature, 
     return float(permanent_ryser(block).real)
 
 
-def _resolved_counts(n: int, m: int, basis_size: int):
-    """Every resolved outcome in chunks of STACK_SIZE, each with its count matrix and norms.
-
-    Profiles (per-basis photon counts) ascend lexicographically, then
-    outcomes within a profile, itertools.product over pools[k], every
-    tuple of k photons over m modes in lex order. Yields (outcomes,
-    counts, norms): row i of counts is outcome i flattened and norms[i]
-    its prod S_vec! as a Python int. Chunks run across profile
-    boundaries; only the last may be shorter. A profile's rows are the
-    product of its outcomes taken over pool indices, in numpy, and its
-    norms the product of its pool entries'.
-    """
-    pools = [tuple(_occupations(k, m)) for k in range(n + 1)]
-    # The smallest integer type that holds a count of n keeps chunks small.
-    tables = [np.array(pool, dtype=np.min_scalar_type(n)).reshape(len(pool), m) for pool in pools]
-    pool_norms = [
-        np.array([math.prod(map(math.factorial, occ)) for occ in pool], dtype=object) for pool in pools
-    ]
-    outcomes, blocks, norms = [], [], []
-    for profile in _occupations(n, basis_size):
-        sizes = [len(pools[k]) for k in profile]
-        product = itertools.product(*[pools[k] for k in profile])
-        start, total = 0, math.prod(sizes)
-        while start < total:
-            stop = min(total, start + STACK_SIZE - len(outcomes))
-            picks = np.unravel_index(np.arange(start, stop), sizes)
-            outcomes += itertools.islice(product, stop - start)
-            blocks.append(np.hstack([tables[k][pick] for k, pick in zip(profile, picks)]))
-            norms += math.prod(pool_norms[k][pick] for k, pick in zip(profile, picks)).tolist()
-            start = stop
-            if len(outcomes) == STACK_SIZE:
-                yield outcomes, np.vstack(blocks), norms
-                outcomes, blocks, norms = [], [], []
-    if outcomes:
-        yield outcomes, np.vstack(blocks), norms
-
-
 def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
     """Every resolved outcome of n photons over m modes and basis_size basis functions.
 
-    The order of every resolved sweep: see _resolved_counts.
+    The order of every resolved sweep: profiles (per-basis photon counts)
+    ascend lexicographically, then outcomes within a profile,
+    itertools.product over pools[k], every tuple of k photons over m
+    modes in lex order.
     """
-    for outcomes, _, _ in _resolved_counts(n, m, basis_size):
-        yield from outcomes
+    pools = [tuple(_occupations(k, m)) for k in range(n + 1)]
+    for profile in _occupations(n, basis_size):
+        yield from itertools.product(*[pools[k] for k in profile])
 
 
 def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
@@ -377,8 +373,8 @@ def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes,
         raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
     joint = _joint_matrix(interferometer, lam, inputs)
     if resolved:
-        return ((outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts, norms)])
-                for outcomes, counts, norms in _resolved_counts(n, m, nb))
+        chunks = zip(_chunks(enumerate_resolved_outcomes(n, m, nb)), _count_blocks(n, m, nb))
+        return ((outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *block)]) for outcomes, block in chunks)
     return ((sigs, _probabilities_nonresolved(joint, nb, sigs)) for sigs in _chunks(_occupations(n, m)))
 
 

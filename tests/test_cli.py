@@ -20,9 +20,11 @@ from bosonspectra import (
     fock_evolve,
     lambda_from_photons,
     make_beamsplitter_50_50,
+    make_dft,
     make_random_unitary,
     mixture_lambdas,
     oracle_probability,
+    probability_indistinguishable_fast,
     probability_mixed,
     probability_nonresolved,
     verify_against_oracle,
@@ -177,6 +179,16 @@ class TestDistribution:
         assert code == EXIT_OK
         assert len(doc["outcomes"]) == 1
         assert doc["outcomes"][0]["probability"] == pytest.approx(0.375)
+
+    def test_signature_query_on_65_modes(self, tmp_path):
+        gaussian = {"gaussian": {"mu": 0.0, "sigma": 1.0, "tau": 0.0}}
+        sig = [1, 1] + [0] * 63
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": 65},
+                                                 "photons": [gaussian, gaussian], "query": {"signature": sig}})
+        code, doc = run(tmp_path, ["distribution", "--config", cfg])
+        assert code == EXIT_OK
+        expected = probability_indistinguishable_fast(make_dft(65), sig, sig)
+        assert doc["outcomes"][0]["probability"] == pytest.approx(expected, rel=1e-12)
 
     def test_resolved_query(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", hom_config(

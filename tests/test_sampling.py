@@ -7,6 +7,7 @@ import pytest
 
 from bosonspectra import (
     CapacityError,
+    CoefficientSpectrum,
     ConfigurationError,
     GaussianWavepacket,
     Interferometer,
@@ -20,6 +21,7 @@ from bosonspectra import (
     fock_evolve,
     lambda_from_photons,
     make_beamsplitter_50_50,
+    make_dft,
     make_random_unitary,
     oracle_probability,
     probability_distinguishable_fast,
@@ -34,12 +36,13 @@ from bosonspectra.pairsum import _pair_sums
 from bosonspectra.sampling import (
     PAIR_SUM_KAPPA,
     STACK_SIZE,
+    _chunks,
     _costs,
+    _count_blocks,
     _joint_matrix,
     _occupations,
     _resolved_amplitudes,
-    _resolved_counts,
-    _splits,
+    _split_count,
 )
 import chi_reference
 from conftest import hom_lambda, random_unit_rows
@@ -179,8 +182,21 @@ def pair_sum(u, lam, inputs, sig):
 
 def split_sum(u, lam, inputs, sig):
     """sig's split-sum probability: the math.fsum of |amp|^2 over its splits."""
-    counts, norms = _splits(sig, lam.basis_size)
-    return math.fsum(abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(u, lam, inputs), counts, norms))
+    joint = _joint_matrix(u, lam, inputs)
+    blocks = _count_blocks(lam.n, u.m, lam.basis_size, [sig])
+    return math.fsum(abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
+
+
+def splits(sig, r):
+    """sig's splits from the enumerator: its count rows, as lists, and their prod S_vec!."""
+    blocks = list(_count_blocks(sum(sig), len(sig), r, [sig]))
+    return [row for counts, _ in blocks for row in counts.tolist()], [norm for _, norms in blocks for norm in norms]
+
+
+def large_fallback():
+    """Six distinct Gaussians on eight modes and a collision-free signature of 6^6 splits."""
+    photons = [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(6)]
+    return make_random_unitary(8, 1), lambda_from_photons(photons), (1, 1, 1, 1, 1, 1, 0, 0)
 
 
 def fallbacks(u, lam, inputs, sigs) -> int:
@@ -247,7 +263,8 @@ class TestBlindSweep:
         joint = _joint_matrix(u, lam, (1, 2, 3, 4))
         for sig in [(2, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0), (0, 2, 0, 0, 2, 0)]:
             value = probability_nonresolved(u, lam, None, sig)
-            counts, norms = _splits(sig, 4)
+            rows, norms = splits(sig, 4)
+            counts = np.array(rows)
             sequential = set()
             for _ in range(5):
                 order = rng.permutation(len(norms))
@@ -272,26 +289,46 @@ class TestBlindSweep:
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert peak < 4e6
 
-    def test_kernel_rows_are_built_per_block(self, rng):
-        # 51200 two-photon rows over 64 columns. Built for the whole count
-        # matrix at once, the kernel rows took two int64 index arrays of
-        # 26 MB each.
-        picks = rng.integers(0, 64, size=(51200, 2))
-        counts = np.zeros((51200, 64), dtype=np.uint8)
-        np.add.at(counts, (np.arange(51200)[:, None], picks), 1)
-        norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
-        joint = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    def test_large_fallback_holds_one_block(self, monkeypatch):
+        # Six distinct photons on six modes: forced off the pair sum, 46656
+        # splits. Stacked at once, they and their kernel rows took 9 MB.
+        monkeypatch.setattr(bosonspectra.sampling, "PAIR_SUM_KAPPA", -1.0)
+        u, lam, sig = large_fallback()
+        assert _split_count(sig, lam.basis_size) == 46656
         tracemalloc.start()
         try:
-            amps = _resolved_amplitudes(joint, counts, norms)
+            p = probability_nonresolved(u, lam, None, sig)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
-        for k in (0, 12345, 51199):
-            i, j = picks[k]
-            per = joint[i, 0] * joint[j, 1] + joint[j, 0] * joint[i, 1]
-            assert amps[k] == pytest.approx(per / math.sqrt(norms[k]), rel=1e-12)
+        assert 0.0 < p < 1.0
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("case", ["resolved sweep", "two species sweep", "fallback sweep", "large fallback"])
+    def test_kernel_calls_take_at_most_a_stack(self, rng, monkeypatch, case):
+        # Resolved outcomes and split sums reach the kernel through one
+        # stream of count blocks, full but for the last.
+        sizes = []
+        kernel = bosonspectra.sampling._permanents
+
+        def counted(rows, joint):
+            sizes.append(len(rows))
+            return kernel(rows, joint)
+
+        monkeypatch.setattr(bosonspectra.sampling, "_permanents", counted)
+        if case == "resolved sweep":
+            distribution_resolved(make_random_unitary(4, 23), random_unit_rows(rng, 4, 4))
+        elif case == "two species sweep":
+            distribution_nonresolved(make_random_unitary(8, 37), LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]]))
+        else:
+            monkeypatch.setattr(bosonspectra.sampling, "PAIR_SUM_KAPPA", -1.0)
+            if case == "fallback sweep":
+                photons = [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(4)]
+                distribution_nonresolved(make_random_unitary(8, 1), lambda_from_photons(photons))
+            else:
+                u, lam, sig = large_fallback()
+                probability_nonresolved(u, lam, None, sig)
+        assert max(sizes) == STACK_SIZE
 
     def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
         # n = 8, r = 8: four blocks of delta, and 43 signatures in passes of 16.
@@ -400,19 +437,24 @@ class TestResolvedSweep:
             assert p == probability_resolved(u, lam, (3, 1, 4, 2), outcome), outcome
 
     # 3876 outcomes in stacks of 256 (a short last one), of 17 (an exact
-    # multiple) and of 31 (a lone last outcome); 21 outcomes, fewer than a stack.
+    # multiple) and of 31 (a lone last outcome); 21 outcomes, fewer than a
+    # stack. Split into every signature's splits, the same rows are cut alike.
+    @pytest.mark.parametrize("by_signature", [False, True])
     @pytest.mark.parametrize("n,m,nb,stack", [(4, 4, 4, 256), (4, 4, 4, 17), (4, 4, 4, 31), (2, 3, 2, 256)])
-    def test_chunks_are_the_whole_sweep_cut_into_stacks(self, monkeypatch, n, m, nb, stack):
+    def test_chunks_are_the_whole_sweep_cut_into_stacks(self, monkeypatch, n, m, nb, stack, by_signature):
         monkeypatch.setattr(bosonspectra.sampling, "STACK_SIZE", stack)
         outcomes = list(enumerate_resolved_outcomes(n, m, nb))
-        chunks = list(_resolved_counts(n, m, nb))
-        assert [len(chunk) for chunk, _, _ in chunks[:-1]] == [stack] * (len(chunks) - 1)
-        assert 1 <= len(chunks[-1][0]) <= stack
-        assert [o for chunk, _, _ in chunks for o in chunk] == outcomes
-        counts = np.vstack([c for _, c, _ in chunks])
-        assert counts.tolist() == [list(sum(o, ())) for o in outcomes]
-        norms = [norm for _, _, chunk_norms in chunks for norm in chunk_norms]
-        assert norms == [math.prod(map(math.factorial, sum(o, ()))) for o in outcomes]
+        blocks = list(_count_blocks(n, m, nb, list(_occupations(n, m)) if by_signature else None))
+        assert [len(counts) for counts, _ in blocks[:-1]] == [stack] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= stack
+        assert [len(norms) for _, norms in blocks] == [len(counts) for counts, _ in blocks]
+        rows = [row for counts, _ in blocks for row in counts.tolist()]
+        if not by_signature:
+            assert [len(chunk) for chunk in _chunks(outcomes)] == [len(counts) for counts, _ in blocks]
+            assert rows == [list(sum(o, ())) for o in outcomes]
+        assert len(rows) == len(outcomes)
+        norms = [norm for _, block_norms in blocks for norm in block_norms]
+        assert norms == [math.prod(map(math.factorial, row)) for row in rows]
         assert {type(norm) for norm in norms} == {int}
 
     @pytest.mark.parametrize("stack", [256, 17, 31])
@@ -434,6 +476,17 @@ class TestResolvedSweep:
             # A lone last outcome goes to the kernel as a single query's does.
             assert dist[outcomes[-1]] == probability_resolved(u, lam, None, outcomes[-1])
 
+    def test_more_basis_functions_than_numpy_has_dimensions(self):
+        # Two photons declared over 65 basis functions: 8515 outcomes.
+        rows = np.zeros((2, 65))
+        rows[0, 0], rows[1, [0, 64]] = 1.0, (0.6, 0.8)
+        u, lam = make_beamsplitter_50_50(), lambda_from_photons([CoefficientSpectrum(row) for row in rows])
+        dist = distribution_resolved(u, lam)
+        assert len(dist) == math.comb(131, 2)
+        assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        for outcome, p in dist.items():
+            assert p == probability_resolved(u, lam, None, outcome), outcome
+
     @pytest.mark.parametrize("n,m,nb", [(4, 4, 4), (3, 2, 3), (2, 5, 1), (1, 3, 2), (3, 1, 2)])
     def test_enumeration_order(self, n, m, nb):
         def pool(k):
@@ -447,15 +500,15 @@ class TestResolvedSweep:
 
 
 class TestEnumeratePartitions:
-    """Small splits written out, picked from `_splits` by photons per basis function."""
+    """Small splits written out, picked from the enumerator's by photons per basis function."""
 
     @staticmethod
     def _with_profile(sig, profile):
-        counts, norms = _splits(sig, len(profile))
+        rows, norms = splits(sig, len(profile))
         m = len(sig)
         return [
             ([tuple(row[i * m : (i + 1) * m]) for i in range(len(profile))], norm)
-            for row, norm in zip(counts.tolist(), norms)
+            for row, norm in zip(rows, norms)
             if [sum(row[i * m : (i + 1) * m]) for i in range(len(profile))] == list(profile)
         ]
 
@@ -465,15 +518,11 @@ class TestEnumeratePartitions:
 
     def test_split_photons(self):
         assert self._with_profile((1, 1), (1, 1)) == [([(0, 1), (1, 0)], 1), ([(1, 0), (0, 1)], 1)]
-        counts, norms = _splits((1, 1), 2)
-        assert counts.tolist() == [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
-        assert norms == [1, 1, 1, 1]
+        assert splits((1, 1), 2) == ([[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]], [1, 1, 1, 1])
 
     def test_bunched_signature_forces_same_mode(self):
         assert self._with_profile((2, 0), (1, 1)) == [([(1, 0), (1, 0)], 1)]
-        counts, norms = _splits((2, 0), 2)
-        assert counts.tolist() == [[0, 0, 2, 0], [1, 0, 1, 0], [2, 0, 0, 0]]
-        assert norms == [2, 1, 2]
+        assert splits((2, 0), 2) == ([[0, 0, 2, 0], [1, 0, 1, 0], [2, 0, 0, 0]], [2, 1, 2])
 
 
 class TestSplits:
@@ -484,42 +533,58 @@ class TestSplits:
     )
     def test_splits_are_the_signatures_outcomes_in_sweep_order(self, n, m, r):
         # Restricted to one signature, the resolved stream lists its splits,
-        # each once and with its norm. Only the multisets must agree: a split
-        # sum is a math.fsum, so _splits keeps no order, and both sides are
-        # sorted before they are compared.
+        # each once and with its norm. The split stream of every signature
+        # lists each one's splits in turn, _split_count rows each. Only the
+        # multisets must agree: a split sum is a math.fsum, so its splits
+        # keep no order, and both sides are sorted before they are compared.
         by_signature = {}
-        for outcomes, counts, norms in _resolved_counts(n, m, r):
-            for outcome, row, norm in zip(outcomes, counts.tolist(), norms):
-                by_signature.setdefault(tuple(map(sum, zip(*outcome))), []).append((row, norm))
-        for sig in _occupations(n, m):
-            counts, norms = _splits(sig, r)
-            assert sorted(zip(counts.tolist(), norms)) == sorted(by_signature.pop(sig)), sig
-        assert by_signature == {}
+        resolved = (pair for counts, norms in _count_blocks(n, m, r) for pair in zip(counts.tolist(), norms))
+        for outcome, pair in zip(enumerate_resolved_outcomes(n, m, r), resolved, strict=True):
+            by_signature.setdefault(tuple(map(sum, zip(*outcome))), []).append(pair)
+        sigs = list(_occupations(n, m))
+        split = iter([pair for counts, norms in _count_blocks(n, m, r, sigs) for pair in zip(counts.tolist(), norms)])
+        for sig in sigs:
+            assert sorted(itertools.islice(split, _split_count(sig, r))) == sorted(by_signature.pop(sig)), sig
+        assert by_signature == {} and next(split, None) is None
 
     def test_large_signature_single_split(self):
         # One basis function must take the whole signature: exactly one split.
         sig = (1,) * 16 + (0,) * 4
-        counts, norms = _splits(sig, 1)
-        assert counts.tolist() == [list(sig)]
-        assert norms == [1]
+        assert splits(sig, 1) == ([list(sig)], [1])
 
     @pytest.mark.parametrize("sig", [(2, 1, 0), (1, 1, 1, 1), (3, 0, 2), (0, 4), (1, 2, 0, 1)])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_split_count_is_the_routing_count(self, sig, r):
         # The splits factorize into independent splits of each mode's photons.
-        counts, norms = _splits(sig, r)
-        assert len(counts) == len(norms) == math.prod(math.comb(c + r - 1, r - 1) for c in sig)
-        assert len({tuple(row) for row in counts.tolist()}) == len(counts)
-        for row in counts.tolist():
+        rows, norms = splits(sig, r)
+        assert len(rows) == len(norms) == math.prod(math.comb(c + r - 1, r - 1) for c in sig)
+        assert len({tuple(row) for row in rows}) == len(rows)
+        for row in rows:
             parts = [row[i * len(sig) : (i + 1) * len(sig)] for i in range(r)]
             assert tuple(map(sum, zip(*parts))) == sig
 
+    @pytest.mark.parametrize("case", ["identical", "two species"])
+    def test_more_modes_than_numpy_has_dimensions(self, case):
+        # 65 modes, one factor per mode, were once 65 dimensions of one index.
+        sig = (1, 1) + (0,) * 63
+        if case == "identical":
+            u = make_dft(65)
+            expected = probability_indistinguishable_fast(u, sig, sig)
+            lam = LambdaMatrix(np.ones((2, 1)))
+        else:
+            matrix = np.eye(65, dtype=complex)
+            matrix[:2, :2] = make_beamsplitter_50_50().matrix
+            u = Interferometer(matrix)
+            lam = lambda_from_photons([GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)])
+            expected = probability_nonresolved(make_beamsplitter_50_50(), lam, None, (1, 1))
+        assert probability_nonresolved(u, lam, None, sig) == pytest.approx(expected, rel=1e-12)
+
     def test_norms_exact_past_int64(self):
         # prod S_vec! = 21! > 2^63: norms stay exact Python ints.
-        counts, norms = _splits((21, 0), 1)
-        assert counts.tolist() == [[21, 0]]
+        rows, norms = splits((21, 0), 1)
+        assert rows == [[21, 0]]
         assert norms == [math.factorial(21)] and type(norms[0]) is int
-        counts, norms = _splits((0, 21), 2)
+        rows, norms = splits((0, 21), 2)
         assert norms[0] == norms[-1] == math.factorial(21)
         assert norms == [math.factorial(k) * math.factorial(21 - k) for k in range(22)]
 
