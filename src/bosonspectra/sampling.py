@@ -180,14 +180,14 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
 
     The rows are every resolved outcome of n photons in sweep order or,
     given sigs, each signature's splits in turn: one product per profile
-    of basis function i's pool _occupations(k, m), in columns i * m + k',
-    or one per signature of mode k's pool _occupations(M_k, r), in
-    columns i * m + k. A row takes one entry per pool, in
-    itertools.product order; its norm, a Python int, is theirs
-    multiplied. Pools of no photons add nothing, and a row's picks come
-    by divmod over the pools of more than one entry, so no array has a
-    dimension per pool. Blocks run across products; only the last may be
-    shorter.
+    of basis function i's pool _occupations(k, m), in columns i * m to
+    i * m + m - 1, or one per signature of mode k's pool
+    _occupations(M_k, r), in columns k, m + k, .. (r - 1) * m + k. A row
+    takes one entry per pool, in itertools.product order; its norm, a
+    Python int, is theirs multiplied. Pools of no photons add nothing,
+    and a row's picks come by divmod over the pools of more than one
+    entry, so no array has a dimension per pool. Blocks run across
+    products; only the last may be shorter.
     """
     # The smallest integer type that holds a count of n keeps blocks small.
     dtype, parts = np.min_scalar_type(n), m if sigs is None else r
@@ -259,7 +259,8 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
     blocks = _count_blocks(n, joint.shape[0] // r, r, [sigs[i] for i in split])
     squares = (abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
     for i in split:
-        values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
+        # Not islice: past 2^63 splits it raises before the kernel refuses n > RYSER_DIMENSION_CAP.
+        values[i] = math.fsum(next(squares) for _ in range(_split_count(sigs[i], r)))
     return values
 
 

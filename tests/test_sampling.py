@@ -290,8 +290,9 @@ class TestBlindSweep:
         assert peak < 4e6
 
     def test_large_fallback_holds_one_block(self, monkeypatch):
-        # Six distinct photons in six of eight modes: forced off the pair sum, 46656
-        # splits. Stacked at once, they and their kernel rows take 9 MB.
+        # Six distinct photons in six of eight modes: forced off the pair
+        # sum, 46656 splits. Stacked at once, they and their kernel rows
+        # take 9 MB.
         monkeypatch.setattr(bosonspectra.sampling, "PAIR_SUM_KAPPA", -1.0)
         u, lam, sig = large_fallback()
         assert _split_count(sig, lam.basis_size) == 46656
@@ -319,7 +320,8 @@ class TestBlindSweep:
         if case == "resolved sweep":
             distribution_resolved(make_random_unitary(4, 23), random_unit_rows(rng, 4, 4))
         elif case == "two species sweep":
-            distribution_nonresolved(make_random_unitary(8, 37), LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]]))
+            lam = LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]])
+            distribution_nonresolved(make_random_unitary(8, 37), lam)
         else:
             monkeypatch.setattr(bosonspectra.sampling, "PAIR_SUM_KAPPA", -1.0)
             if case == "fallback sweep":
@@ -439,23 +441,23 @@ class TestResolvedSweep:
     # 3876 outcomes in stacks of 256 (a short last one), of 17 (an exact
     # multiple) and of 31 (a lone last outcome); 21 outcomes, fewer than a
     # stack. Split into every signature's splits, the same rows are cut alike.
-    @pytest.mark.parametrize("by_signature", [False, True])
     @pytest.mark.parametrize("n,m,nb,stack", [(4, 4, 4, 256), (4, 4, 4, 17), (4, 4, 4, 31), (2, 3, 2, 256)])
-    def test_chunks_are_the_whole_sweep_cut_into_stacks(self, monkeypatch, n, m, nb, stack, by_signature):
+    def test_chunks_are_the_whole_sweep_cut_into_stacks(self, monkeypatch, n, m, nb, stack):
         monkeypatch.setattr(bosonspectra.sampling, "STACK_SIZE", stack)
         outcomes = list(enumerate_resolved_outcomes(n, m, nb))
-        blocks = list(_count_blocks(n, m, nb, list(_occupations(n, m)) if by_signature else None))
-        assert [len(counts) for counts, _ in blocks[:-1]] == [stack] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1][0]) <= stack
-        assert [len(norms) for _, norms in blocks] == [len(counts) for counts, _ in blocks]
-        rows = [row for counts, _ in blocks for row in counts.tolist()]
-        if not by_signature:
-            assert [len(chunk) for chunk in _chunks(outcomes)] == [len(counts) for counts, _ in blocks]
-            assert rows == [list(sum(o, ())) for o in outcomes]
-        assert len(rows) == len(outcomes)
-        norms = [norm for _, block_norms in blocks for norm in block_norms]
-        assert norms == [math.prod(map(math.factorial, row)) for row in rows]
-        assert {type(norm) for norm in norms} == {int}
+        for sigs in (None, list(_occupations(n, m))):
+            blocks = list(_count_blocks(n, m, nb, sigs))
+            assert [len(counts) for counts, _ in blocks[:-1]] == [stack] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1][0]) <= stack
+            assert [len(norms) for _, norms in blocks] == [len(counts) for counts, _ in blocks]
+            rows = [row for counts, _ in blocks for row in counts.tolist()]
+            if sigs is None:
+                assert [len(chunk) for chunk in _chunks(outcomes)] == [len(counts) for counts, _ in blocks]
+                assert rows == [list(sum(o, ())) for o in outcomes]
+            assert len(rows) == len(outcomes)
+            norms = [norm for _, block_norms in blocks for norm in block_norms]
+            assert norms == [math.prod(map(math.factorial, row)) for row in rows]
+            assert {type(norm) for norm in norms} == {int}
 
     @pytest.mark.parametrize("stack", [256, 17, 31])
     def test_sweep_stacks_are_those_of_the_whole_count_matrix(self, rng, monkeypatch, stack):
@@ -566,19 +568,24 @@ class TestSplits:
 
     @pytest.mark.parametrize("case", ["identical", "two species"])
     def test_more_modes_than_numpy_has_dimensions(self, case):
-        # numpy arrays have at most 64 dimensions: no array may take one per mode.
+        # numpy arrays have at most 64 dimensions: no array may take one per
+        # mode. 65 photons in 65 modes (2^65 splits for two species) reach
+        # the kernel, which refuses them.
         sig = (1, 1) + (0,) * 63
+        species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
         if case == "identical":
             u = make_dft(65)
             expected = probability_indistinguishable_fast(u, sig, sig)
-            lam = LambdaMatrix(np.ones((2, 1)))
+            lam, crowd = LambdaMatrix(np.ones((2, 1))), LambdaMatrix(np.ones((65, 1)))
         else:
             matrix = np.eye(65, dtype=complex)
             matrix[:2, :2] = make_beamsplitter_50_50().matrix
             u = Interferometer(matrix)
-            lam = lambda_from_photons([GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)])
+            lam, crowd = lambda_from_photons(species), lambda_from_photons([species[j % 2] for j in range(65)])
             expected = probability_nonresolved(make_beamsplitter_50_50(), lam, None, (1, 1))
         assert probability_nonresolved(u, lam, None, sig) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(CapacityError, match="dimension 65 exceeds cap"):
+            probability_nonresolved(u, crowd, None, (1,) * 65)
 
     def test_norms_exact_past_int64(self):
         # prod S_vec! = 21! > 2^63: norms stay exact Python ints.
