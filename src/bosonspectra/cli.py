@@ -31,8 +31,9 @@ streams: sampling.probability_chunks hands over STACK_SIZE outcomes at
 a time, weighted over every mixture combination; each chunk is rendered
 and written before the next is made, and only one float per outcome is
 kept, for the trailing sum.
-Every check runs before the first byte goes out; only a kappa fallback
-over the split cap, or MemoryError, can stop a sweep midway, leaving a
+Every check runs before the first byte goes out, the work budget's
+included; only a kappa fallback whose split sum is over that budget, or
+MemoryError, can stop a sweep midway, leaving a
 partial document on stdout and a file output as it was. The CLI calls
 only public engine names. Exit codes: 0 success, 2 input error, 3
 capacity error or out of memory, 4 verification failure.

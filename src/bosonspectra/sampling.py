@@ -28,6 +28,14 @@ probability is a sum of permanents in one of two closed forms:
   kappa = sum |terms| / |sum of terms| above PAIR_SUM_KAPPA, falls back
   to the split sum.
 
+_costs is the one price list. Every stream is priced from it when made,
+without enumerating anything, and refused with CapacityError if its
+multiply-adds exceed the work budget: the work of the largest permanent
+the kernel admits, RYSER_DIMENSION_CAP 2^(RYSER_DIMENSION_CAP - 1),
+about 1.61e10. A mixture's combinations are priced together, before any
+of them runs; a kappa fallback's split sum is checked against the same
+budget when it happens.
+
 Mixed photons average over every combination of mixture components
 (mixture_lambdas). Resolved outcomes name basis functions, so there all
 combinations share the basis of every component of every photon, photon
@@ -38,7 +46,8 @@ An experiment's probabilities are one stream, probability_chunks: the
 combinations' chunks walked in lockstep by _weighted_chunks, the one
 loop that adds weight * value. probability_mixed is its one-outcome
 case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
-Every stream is checked when made and does its work as it is read.
+Every stream is checked and priced when made and does its work as it is
+read, a single outcome's included.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
 row of indices into the joint matrix A. One stream, _count_blocks, makes
@@ -74,7 +83,7 @@ from .network import (
     as_occupation,
     submatrix,
 )
-from .permanent import _permanents, permanent_ryser
+from .permanent import RYSER_DIMENSION_CAP, _permanents, permanent_ryser
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
@@ -229,20 +238,20 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
         yield block[: len(norms)], norms
 
 
-def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
+def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs, costs) -> list[float]:
     """P(M) for each signature M of sigs, by the pair sum or the split sum.
 
-    A signature takes the pair sum if _costs says it costs fewer
-    multiply-adds, and keeps its value if its terms' condition number
-    kappa = sum |terms| / |sum of terms| is at most PAIR_SUM_KAPPA. The
-    rest, fallbacks included, take the split sum: each the math.fsum of
-    its rows of one _count_blocks stream, so a call holds one block of
-    splits. A fallback of more than DISTRIBUTION_OUTCOME_CAP splits
-    raises CapacityError first.
+    costs holds each signature's _costs. A signature takes the pair sum if
+    it costs fewer multiply-adds, and keeps its value if its terms'
+    condition number kappa = sum |terms| / |sum of terms| is at most
+    PAIR_SUM_KAPPA. The rest, fallbacks included, take the split sum:
+    each the math.fsum of its rows of one _count_blocks stream, so a call
+    holds one block of splits. A fallback whose split sum costs more than
+    the work budget raises CapacityError first.
     """
     n = joint.shape[1]
     values = [None] * len(sigs)
-    pair = [i for i, sig in enumerate(sigs) if operator.lt(*_costs(n, r, sig))]
+    pair = [i for i, cost in enumerate(costs) if operator.lt(*cost)]
     if pair:
         # Imported here: resolved sweeps and split-sum queries never compile it.
         from .pairsum import _pair_sums
@@ -252,15 +261,14 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
             kappa = abs_sum / abs(total) if total else math.inf
             if kappa <= PAIR_SUM_KAPPA:
                 values[i] = total * 0.25 ** (n - 1) / math.prod(map(math.factorial, sigs[i]))
-            elif (splits := _split_count(sigs[i], r)) > DISTRIBUTION_OUTCOME_CAP:
-                raise CapacityError(f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > {PAIR_SUM_KAPPA})"
-                                    f" and its {splits} splits exceed the cap {DISTRIBUTION_OUTCOME_CAP}")
+            else:
+                _check_work(costs[i][1], f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > "
+                                         f"{PAIR_SUM_KAPPA}) and its split sum's")
     split = [i for i, value in enumerate(values) if value is None]
     blocks = _count_blocks(n, joint.shape[0] // r, r, [sigs[i] for i in split])
     squares = (abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
     for i in split:
-        # Not islice: past 2^63 splits it raises before the kernel refuses n > RYSER_DIMENSION_CAP.
-        values[i] = math.fsum(next(squares) for _ in range(_split_count(sigs[i], r)))
+        values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
     return values
 
 
@@ -271,9 +279,24 @@ def _split_count(sig, r: int) -> int:
 def _costs(n: int, r: int, sig) -> tuple[int, int]:
     """Multiply-adds of sig's pair sum, n r 4^(n-1), and of its split sum, n 2^(n-1) per split.
 
-    The pair sum takes sig only if it costs less.
+    The pair sum takes sig only if it costs less. The empty signature has
+    one split: _costs(n, r, ()) prices a pair sum and one permanent of
+    size n, a resolved outcome.
     """
     return n * r * 4 ** (n - 1), n * 2 ** (n - 1) * _split_count(sig, r)
+
+
+# Multiply-adds a stream may cost: the work of the largest permanent the
+# kernel admits. On a 2-core Xeon VM the kernel runs about 1.8e8 of them a
+# second (90 s for this budget) and the pair sum about 7.8e8 (20 s).
+_WORK_BUDGET = _costs(RYSER_DIMENSION_CAP, 1, ())[1]
+
+
+def _check_work(work: int, what: str = "the query's") -> None:
+    if work > _WORK_BUDGET:
+        amount = f"{work:.3g}" if work < 1e300 else "over 1e300"
+        raise CapacityError(f"{what} {amount} multiply-adds exceed the work budget {_WORK_BUDGET:.3g}, "
+                            f"that of one {RYSER_DIMENSION_CAP} x {RYSER_DIMENSION_CAP} permanent")
 
 
 def _occupations(total: int, parts: int):
@@ -311,10 +334,13 @@ def probability_resolved(
 def probability_nonresolved(
     interferometer: Interferometer, lam: LambdaMatrix, input_modes=None, signature=None
 ) -> float:
-    """Probability that non-resolving detectors report the signature M."""
-    inputs = _validated_inputs(input_modes, lam.n, interferometer.m)
-    sig = _checked_outcome(signature, "nonresolved", lam.n, interferometer.m, lam.basis_size)
-    return _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), lam.basis_size, [sig])[0]
+    """Probability that non-resolving detectors report the signature M.
+
+    A signature whose cheaper sum costs more than the work budget raises
+    CapacityError before any work.
+    """
+    ((_, (value,)),) = _pure_chunks(interferometer, lam, input_modes, "nonresolved", signature)
+    return value
 
 
 def probability_indistinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
@@ -354,29 +380,58 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
         yield from itertools.product(*[pools[k] for k in profile])
 
 
-def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
-    """One pure combination's (outcomes, probabilities) chunks: outcome alone, or the whole sweep.
+def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
+    """One pure combination's work in multiply-adds and its (outcomes, probabilities) chunks.
 
-    The inputs, then the outcome (computed then too) or the sweep cap,
-    are checked at the call. A sweep runs as it is read, in sweep order,
+    The chunks hold outcome alone, or the whole sweep. The inputs, then
+    the outcome or the sweep cap, are checked at the call, and the work is
+    priced from _costs without enumerating anything. A resolved outcome
+    is one permanent, and a blind signature the cheaper of its two sums,
+    the one it is routed to. A resolved sweep is its R outcomes'
+    permanents; a blind sweep of N signatures is priced at the cheaper of
+    N pair sums and R permanents, the splits of every signature together:
+    at least its routed sum, and equal to it at r = 1. Nothing is
+    computed until the stream is read. A sweep then runs in sweep order,
     in chunks of at most STACK_SIZE (a resolved chunk is one kernel call,
     a blind chunk one _probabilities_nonresolved call).
     """
-    if outcome is not None:
-        probability = probability_resolved if detector == "resolved" else probability_nonresolved
-        return iter([([outcome], [probability(interferometer, lam, input_modes, outcome)])])
     n, m, nb = lam.n, interferometer.m, lam.basis_size
     inputs = _validated_inputs(input_modes, n, m)
     resolved = detector == "resolved"
-    count = math.comb((m * nb if resolved else m) + n - 1, n)
+    if outcome is not None:
+        sig = _checked_outcome(outcome, detector, n, m, nb)
+        if resolved:
+            value = lambda: probability_resolved(interferometer, lam, inputs, sig)
+            return _costs(n, nb, ())[1], _chunk(outcome, value)
+        costs = _costs(n, nb, sig)
+        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [sig], [costs])[0]
+        return min(costs), _chunk(outcome, value)
+    sig_count, outcome_count = math.comb(m + n - 1, n), math.comb(m * nb + n - 1, n)
+    count = outcome_count if resolved else sig_count
     if count > DISTRIBUTION_OUTCOME_CAP:
         what = "resolved outcomes" if resolved else "output signatures"
         raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
+    pair, permanent = _costs(n, nb, ())
     joint = _joint_matrix(interferometer, lam, inputs)
     if resolved:
         chunks = zip(_chunks(enumerate_resolved_outcomes(n, m, nb)), _count_blocks(n, m, nb))
-        return ((outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *block)]) for outcomes, block in chunks)
-    return ((sigs, _probabilities_nonresolved(joint, nb, sigs)) for sigs in _chunks(_occupations(n, m)))
+        return outcome_count * permanent, (
+            (outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *block)]) for outcomes, block in chunks)
+    return min(sig_count * pair, outcome_count * permanent), (
+        (sigs, _probabilities_nonresolved(joint, nb, sigs, [_costs(n, nb, sig) for sig in sigs]))
+        for sigs in _chunks(_occupations(n, m)))
+
+
+def _chunk(outcome, value):
+    """A single outcome's one chunk, value() taken when it is read."""
+    yield [outcome], [value()]
+
+
+def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
+    """_priced_chunks' stream, refused at the call if its work exceeds the work budget."""
+    work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
+    _check_work(work)
+    return chunks
 
 
 def _gathered(chunks) -> dict:
@@ -473,12 +528,20 @@ def probability_chunks(
     stream is the detector's whole sweep in chunks of at most STACK_SIZE,
     or one chunk holding outcome alone; totals, a float64 array, weights
     each probability over every combination from mixture_lambdas. The
-    detector, MIXTURE_TERM_CAP, the inputs and the outcome or the sweep
-    cap are checked at the call.
+    detector, MIXTURE_TERM_CAP, each combination's inputs and outcome or
+    sweep cap, then the combinations' total work against the work budget
+    are checked at the call, before any combination's work starts.
     """
-    return _weighted_chunks(
-        photons, detector, lambda lam: _pure_chunks(interferometer, lam, input_modes, detector, outcome)
-    )
+    works = []
+
+    def chunks_of(lam):
+        work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
+        works.append(work)
+        return chunks
+
+    totals = _weighted_chunks(photons, detector, chunks_of)
+    _check_work(sum(works))
+    return totals
 
 
 def probability_mixed(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RepresentationError, _Record
+from .errors import CapacityError, ConfigurationError, DimensionError, RepresentationError, _Record
 
 ROW_NORM_TOL = 1e-10
 GRAM_PSD_TOL = 1e-9
@@ -179,7 +179,10 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
     later photon adds a new direction only if its residual norm exceeds
     the rank tolerance, so identical photons collapse onto shared basis
     functions instead of failing. Satisfies lambda @ lambda^dag = G and
-    is lower-triangular up to dropped directions.
+    is lower-triangular up to dropped directions. A Gram matrix too
+    ill-conditioned for that at double precision leaves rows off unit norm
+    by more than ROW_NORM_TOL; CapacityError then names the first one's
+    photon (1-based).
     """
     g = np.asarray(gram, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
@@ -208,7 +211,15 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
         if residual > RANK_TOL:
             lam[a, r] = math.sqrt(residual)
             pivots.append(a)
-    return LambdaMatrix(lam[:, : len(pivots)])
+    lam = lam[:, : len(pivots)]
+    norms = np.linalg.norm(lam, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > ROW_NORM_TOL)
+    if bad.size:
+        raise CapacityError(
+            "the Gram matrix is too ill-conditioned for the rank-revealing Cholesky at double precision: "
+            f"photon {bad[0] + 1}'s row has norm {float(norms[bad[0]])!r}"
+        )
+    return LambdaMatrix(lam)
 
 
 def lambda_from_photons(photons) -> LambdaMatrix:

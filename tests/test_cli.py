@@ -84,6 +84,7 @@ def hom_config(alpha, **overrides):
 GAUSSIANS = [(0.0, 1.0, 0.0), (0.3, 0.8, 0.9), (-0.4, 1.2, -0.6), (0.2, 1.0, 1.5), (0.5, 0.7, -1.1)]
 
 
+GENERIC = [{"gaussian": {"mu": 0.2 * j, "sigma": 1.0 + 0.05 * j, "tau": 0.3 * j}} for j in range(31)]
 SIX_GAUSSIANS = [{"gaussian": {"mu": 0.1 * k, "sigma": 1.0 + 0.1 * k, "tau": 0.3 * k}} for k in range(6)]
 
 
@@ -323,6 +324,40 @@ class TestErrors:
             "photons": [{"coefficients": [[1.0, 0.0]]}] * 3,
         })
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("case", ["31 distinct photons", "15 generic photons", "65 photons of two species",
+                                      "mixture"])
+    def test_work_over_the_budget_exits_3_before_any_output(self, tmp_path, monkeypatch, capsys, case):
+        species = [{"gaussian": {"mu": 0.0, "sigma": 1.0, "tau": 0.0}},
+                   {"gaussian": {"mu": 0.3, "sigma": 0.8, "tau": 0.9}}]
+        n, photons = {
+            "31 distinct photons": (31, GENERIC[:31]),
+            "15 generic photons": (15, GENERIC[:15]),
+            "65 photons of two species": (65, [species[j % 2] for j in range(65)]),
+        }.get(case, (2, None))
+        if photons is None:
+            # Two combinations of 4 and 16 multiply-adds under a budget of 16.
+            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 16)
+            far = {"probability": 0.5, "gaussian": {"mu": 40.0, "sigma": 1.0, "tau": 0.0}}
+            photons = [species[0], {"mixture": [{"probability": 0.5, **species[0]}, far]}]
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": n}, "photons": photons,
+                                                 "query": {"signature": [1] * n}})
+        assert main(["distribution", "--config", cfg]) == EXIT_CAPACITY_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the query's") and captured.err.count("\n") == 1
+        assert "exceed the work budget" in captured.err
+
+    def test_ill_conditioned_gram_exits_3(self, tmp_path, capsys):
+        # 16 slowly varying Gaussians: the decomposition, not the input,
+        # loses unit norm, first on photon 15.
+        photons = [{"gaussian": {"mu": 0.05 * j, "sigma": 1.0 + 0.01 * j, "tau": 0.02 * j}} for j in range(16)]
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": 16}, "photons": photons})
+        assert main(["distribution", "--config", cfg]) == EXIT_CAPACITY_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the Gram matrix is too ill-conditioned")
+        assert "photon 15's row" in captured.err
 
 
 class TestArgv:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,11 +37,13 @@ from bosonspectra.pairsum import _pair_sums
 from bosonspectra.sampling import (
     PAIR_SUM_KAPPA,
     STACK_SIZE,
+    _WORK_BUDGET,
     _chunks,
     _costs,
     _count_blocks,
     _joint_matrix,
     _occupations,
+    _priced_chunks,
     _resolved_amplitudes,
     _split_count,
 )
@@ -193,10 +196,14 @@ def splits(sig, r):
     return [row for counts, _ in blocks for row in counts.tolist()], [norm for _, norms in blocks for norm in norms]
 
 
+def generic(n: int) -> list:
+    """n distinct Gaussians, mu 0.2 j, sigma 1 + 0.05 j, tau 0.3 j: a basis of n functions."""
+    return [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(n)]
+
+
 def large_fallback():
     """Six distinct Gaussians on eight modes and a collision-free signature of 6^6 splits."""
-    photons = [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(6)]
-    return make_random_unitary(8, 1), lambda_from_photons(photons), (1, 1, 1, 1, 1, 1, 0, 0)
+    return make_random_unitary(8, 1), lambda_from_photons(generic(6)), (1, 1, 1, 1, 1, 1, 0, 0)
 
 
 def fallbacks(u, lam, inputs, sigs) -> int:
@@ -381,12 +388,12 @@ class TestBlindSweep:
         assert 0.0 < p < 1.0
         assert peak < 6e6
 
-    def test_fallback_over_the_split_cap_is_refused(self, monkeypatch):
-        # HOM at alpha = 1 forced onto the pair sum falls back, and its 4
-        # splits exceed a cap of 3.
-        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (0, 1))
-        monkeypatch.setattr(bosonspectra.sampling, "DISTRIBUTION_OUTCOME_CAP", 3)
-        with pytest.raises(CapacityError, match="4 splits"):
+    def test_fallback_over_the_budget_is_refused(self, monkeypatch):
+        # HOM at alpha = 1 forced onto the pair sum falls back, and its
+        # split sum, 4 splits of 4 multiply-adds, exceeds a budget of 15.
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (0, _costs(n, r, sig)[1]))
+        monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 15)
+        with pytest.raises(CapacityError, match=r"the pair sum cancels \(kappa inf > 32.0\) and its split sum's 16 "):
             probability_nonresolved(make_beamsplitter_50_50(), hom_lambda(1.0), None, (1, 1))
 
     def test_hom_zero_falls_back_to_the_split_sum(self, monkeypatch):
@@ -569,8 +576,8 @@ class TestSplits:
     @pytest.mark.parametrize("case", ["identical", "two species"])
     def test_more_modes_than_numpy_has_dimensions(self, case):
         # numpy arrays have at most 64 dimensions: no array may take one per
-        # mode. 65 photons in 65 modes (2^65 splits for two species) reach
-        # the kernel, which refuses them.
+        # mode. 65 photons in 65 modes (2^65 splits for two species) cost
+        # more than the work budget on either sum, and are refused.
         sig = (1, 1) + (0,) * 63
         species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
         if case == "identical":
@@ -584,7 +591,7 @@ class TestSplits:
             lam, crowd = lambda_from_photons(species), lambda_from_photons([species[j % 2] for j in range(65)])
             expected = probability_nonresolved(make_beamsplitter_50_50(), lam, None, (1, 1))
         assert probability_nonresolved(u, lam, None, sig) == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(CapacityError, match="dimension 65 exceeds cap"):
+        with pytest.raises(CapacityError, match="exceed the work budget"):
             probability_nonresolved(u, crowd, None, (1,) * 65)
 
     def test_norms_exact_past_int64(self):
@@ -595,6 +602,65 @@ class TestSplits:
         rows, norms = splits((0, 21), 2)
         assert norms[0] == norms[-1] == math.factorial(21)
         assert norms == [math.factorial(k) * math.factorial(21 - k) for k in range(22)]
+
+
+class TestWorkBudget:
+    """Every stream is priced by _costs when made, and refused over the budget before any work."""
+
+    @pytest.mark.parametrize("n,m,r,sig", [
+        (2, 2, 2, (1, 1)),  # HOM, a tie
+        (4, 5, 4, (1, 1, 1, 1, 0)),
+        (5, 9, 5, (2, 1, 1, 1, 0, 0, 0, 0, 0)),
+        (8, 12, 2, (1,) * 8 + (0,) * 4),
+        (3, 4, 1, None),
+        (3, 4, 2, None),
+        (4, 5, 4, None),
+        (4, 8, 2, None),
+    ])
+    def test_price_is_the_routed_work(self, rng, n, m, r, sig):
+        # A signature costs the sum it is routed to; a sweep at least what
+        # its signatures' routed sums add up to, and exactly that at r = 1.
+        u, lam = make_random_unitary(m, 7), random_unit_rows(rng, n, r)
+        work, _ = _priced_chunks(u, lam, None, "nonresolved", sig)
+        if sig is not None:
+            assert work == min(_costs(n, r, sig))
+        else:
+            routed = sum(min(_costs(n, r, s)) for s in _occupations(n, m))
+            assert work >= routed
+            assert work == routed or r > 1
+
+    def test_budget_is_the_largest_permanent(self):
+        assert _WORK_BUDGET == 30 * 2**29
+
+    def test_thirty_one_distinct_photons_refused_at_the_call(self):
+        # Routed to the pair sum at 1.11e21 multiply-adds, whose sign tables
+        # alone would take 8 GiB.
+        u, lam = make_dft(31), lambda_from_photons(generic(31))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match="the query's 1.11e[+]21 multiply-adds exceed the work budget"):
+                probability_nonresolved(u, lam, None, (1,) * 31)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 5e6
+
+    def test_work_past_float_range_is_reported(self):
+        # 1000 identical photons in one mode: 1000 2^999 multiply-adds, past
+        # what a float can format.
+        u, lam = Interferometer(np.eye(1000)), LambdaMatrix(np.ones((1000, 1)))
+        with pytest.raises(CapacityError, match="the query's over 1e300 multiply-adds"):
+            probability_nonresolved(u, lam, None, (1000,) + (0,) * 999)
+
+    def test_generic_fourteen_photons_are_admitted(self):
+        # 1.32e10 multiply-adds, under the budget: the stream is made, not read.
+        u, photons, sig = Interferometer(np.eye(30)), generic(14), (1,) * 14 + (0,) * 16
+        work, _ = _priced_chunks(u, lambda_from_photons(photons), None, "nonresolved", sig)
+        assert work == 14 * 14 * 4**13 < _WORK_BUDGET
+        bosonspectra.sampling.probability_chunks(u, photons, None, "nonresolved", sig)
 
 
 def filtered_product(total, caps):
@@ -848,18 +914,28 @@ class TestProbabilityMixed:
         with pytest.raises(ConfigurationError):
             probability_mixed(bs, [psi, psi], None, (1, 1), "heterodyne")
 
-    @pytest.mark.parametrize("case", ["detector", "mixture cap", "inputs", "outcome", "sweep cap"])
-    def test_probability_chunks_checks_at_the_call(self, case):
+    @pytest.mark.parametrize("case", ["detector", "mixture cap", "inputs", "outcome", "sweep cap", "work budget",
+                                      "mixture budget"])
+    def test_probability_chunks_checks_at_the_call(self, monkeypatch, case):
         # No chunk is taken: every check runs when the stream is made.
         u = Interferometer(np.eye(30))
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
         wide = MixedPhotonSource(tuple((1.0 / 400.0, GaussianWavepacket(float(k), 1.0, 0.0)) for k in range(400)))
+        # Two combinations, psi twice (4 multiply-adds) and psi with an
+        # orthogonal photon (16): each fits a budget of 16, not both.
+        half = MixedPhotonSource(((0.5, psi), (0.5, GaussianWavepacket(40.0, 1.0, 0.0))))
+        if case == "mixture budget":
+            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 16)
         args, error = {
             "detector": (([psi, psi], None, "heterodyne"), "unknown detector"),
             "mixture cap": (([wide, wide],), "160000 mixture combinations"),
             "inputs": (([psi, psi], (1, 1)), "distinct"),
             "outcome": (([psi, psi], None, "nonresolved", (1,) + (0,) * 29), "signature holds 1 photons"),
             "sweep cap": (([psi] * 30,), "exceed the sweep cap"),
+            # A generic single signature at n = 15 costs 6.04e10, its pair sum.
+            "work budget": ((generic(15), None, "nonresolved", (1,) * 15 + (0,) * 15),
+                            "the query's 6.04e[+]10 multiply-adds exceed the work budget 1.61e[+]10"),
+            "mixture budget": (([psi, half], None, "nonresolved", (1, 1) + (0,) * 28), "the query's 20 multiply-adds"),
         }[case]
         with pytest.raises((ConfigurationError, CapacityError), match=error):
             bosonspectra.sampling.probability_chunks(u, *args)

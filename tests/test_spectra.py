@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from bosonspectra import (
+    CapacityError,
     CoefficientSpectrum,
     ConfigurationError,
     GaussianWavepacket,
@@ -163,6 +164,13 @@ class TestOrthonormalDecomposition:
         g = lam_true.matrix @ lam_true.matrix.conj().T
         lam = orthonormal_decomposition(g)
         assert lam.basis_size == 2
+
+    def test_ill_conditioned_gram_is_a_capacity_error(self):
+        # 16 slowly varying Gaussians: the rows of photons 15 and 16 come out
+        # off unit norm by 3e-10 and 1.2e-9; the first is named, 1-based.
+        photons = [GaussianWavepacket(0.05 * j, 1.0 + 0.01 * j, 0.02 * j) for j in range(16)]
+        with pytest.raises(CapacityError, match="too ill-conditioned .* photon 15's row has norm 1.00000000029"):
+            lambda_from_photons(photons)
 
     def test_not_psd_rejected(self):
         with pytest.raises(ConfigurationError):
