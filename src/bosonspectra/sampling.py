@@ -390,7 +390,7 @@ def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mode
     the one it is routed to. A resolved sweep is its R outcomes'
     permanents; a blind sweep of N signatures is priced at the cheaper of
     N pair sums and R permanents, the splits of every signature together:
-    at least its routed sum, and equal to it at r = 1. Nothing is
+    at least its routed sum, and equal to it at r = 1. No probability is
     computed until the stream is read. A sweep then runs in sweep order,
     in chunks of at most STACK_SIZE (a resolved chunk is one kernel call,
     a blind chunk one _probabilities_nonresolved call).
@@ -399,12 +399,12 @@ def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mode
     inputs = _validated_inputs(input_modes, n, m)
     resolved = detector == "resolved"
     if outcome is not None:
-        sig = _checked_outcome(outcome, detector, n, m, nb)
+        checked = _checked_outcome(outcome, detector, n, m, nb)
         if resolved:
-            value = lambda: probability_resolved(interferometer, lam, inputs, sig)
+            value = lambda: probability_resolved(interferometer, lam, inputs, checked)
             return _costs(n, nb, ())[1], _chunk(outcome, value)
-        costs = _costs(n, nb, sig)
-        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [sig], [costs])[0]
+        costs = _costs(n, nb, checked)
+        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [checked], [costs])[0]
         return min(costs), _chunk(outcome, value)
     sig_count, outcome_count = math.comb(m + n - 1, n), math.comb(m * nb + n - 1, n)
     count = outcome_count if resolved else sig_count
