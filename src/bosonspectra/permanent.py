@@ -18,7 +18,8 @@ amplitude in this package. Two independent routes are provided:
   matrix once, and one matmul gives their row sums against the table. A
   Python loop walks the 2^(k-1-b) patterns of the high columns in
   Gray-code order; each adds one shift column to the block, then takes
-  the row products and their signed sum. A chunk holds at most
+  the row products and their signed sum, and, for the pair sum's
+  accuracy guard on request, the sum of their moduli. A chunk holds at most
   STACK_ELEMENTS block entries, so memory is bounded whatever the
   outcome count and k (two k x 2^b blocks, 80 kB each, at k = 20).
   k <= 3 uses closed forms in Python scalars, one outcome at a time.
@@ -99,7 +100,7 @@ def _small_permanent(a):
     return p * (t * x + u * w) + q * (s * x + u * v) + r * (s * w + t * v)
 
 
-def _glynn(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
+def _glynn(rows: np.ndarray, joint: np.ndarray, moduli: bool) -> tuple[np.ndarray, np.ndarray]:
     batch, k = rows.shape
     b = min(BLOCK_BITS, k - 1)
     deltas, signs = _sign_block(b)
@@ -115,7 +116,7 @@ def _glynn(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
     prod_rows = np.empty_like(base)
     # Likewise a lone outcome's signed sum is reduced beside a zero row.
     prods = np.zeros((max(batch, 2), 1 << b), dtype=np.complex128)
-    outcome_prods = prods[:batch]
+    outcome_prods, modulus = prods[:batch], np.zeros(batch)
     total = np.zeros(len(prods), dtype=np.complex128)
     gray = 0
     for t in range(1 << (k - 1 - b)):
@@ -135,38 +136,44 @@ def _glynn(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
             total -= term
         else:
             total += term
-    return total[:batch] / (1 << (k - 1))
+        if moduli:
+            modulus += np.abs(outcome_prods).sum(axis=1)
+    return total[:batch] / (1 << (k - 1)), modulus / (1 << (k - 1))
 
 
-def _permanents(rows: np.ndarray, joint: np.ndarray) -> np.ndarray:
+def _permanents(rows: np.ndarray, joint: np.ndarray, moduli: bool = False):
     """Per(joint[rows[o]]) for each row o of an (outcomes x k) index array.
 
     joint is a finite complex128 matrix with k columns; an outcome may
     take a row more than once, and outcomes may share rows. Outcomes go
     through Glynn's sum _stack_chunk(k) at a time; k <= 3 takes closed
-    forms on Python scalars, one outcome at a time. An outcome's value
-    does not depend on its chunk (given the BLAS property the module
-    docstring names). rows comes first, at most sampling.STACK_SIZE
-    long: perfbench's tracer adds 2^len(first argument) per call.
+    forms on Python scalars, one outcome at a time. With moduli, the
+    pair (permanents, each one's sum of its terms' moduli) is returned:
+    sum_delta 2^(1-k) |prod of row sums| for Glynn's sum, and
+    sum_sigma |prod a|, the permanent of |joint|, for the closed forms.
+    An outcome's values do not depend on its chunk (given the BLAS
+    property the module docstring names). rows comes first, at most
+    sampling.STACK_SIZE long: perfbench's tracer adds 2^len(first
+    argument) per call.
     """
     batch, k = rows.shape
     if k > RYSER_DIMENSION_CAP:
         raise CapacityError(f"permanent dimension {k} exceeds cap {RYSER_DIMENSION_CAP} (2^{k - 1} sign vectors)")
-    if k == 0:
-        return np.ones(batch, dtype=np.complex128)
-    if k <= 3:
-        table = joint.tolist()
-        return np.array(
-            [_small_permanent([table[i] for i in idx]) for idx in rows.tolist()], dtype=np.complex128
-        )
-    out = np.empty(batch, dtype=np.complex128)
-    step = _stack_chunk(k)
-    # Entries near the float64 limit overflow inside the sum; the caller
-    # sees the non-finite result, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, batch, step):
-            out[start : start + step] = _glynn(rows[start : start + step], joint)
-    return out
+    out, sums = np.ones(batch, dtype=np.complex128), np.ones(batch)
+    if 1 <= k <= 3:
+        picks = rows.tolist()
+        for values, table in zip((out, sums), (joint, np.abs(joint)) if moduli else (joint,)):
+            table = table.tolist()
+            values[:] = [_small_permanent([table[i] for i in idx]) for idx in picks]
+    elif k:
+        step = _stack_chunk(k)
+        # Entries near the float64 limit overflow inside the sum; the caller
+        # sees the non-finite result, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, batch, step):
+                chunk = slice(start, start + step)
+                out[chunk], sums[chunk] = _glynn(rows[chunk], joint, moduli)
+    return (out, sums) if moduli else out
 
 
 def permanent_ryser(matrix) -> complex:

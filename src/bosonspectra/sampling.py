@@ -21,12 +21,13 @@ probability is a sum of permanents in one of two closed forms:
   sum P(M) = sum_{S_vec |- M} |amp(S_vec)|^2, its splits a product over
   modes of each M_k's splits, summed by math.fsum;
   or the pair sum (pairsum), Glynn's formula for both permutations of
-  |Per(A_S)|^2 with the splits summed in closed form. The pair sum costs
-  n r 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
+  |Per(A_S)|^2 with the splits summed in closed form: one permanent of
+  size n for each of Glynn's 2^(n-1) sign vectors eps. The pair sum
+  costs n 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
   prod_k C(M_k + r - 1, r - 1) splits; each signature takes the cheaper,
-  the split sum on a tie (_costs). A pair sum whose terms cancel, with
-  kappa = sum |terms| / |sum of terms| above PAIR_SUM_KAPPA, falls back
-  to the split sum.
+  the split sum on a tie (_costs). A pair sum whose (delta, eps) terms
+  cancel, with kappa = sum |terms| / |sum of terms| above
+  PAIR_SUM_KAPPA, falls back to the split sum.
 
 _costs is the one price list. Every stream is priced from it when made,
 without enumerating anything, and refused with CapacityError if its
@@ -50,17 +51,18 @@ Every stream is checked and priced when made and does its work as it is
 read, a single outcome's included.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
-row of indices into the joint matrix A. One stream, _count_blocks, makes
+row of indices into one joint matrix. One stream, _count_blocks, makes
 every count row in blocks of STACK_SIZE: a resolved sweep's outcomes,
 and split-sum signatures' splits, run across signatures. A sweep is a
 stream of chunks of STACK_SIZE outcomes in sweep order, so nothing held
 grows with the sweep or with a signature's splits. A blind chunk's pair
-sums share one set of per-mode tables and their powers
-(pairsum._pair_sums). Only Per / sqrt(prod S_vec!) and its squared
-modulus run per outcome, on Python scalars: numpy's complex division
-and its ** 2 round differently. A split sum is correctly rounded
-whatever its splits' order or block, so a single query's value is the
-sweep's bit for bit.
+sums share the rows of A_eps for its occupied modes, each (signature,
+eps) pair one index row into them (pairsum._pair_sums). Only
+Per / sqrt(prod S_vec!) and its squared modulus run per outcome, on
+Python scalars: numpy's complex division and its ** 2 round
+differently. A split sum or a pair sum is correctly rounded whatever
+its terms' order or block, so a single query's value is the sweep's bit
+for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -92,12 +94,15 @@ MIXTURE_WEIGHT_TOL = 1e-10
 # Permanents per kernel call, and outcomes per sweep chunk: bounds working
 # memory on sweeps over thousands of outcomes.
 STACK_SIZE = 256
-# The pair sum's accuracy guard: a signature whose terms have a summation
-# condition number kappa = sum |terms| / |sum of terms| above it takes the
-# split sum; an exact zero has kappa = inf. Against exact values, the pair
-# sum erred by at most 5.5e-15 below kappa 32, on the exact reference
-# (n <= 5) and on Haar sweeps (n = 4, m = 5, double inputs); above it, by up
-# to 1.2e-13 (n = 5, r = 5, fully bunched, kappa 1489) and 2.9e-13.
+# The pair sum's accuracy guard: a signature whose (delta, eps) terms have a
+# summation condition number kappa = sum |terms| / |sum of terms| above it
+# takes the split sum; an exact zero has kappa = inf. Against exact values,
+# the pair sum erred by at most 2.3e-15 below kappa 32 (388 of 411
+# signatures: the exact reference, n <= 5, and the bunched signatures of
+# Haar sweeps, n = 4, m = 5, double inputs); above it, by up to 2.1e-13
+# (n = 5, r = 5, fully bunched, kappa 1489). A kappa over the eps terms
+# alone misses each permanent's own cancellation: it is 4.2 on a Haar
+# signature whose pair sum errs by 2.0e-14 (kappa 207).
 PAIR_SUM_KAPPA = 32.0
 
 
@@ -257,7 +262,7 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs, costs) -> list[f
         from .pairsum import _pair_sums
 
         totals, abs_sums = _pair_sums(joint, r, np.array([sigs[i] for i in pair]))
-        for i, total, abs_sum in zip(pair, totals.tolist(), abs_sums.tolist()):
+        for i, total, abs_sum in zip(pair, totals, abs_sums):
             kappa = abs_sum / abs(total) if total else math.inf
             if kappa <= PAIR_SUM_KAPPA:
                 values[i] = total * 0.25 ** (n - 1) / math.prod(map(math.factorial, sigs[i]))
@@ -277,18 +282,20 @@ def _split_count(sig, r: int) -> int:
 
 
 def _costs(n: int, r: int, sig) -> tuple[int, int]:
-    """Multiply-adds of sig's pair sum, n r 4^(n-1), and of its split sum, n 2^(n-1) per split.
+    """Multiply-adds of sig's pair sum, n 4^(n-1), and of its split sum, n 2^(n-1) per split.
 
-    The pair sum takes sig only if it costs less. The empty signature has
-    one split: _costs(n, r, ()) prices a pair sum and one permanent of
-    size n, a resolved outcome.
+    The pair sum is 2^(n-1) permanents of size n whatever r is; it takes
+    sig only if it costs less, that is if sig has more than 2^(n-1)
+    splits. The empty signature has one split: _costs(n, r, ()) prices a
+    pair sum and one permanent of size n, a resolved outcome.
     """
-    return n * r * 4 ** (n - 1), n * 2 ** (n - 1) * _split_count(sig, r)
+    return n * 4 ** (n - 1), n * 2 ** (n - 1) * _split_count(sig, r)
 
 
 # Multiply-adds a stream may cost: the work of the largest permanent the
-# kernel admits. On a 2-core Xeon VM the kernel runs about 1.8e8 of them a
-# second (90 s for this budget) and the pair sum about 7.8e8 (20 s).
+# kernel admits. On a 2-core Xeon VM the kernel, and so the pair sum, runs
+# about 1.8e8 of them a second (90 s for this budget; a generic n = 14 pair
+# sum, 9.4e8, took 4.9 s).
 _WORK_BUDGET = _costs(RYSER_DIMENSION_CAP, 1, ())[1]
 
 

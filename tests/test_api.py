@@ -190,15 +190,16 @@ CONFIG_MODULES = {"errors", "document", "permanent", "network", "spectra", "samp
     (["permanent", "matrix.json"], {"errors", "document", "permanent"}),
     (["distribution", "--config", "config.json"], CONFIG_MODULES),
     (["distribution", "--config", "three.json"], CONFIG_MODULES | {"pairsum"}),
-    (["hom-scan", "--alpha-grid", "0:1:3"], CONFIG_MODULES),
+    (["hom-scan", "--alpha-grid", "0:1:3"], CONFIG_MODULES | {"pairsum"}),
     (["verify", "--config", "config.json"], CONFIG_MODULES | {"oracle"}),
 ], ids=["permanent", "distribution", "distribution, pair sum", "hom-scan", "verify"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
-    # Two photons take the split sum; three distinct ones (r = 3) the pair sum.
+    # Two identical photons (r = 1) take the split sum; three distinct ones
+    # (r = 3), like HOM's two (r = 2), the pair sum.
     (tmp_path / "matrix.json").write_text(json.dumps([[[0.5, -0.25]]]))
     (tmp_path / "config.json").write_text(json.dumps({
         "network": {"preset": "beamsplitter"},
-        "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}, {"gaussian": {"mu": 0.5, "sigma": 1.0}}],
+        "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}, {"gaussian": {"mu": 0.0, "sigma": 1.0}}],
     }))
     (tmp_path / "three.json").write_text(json.dumps({
         "network": {"preset": "dft", "modes": 3},

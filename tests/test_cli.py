@@ -325,19 +325,19 @@ class TestErrors:
         })
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("case", ["31 distinct photons", "15 generic photons", "65 photons of two species",
+    @pytest.mark.parametrize("case", ["31 distinct photons", "16 generic photons", "65 photons of two species",
                                       "mixture"])
     def test_work_over_the_budget_exits_3_before_any_output(self, tmp_path, monkeypatch, capsys, case):
         species = [{"gaussian": {"mu": 0.0, "sigma": 1.0, "tau": 0.0}},
                    {"gaussian": {"mu": 0.3, "sigma": 0.8, "tau": 0.9}}]
         n, photons = {
             "31 distinct photons": (31, GENERIC[:31]),
-            "15 generic photons": (15, GENERIC[:15]),
+            "16 generic photons": (16, GENERIC[:16]),
             "65 photons of two species": (65, [species[j % 2] for j in range(65)]),
         }.get(case, (2, None))
         if photons is None:
-            # Two combinations of 4 and 16 multiply-adds under a budget of 16.
-            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 16)
+            # Two combinations of 4 and 8 multiply-adds under a budget of 11.
+            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 11)
             far = {"probability": 0.5, "gaussian": {"mu": 40.0, "sigma": 1.0, "tau": 0.0}}
             photons = [species[0], {"mixture": [{"probability": 0.5, **species[0]}, far]}]
         cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": n}, "photons": photons,

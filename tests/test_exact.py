@@ -10,12 +10,14 @@ meet it, not widen it.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import exact_reference as ex
+import bosonspectra.sampling
 from bosonspectra import (
     CoefficientSpectrum,
     GaussianWavepacket,
@@ -186,3 +188,17 @@ def test_sylvester_zeros_fall_back_to_the_split_sum():
         assert pair < split
         totals, abs_sums = _pair_sums(joint, 4, np.array([sig]))
         assert not abs_sums[0] <= PAIR_SUM_KAPPA * abs(totals[0])
+
+
+def test_kappa_counts_each_permanents_own_terms(monkeypatch):
+    # The cost rule gives these signatures of Haar seed 1 to the pair sum.
+    # Over its 8 outer eps terms kappa is 5.2 and 4.2, which a guard on them
+    # would pass, and the pair sum errs by 8.5e-15 and 2.0e-14 against the
+    # exact value, over DOUBLE_INPUT_RTOL; over every (delta, eps) term, as
+    # the guard counts, kappa is 686 and 207. So both take the split sum.
+    network, lam = haar_sweep_case(1)
+    sigs = [(0, 0, 0, 0, 4), (0, 0, 1, 0, 3)]
+    assert all(operator.lt(*_costs(4, 4, sig)) for sig in sigs)
+    routed = [probability_nonresolved(network, lam, None, sig) for sig in sigs]
+    monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
+    assert routed == [probability_nonresolved(network, lam, None, sig) for sig in sigs]

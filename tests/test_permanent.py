@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -180,19 +181,39 @@ def test_rows_shared_between_and_repeated_within_outcomes(rng, k):
 def test_outcome_keeps_its_bits_anywhere_in_a_chunk(rng, k):
     # The same outcome alone, and first, in the middle or last among other
     # outcomes of one chunk, over a joint narrower than k (rows repeat) and
-    # one wider. Equality rests on the BLAS property that the permanent
-    # module docstring names: each output row rounded on its own.
+    # one wider, its permanent and its moduli. Equality rests on the BLAS
+    # property that the permanent module docstring names: each output row
+    # rounded on its own.
     step = _stack_chunk(k)
     for width in (k // 2, 3 * k):
         joint = _random_complex(rng, width, k)
         rows = rng.integers(0, width, size=(step, k))
         target = rows[0].copy()
-        alone = _permanents(target[None], joint)[0]
-        assert alone == permanent_ryser(joint[target])
+        alone = tuple(out[0] for out in _permanents(target[None], joint, moduli=True))
+        assert alone[0] == permanent_ryser(joint[target])
         for pos in {0, step // 2, step - 1}:
             rows[pos] = target
-            assert _permanents(rows, joint)[pos] == alone, (width, pos)
+            assert tuple(out[pos] for out in _permanents(rows, joint, moduli=True)) == alone, (width, pos)
             rows[pos] = rng.integers(0, width, size=k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_moduli_are_the_sum_of_the_terms_moduli(rng, k):
+    # Glynn's terms 2^(1-k) |prod_i sum_j delta_j a[i, j]| for k >= 4, and
+    # the closed forms' |prod_i a[i, sigma(i)]| for k <= 3, over outcomes
+    # that share and repeat rows.
+    joint = _random_complex(rng, 5, k)
+    rows = rng.integers(0, 5, size=(2 * _stack_chunk(k) + 1, k))
+    values, moduli = _permanents(rows, joint, moduli=True)
+    assert np.array_equal(values, _permanents(rows, joint))
+    for pos in (0, len(rows) // 2, -1):
+        a = joint[rows[pos]]
+        if k <= 3:
+            terms = [abs(math.prod(a[i, p] for i, p in enumerate(perm))) for perm in itertools.permutations(range(k))]
+        else:
+            deltas = [np.array((1,) + d) for d in itertools.product((1, -1), repeat=k - 1)]
+            terms = [abs(np.prod(a @ d)) / 2 ** (k - 1) for d in deltas]
+        assert moduli[pos] == pytest.approx(math.fsum(terms), rel=1e-13), pos
 
 
 def _blas() -> str:
@@ -273,6 +294,9 @@ def test_stack_edge_shapes():
     assert _permanents(np.zeros((0, 4), dtype=int), np.ones((4, 4))).shape == (0,)
     assert np.array_equal(_permanents(np.zeros((3, 0), dtype=int), np.zeros((0, 0))), np.ones(3))
     assert np.array_equal(_permanents(np.tile(np.arange(4), (2, 1)), np.ones((4, 4))), [24.0, 24.0])
+    # Glynn's terms for ones(4): |sum delta|^4 / 8 over the eight delta, 320 / 8.
+    assert np.array_equal(_permanents(np.tile(np.arange(4), (2, 1)), np.ones((4, 4)), moduli=True),
+                          [[24.0, 24.0], [40.0, 40.0]])
     with pytest.raises(DimensionError):
         permanent_ryser([[np.inf]])
     with pytest.raises(CapacityError):
@@ -282,6 +306,6 @@ def test_stack_edge_shapes():
 def test_stack_does_not_alias_input(rng):
     for k in (1, 4):  # closed form and Glynn's sum
         rows, joint = _distinct_rows(rng, 3, k)
-        got = _permanents(rows, joint)
+        got = _permanents(rows, joint, moduli=True)
         joint[:] = 0.0
-        assert np.all(got != 0.0)
+        assert all(np.all(out != 0.0) for out in got)

@@ -229,7 +229,9 @@ class TestBlindSweep:
     @pytest.mark.parametrize("case", ["generic", "two species", "rank deficient", "permuted inputs"])
     def test_sweep_equals_single_queries_bit_for_bit(self, rng, case):
         # 330 signatures, more than a chunk. r = 4 takes the pair sum but for
-        # the kappa fallbacks; two species (r = 2) take the split sum.
+        # the kappa fallbacks; two species (r = 2) take the split sum where
+        # a signature has at most 2^3 splits, as (3, 1, 0, ..), and the pair
+        # sum elsewhere.
         u, inputs = make_random_unitary(8, 37), None
         if case == "two species":
             lam = LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]])
@@ -245,14 +247,15 @@ class TestBlindSweep:
             assert p == probability_nonresolved(u, lam, inputs, sig), sig
         takes_pair = [_takes_pair_sum(4, lam.basis_size, sig) for sig in dist]
         if case == "two species":
-            assert not any(takes_pair)
+            assert any(takes_pair) and not all(takes_pair)
         else:
             assert all(takes_pair)
             assert fallbacks(u, lam, inputs or (1, 2, 3, 4), dist) >= 1
 
-    def test_split_sum_is_the_fsum_of_the_resolved_stream(self):
+    def test_split_sum_is_the_fsum_of_the_resolved_stream(self, monkeypatch):
         # Each split is one resolved outcome, so a split-summed signature is
         # the math.fsum of the resolved sweep's values over its outcomes.
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
         species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
         u, lam = make_random_unitary(5, 61), lambda_from_photons([species[j % 2] for j in range(4)])
         by_signature = {}
@@ -260,7 +263,6 @@ class TestBlindSweep:
             by_signature.setdefault(tuple(map(sum, zip(*outcome))), []).append(p)
         assert lam.basis_size == 2 and len(by_signature) == 70
         for sig, ps in by_signature.items():
-            assert not _takes_pair_sum(4, 2, sig)
             assert probability_nonresolved(u, lam, None, sig) == math.fsum(ps), sig
 
     def test_split_sum_does_not_depend_on_the_order_of_its_splits(self, rng, monkeypatch):
@@ -312,19 +314,26 @@ class TestBlindSweep:
         assert 0.0 < p < 1.0
         assert peak < 2e6
 
-    @pytest.mark.parametrize("case", ["resolved sweep", "two species sweep", "fallback sweep", "large fallback"])
+    @pytest.mark.parametrize("case", ["resolved sweep", "two species sweep", "fallback sweep", "large fallback",
+                                      "pair sum"])
     def test_kernel_calls_take_at_most_a_stack(self, rng, monkeypatch, case):
         # Resolved outcomes and split sums reach the kernel through one
-        # stream of count blocks, full but for the last.
+        # stream of count blocks, full but for the last, and pair sums
+        # through blocks of (signature, eps) rows.
         sizes = []
         kernel = bosonspectra.sampling._permanents
 
-        def counted(rows, joint):
+        def counted(rows, joint, **moduli):
             sizes.append(len(rows))
-            return kernel(rows, joint)
+            return kernel(rows, joint, **moduli)
 
         monkeypatch.setattr(bosonspectra.sampling, "_permanents", counted)
-        if case == "resolved sweep":
+        monkeypatch.setattr(bosonspectra.pairsum, "_permanents", counted)
+        if case == "pair sum":
+            # One generic n = 10 signature: 512 sign vectors.
+            probability_nonresolved(make_random_unitary(12, 53), random_unit_rows(rng, 10, 10), None,
+                                    (1,) * 10 + (0, 0))
+        elif case == "resolved sweep":
             distribution_resolved(make_random_unitary(4, 23), random_unit_rows(rng, 4, 4))
         elif case == "two species sweep":
             lam = LambdaMatrix(random_unit_rows(rng, 2, 2).matrix[[0, 1, 0, 1]])
@@ -340,7 +349,8 @@ class TestBlindSweep:
         assert max(sizes) == STACK_SIZE
 
     def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
-        # n = 8, r = 8: four blocks of delta, and 43 signatures in passes of 16.
+        # n = 8, r = 8: 43 signatures of 128 sign vectors each, 22 kernel
+        # calls, over the rows of up to nine modes.
         u, lam = make_random_unitary(9, 41), random_unit_rows(rng, 8, 8)
         sigs = np.array(list(itertools.islice(_occupations(8, 9), 0, None, 300)))
         assert len(sigs) == 43
@@ -351,33 +361,44 @@ class TestBlindSweep:
             assert (totals[k], abs_sums[k]) == (alone[0][0], alone[1][0]), sig
 
     @pytest.mark.parametrize("n,r,sig,pair", [
-        (8, 2, (1,) * 8 + (0,) * 4, False),  # two species, the perfbench block: a tie
+        (8, 2, (1,) * 8 + (0,) * 4, True),  # two species, the perfbench block: 2^8 splits, 2^7 sign vectors
         (16, 1, (2,) + (1,) * 14 + (0,) * 5, False),  # identical photons
-        (4, 2, (1, 1, 1, 1, 0), False),
+        (4, 2, (1, 1, 1, 1, 0), True),
         (4, 4, (1, 1, 1, 1, 0), True),
         (5, 5, (2, 1, 1, 1, 0, 0, 0, 0, 0), True),
-        (2, 2, (1, 1), False),  # HOM
+        (2, 2, (1, 1), True),  # HOM: 4 splits, 2 sign vectors
+        (4, 2, (3, 1, 0, 0, 0), False),  # a tie: 2^3 splits
     ])
     def test_routing(self, n, r, sig, pair):
         assert _takes_pair_sum(n, r, sig) == pair
 
     def test_bigperm_shapes_take_the_split_sum(self, monkeypatch):
+        # The two-species block costs its pair sum half its split sum. Its
+        # split sum, forced, gives what the unguarded pair sum does (kappa
+        # 35.6 here, so the guard sends it to the split sum anyway).
+        sig = (1,) * 8 + (0,) * 4
+        assert _costs(8, 2, sig) == (131072, 262144)
+        species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
+        u, lam = make_random_unitary(12, 43), lambda_from_photons([species[j % 2] for j in range(8)])
+        pair = pair_sum(u, lam, tuple(range(1, 9)), sig)[0]
+
         def refuse(*args):
             raise AssertionError("pair sum called")
 
         monkeypatch.setattr(bosonspectra.pairsum, "_pair_sums", refuse)
-        assert _costs(8, 2, (1,) * 8 + (0,) * 4) == (262144, 262144)
-        species = [GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.3, 0.8, 0.9)]
-        lam = lambda_from_photons([species[j % 2] for j in range(8)])
-        p = probability_nonresolved(make_random_unitary(12, 43), lam, None, (1,) * 8 + (0,) * 4)
-        assert 0.0 < p < 1.0
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
+        p = probability_nonresolved(u, lam, None, sig)
+        assert 0.0 < p < 1.0 and pair == pytest.approx(p, rel=1e-13)
+        # Identical photons take the split sum by cost.
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", _costs)
         lam = LambdaMatrix(np.ones((16, 1)))
         p = probability_nonresolved(make_random_unitary(20, 47), lam, None, (2,) + (1,) * 14 + (0,) * 5)
         assert 0.0 < p < 1.0
 
     def test_pair_sum_memory_is_blocked(self, rng):
-        # One generic n = 10 signature: 4^9 pairs per mode, taken in blocks
-        # of 6 x 512. Unblocked, its table of D_k alone would hold 42 MB.
+        # One generic n = 10 signature: 512 permanents of size 10 over the
+        # rows A_eps[k, :] of 256 sign vectors at a time. Its old pair sum's
+        # table of 4^9 pairs per mode, unblocked, would hold 42 MB.
         u, lam = make_random_unitary(12, 53), random_unit_rows(rng, 10, 10)
         tracemalloc.start()
         try:
@@ -608,7 +629,7 @@ class TestWorkBudget:
     """Every stream is priced by _costs when made, and refused over the budget before any work."""
 
     @pytest.mark.parametrize("n,m,r,sig", [
-        (2, 2, 2, (1, 1)),  # HOM, a tie
+        (2, 2, 2, (1, 1)),  # HOM
         (4, 5, 4, (1, 1, 1, 1, 0)),
         (5, 9, 5, (2, 1, 1, 1, 0, 0, 0, 0, 0)),
         (8, 12, 2, (1,) * 8 + (0,) * 4),
@@ -633,13 +654,13 @@ class TestWorkBudget:
         assert _WORK_BUDGET == 30 * 2**29
 
     def test_thirty_one_distinct_photons_refused_at_the_call(self):
-        # Routed to the pair sum at 1.11e21 multiply-adds, whose sign tables
-        # alone would take 8 GiB.
+        # Routed to the pair sum at 3.57e19 multiply-adds, whose sign table
+        # alone would take about 500 GiB.
         u, lam = make_dft(31), lambda_from_photons(generic(31))
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(CapacityError, match="the query's 1.11e[+]21 multiply-adds exceed the work budget"):
+            with pytest.raises(CapacityError, match="the query's 3.57e[+]19 multiply-adds exceed the work budget"):
                 probability_nonresolved(u, lam, None, (1,) * 31)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -656,10 +677,10 @@ class TestWorkBudget:
             probability_nonresolved(u, lam, None, (1000,) + (0,) * 999)
 
     def test_generic_fourteen_photons_are_admitted(self):
-        # 1.32e10 multiply-adds, under the budget: the stream is made, not read.
+        # 9.40e8 multiply-adds, under the budget: the stream is made, not read.
         u, photons, sig = Interferometer(np.eye(30)), generic(14), (1,) * 14 + (0,) * 16
         work, _ = _priced_chunks(u, lambda_from_photons(photons), None, "nonresolved", sig)
-        assert work == 14 * 14 * 4**13 < _WORK_BUDGET
+        assert work == 14 * 4**13 < _WORK_BUDGET
         bosonspectra.sampling.probability_chunks(u, photons, None, "nonresolved", sig)
 
 
@@ -922,20 +943,20 @@ class TestProbabilityMixed:
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
         wide = MixedPhotonSource(tuple((1.0 / 400.0, GaussianWavepacket(float(k), 1.0, 0.0)) for k in range(400)))
         # Two combinations, psi twice (4 multiply-adds) and psi with an
-        # orthogonal photon (16): each fits a budget of 16, not both.
+        # orthogonal photon (8, its pair sum): each fits a budget of 11, not both.
         half = MixedPhotonSource(((0.5, psi), (0.5, GaussianWavepacket(40.0, 1.0, 0.0))))
         if case == "mixture budget":
-            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 16)
+            monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 11)
         args, error = {
             "detector": (([psi, psi], None, "heterodyne"), "unknown detector"),
             "mixture cap": (([wide, wide],), "160000 mixture combinations"),
             "inputs": (([psi, psi], (1, 1)), "distinct"),
             "outcome": (([psi, psi], None, "nonresolved", (1,) + (0,) * 29), "signature holds 1 photons"),
             "sweep cap": (([psi] * 30,), "exceed the sweep cap"),
-            # A generic single signature at n = 15 costs 6.04e10, its pair sum.
-            "work budget": ((generic(15), None, "nonresolved", (1,) * 15 + (0,) * 15),
-                            "the query's 6.04e[+]10 multiply-adds exceed the work budget 1.61e[+]10"),
-            "mixture budget": (([psi, half], None, "nonresolved", (1, 1) + (0,) * 28), "the query's 20 multiply-adds"),
+            # A generic single signature at n = 16 costs 1.72e10, its pair sum.
+            "work budget": ((generic(16), None, "nonresolved", (1,) * 16 + (0,) * 14),
+                            "the query's 1.72e[+]10 multiply-adds exceed the work budget 1.61e[+]10"),
+            "mixture budget": (([psi, half], None, "nonresolved", (1, 1) + (0,) * 28), "the query's 12 multiply-adds"),
         }[case]
         with pytest.raises((ConfigurationError, CapacityError), match=error):
             bosonspectra.sampling.probability_chunks(u, *args)

@@ -45,10 +45,12 @@ def two_species(n: int, modes: int) -> dict:
     return cfg
 
 
-# The blind sweep and the n = 6 signature take the pair sum, which calls no
-# permanent: their check is that the photons' basis was built (spectra.calls,
-# one per run through mixture_lambdas). The two-species n = 8 signature takes
-# the split sum over 256 splits, and verify the Fock oracle beside the engine.
+# The blind sweep and the n = 6 signature take the pair sum, whose kernel
+# calls the tracer does not see (it wraps only the layers' bindings, and
+# pairsum is none): their check is that the photons' basis was built
+# (spectra.calls, one per run through mixture_lambdas). The two-species n = 8
+# signature's pair sum cancels (kappa 70) and its split sum over 256 splits
+# answers; verify runs the Fock oracle beside the engine.
 @pytest.mark.parametrize("command,payload,counter", [
     (["distribution", "--config"], experiment(4, 5, "nonresolved"), "spectra.calls"),
     (["distribution", "--config"], experiment(6, 6, "nonresolved", {"signature": [1] * 6}), "spectra.calls"),
