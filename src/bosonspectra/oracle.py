@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, _Record
 from .network import Interferometer
-from .sampling import _checked_outcome, _pure_chunks, _validated_inputs, _weighted_chunks
+from .sampling import _check_work, _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks
 from .spectra import LambdaMatrix
 
 AMPLITUDE_PRUNE = 1e-15
@@ -227,20 +227,23 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
 
 
 def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
-    """One combination's sweep, or outcome alone, as (outcomes, (engine, oracle) pairs) chunks.
+    """One combination's engine work in multiply-adds and its (outcomes, (engine, oracle) pairs) chunks.
 
-    The detector and the oracle's own bound are checked at the call; the
-    engine's stream (sampling._pure_chunks, whose checks come first) and
-    the Fock expansion wait for the first chunk. The oracle reads the same
-    outcomes unvalidated, and the state is dropped once the whole
-    comparison is built, so a mixture's combinations hold one at a time.
+    The chunks hold the combination's sweep, or outcome alone. The
+    detector and the oracle's own bound are checked at the call, then the
+    engine's stream is made and priced by sampling._priced_chunks, which
+    checks the inputs and the outcome or sweep cap; the caller checks the
+    work. The Fock expansion and the engine's work wait for the first
+    chunk. The oracle reads the same outcomes unvalidated, and the state is
+    dropped once the whole comparison is built, so a mixture's combinations
+    hold one at a time.
     """
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
     _checked_inputs(interferometer, lam, input_modes)
+    work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
 
     def compared():
-        chunks = _pure_chunks(interferometer, lam, input_modes, detector, outcome)
         state = fock_evolve(interferometer, lam, input_modes)
         pairs = []
         for outcomes, values in chunks:
@@ -252,7 +255,7 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
         del state
         yield from pairs
 
-    return compared()
+    return work, compared()
 
 
 def verify_against_oracle(
@@ -265,10 +268,14 @@ def verify_against_oracle(
 
     Returns (rows, max_deviation) where each row is
     (outcome, engine_probability, oracle_probability), in sweep order.
+    Every check, the engine's work budget included, runs before the Fock
+    expansion.
     """
+    work, chunks = _compared_chunks(interferometer, lam, input_modes, detector)
+    _check_work(work)
     rows = [
         (outcome, engine_p, oracle_p)
-        for outcomes, pairs in _compared_chunks(interferometer, lam, input_modes, detector)
+        for outcomes, pairs in chunks
         for outcome, (engine_p, oracle_p) in zip(outcomes, pairs)
     ]
     return rows, max([0.0] + [abs(engine_p - oracle_p) for _, engine_p, oracle_p in rows])
@@ -283,8 +290,9 @@ def verify_chunks(
     outcome alone, as in sampling.probability_chunks. totals is an
     (outcomes x 2) float64 array of the engine's and the oracle's
     probabilities, each weighted over every mixture combination by the
-    loop behind probability_chunks. Each combination's STATE_BUDGET is
-    checked at the call; every check runs before the first expansion.
+    loop behind probability_chunks. Each combination's STATE_BUDGET and
+    engine checks, then the combinations' total engine work against the
+    work budget, are checked at the call, before the first expansion.
     """
     return _weighted_chunks(
         photons, detector, lambda lam: _compared_chunks(interferometer, lam, input_modes, detector, outcome)

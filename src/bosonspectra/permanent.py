@@ -22,15 +22,17 @@ amplitude in this package. Two independent routes are provided:
   accuracy guard on request, the sum of their moduli. A chunk holds at most
   STACK_ELEMENTS block entries, so memory is bounded whatever the
   outcome count and k (two k x 2^b blocks, 80 kB each, at k = 20).
-  k <= 3 uses closed forms in Python scalars, one outcome at a time.
+  Every k >= 1 takes this one path; at k = 1 the block is empty.
   Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4 with its OpenBLAS
-  0.3.31), one matrix per call takes 6-9 us for k <= 3, 30-45 us for
-  k = 4..8, 0.3 ms at k = 13, 2-3 ms at k = 16 and 37-45 ms at k = 20;
-  among 256 outcomes one takes 1.4 us at k = 3, 0.5 us at k = 4 and
-  8 us at k = 8. An outcome gets the same bits alone as anywhere in a
-  chunk: no BLAS call sees a single row (numpy hands a one-row product
-  to a dot routine, which rounds apart), and that BLAS rounds each
-  output row of a matrix product whatever the row count and position.
+  0.3.31; best of 7, the VM swings by up to 2x), one matrix per call
+  takes 40-80 us for k = 1..8, 0.5 ms at k = 13, 4 ms at k = 16 and
+  70 ms at k = 20; among 256 outcomes one takes 0.2 us at k = 1,
+  0.5 us at k = 3, 1.5 us at k = 4 and 13 us at k = 8. An outcome gets
+  the same bits alone as anywhere in a chunk: no BLAS call sees a single
+  row (numpy hands a one-row product to a dot routine, which rounds
+  apart; k = 1's row-sum product has inner dimension 0 and is all
+  zeros), and that BLAS rounds each output row of a matrix product
+  whatever the row count and position.
   Another BLAS build or CPU kernel may not, and then last bits move.
 * :func:`permanent_naive` -- direct sum over all k! permutations. Kept
   deliberately simple so it can serve as an oracle for the fast path.
@@ -90,22 +92,13 @@ def _stack_chunk(k: int) -> int:
     return max(1, STACK_ELEMENTS // (k << b))
 
 
-def _small_permanent(a):
-    if len(a) == 1:
-        return a[0][0]
-    if len(a) == 2:
-        (p, q), (r, s) = a
-        return p * s + q * r
-    (p, q, r), (s, t, u), (v, w, x) = a
-    return p * (t * x + u * w) + q * (s * x + u * v) + r * (s * w + t * v)
-
-
 def _glynn(rows: np.ndarray, joint: np.ndarray, moduli: bool) -> tuple[np.ndarray, np.ndarray]:
     batch, k = rows.shape
     b = min(BLOCK_BITS, k - 1)
     deltas, signs = _sign_block(b)
     # The chunk's rows, gathered once, and their row sums, column 0 and every
-    # high column at +1: at most STACK_ELEMENTS * b multiply-adds, k >= 4 rows.
+    # high column at +1: at most STACK_ELEMENTS * b multiply-adds, and k >= 2
+    # rows an outcome wherever b > 0.
     a = joint.take(rows.ravel(), axis=0)
     high = a[:, b + 1 :]
     base = a[:, 1 : b + 1] @ deltas
@@ -146,12 +139,11 @@ def _permanents(rows: np.ndarray, joint: np.ndarray, moduli: bool = False):
 
     joint is a finite complex128 matrix with k columns; an outcome may
     take a row more than once, and outcomes may share rows. Outcomes go
-    through Glynn's sum _stack_chunk(k) at a time; k <= 3 takes closed
-    forms on Python scalars, one outcome at a time. With moduli, the
-    pair (permanents, each one's sum of its terms' moduli) is returned:
-    sum_delta 2^(1-k) |prod of row sums| for Glynn's sum, and
-    sum_sigma |prod a|, the permanent of |joint|, for the closed forms.
-    An outcome's values do not depend on its chunk (given the BLAS
+    through Glynn's sum _stack_chunk(k) at a time, whatever k >= 1 is.
+    With moduli, the pair (permanents, each one's sum of its terms'
+    moduli) is returned: sum_delta 2^(1-k) |prod of row sums|, the terms
+    the sum adds, so a caller's condition number is that of the sum it
+    gets. An outcome's values do not depend on its chunk (given the BLAS
     property the module docstring names). rows comes first, at most
     sampling.STACK_SIZE long: perfbench's tracer adds 2^len(first
     argument) per call.
@@ -160,12 +152,7 @@ def _permanents(rows: np.ndarray, joint: np.ndarray, moduli: bool = False):
     if k > RYSER_DIMENSION_CAP:
         raise CapacityError(f"permanent dimension {k} exceeds cap {RYSER_DIMENSION_CAP} (2^{k - 1} sign vectors)")
     out, sums = np.ones(batch, dtype=np.complex128), np.ones(batch)
-    if 1 <= k <= 3:
-        picks = rows.tolist()
-        for values, table in zip((out, sums), (joint, np.abs(joint)) if moduli else (joint,)):
-            table = table.tolist()
-            values[:] = [_small_permanent([table[i] for i in idx]) for idx in picks]
-    elif k:
+    if k:
         step = _stack_chunk(k)
         # Entries near the float64 limit overflow inside the sum; the caller
         # sees the non-finite result, so numpy's warnings would only repeat it.

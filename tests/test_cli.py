@@ -348,6 +348,24 @@ class TestErrors:
         assert captured.err.startswith("error: the query's") and captured.err.count("\n") == 1
         assert "exceed the work budget" in captured.err
 
+    def test_verify_mixture_over_the_budget_exits_3_before_any_expansion(self, tmp_path, monkeypatch, capsys):
+        # Two combinations of 4 and 8 multiply-adds under a budget of 11, as
+        # distribution's "mixture" case above: refused before any Fock expansion.
+        def no_expansion(*args):
+            raise AssertionError("fock_evolve ran before the work budget was checked")
+
+        monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 11)
+        monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
+        psi = {"gaussian": {"mu": 0.0, "sigma": 1.0, "tau": 0.0}}
+        far = {"probability": 0.5, "gaussian": {"mu": 40.0, "sigma": 1.0, "tau": 0.0}}
+        photons = [psi, {"mixture": [{"probability": 0.5, **psi}, far]}]
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": 2}, "photons": photons,
+                                                 "query": {"signature": [1, 1]}})
+        assert main(["verify", "--config", cfg]) == EXIT_CAPACITY_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the query's 12 multiply-adds exceed the work budget")
+
     def test_ill_conditioned_gram_exits_3(self, tmp_path, capsys):
         # 16 slowly varying Gaussians: the decomposition, not the input,
         # loses unit norm, first on photon 15.
@@ -767,8 +785,8 @@ class TestVerify:
         def chunks_of(lam):
             rows = verify_against_oracle(u, lam)[0]
             # Chunks of 7 rows, so totals are also taken chunk by chunk.
-            return [([row[0] for row in rows[i:i + 7]], [row[1:] for row in rows[i:i + 7]])
-                    for i in range(0, len(rows), 7)]
+            return 0, [([row[0] for row in rows[i:i + 7]], [row[1:] for row in rows[i:i + 7]])
+                       for i in range(0, len(rows), 7)]
 
         chunks = list(_weighted_chunks(photons, "nonresolved", chunks_of))
         assert [len(outcomes) for outcomes, _ in chunks] == [7, 7, 6]
@@ -782,7 +800,7 @@ class TestVerify:
         _, _, photons = mixed_experiment()
         orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [[([(0, 1), (1, 0)], [0.5, 0.5])]] * 3)
         with pytest.raises(RuntimeError):
-            list(_weighted_chunks(photons, "nonresolved", lambda lam: next(orders)))
+            list(_weighted_chunks(photons, "nonresolved", lambda lam: (0, next(orders))))
 
     @pytest.mark.parametrize("later", [
         [([(1, 0)], [0.5]), ([(0, 1)], [0.5])],  # the same outcomes in other chunks
@@ -792,7 +810,7 @@ class TestVerify:
         _, _, photons = mixed_experiment()
         orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [later] * 3)
         with pytest.raises(RuntimeError):
-            list(_weighted_chunks(photons, "nonresolved", lambda lam: next(orders)))
+            list(_weighted_chunks(photons, "nonresolved", lambda lam: (0, next(orders))))
 
     def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()
@@ -1019,8 +1037,8 @@ class TestPermanent:
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, k):
-        # k = 5 overflows inside the Glynn sum, k = 2 in the closed form;
-        # either way stderr holds the error line and no numpy warning.
+        # Both k overflow inside the Glynn sum; stderr holds the error line
+        # and no numpy warning.
         path = write_json(tmp_path / "m.json", [[1e308] * k] * k)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -289,8 +289,8 @@ class TestVerifyAgainstOracle:
         # Within the state budget (10^6 candidates), but 82598880 resolved
         # outcomes are over the sweep cap.
         ("fock_evolve", 10, True, "resolved", "82598880 resolved outcomes exceed the sweep cap"),
-        # Over the state budget: refused before the engine's first chunk.
-        ("_pure_chunks", 8, False, "nonresolved", f"over {STATE_BUDGET}"),
+        # Over the state budget: refused before the engine's stream is made.
+        ("_priced_chunks", 8, False, "nonresolved", f"over {STATE_BUDGET}"),
     ])
     def test_every_check_runs_before_any_work(self, monkeypatch, skipped, m, distinguishable, detector, error):
         def no_work(*args):
@@ -309,13 +309,36 @@ class TestVerifyAgainstOracle:
             raise AssertionError("work ran before every combination was checked")
 
         monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_work)
-        monkeypatch.setattr(bosonspectra.oracle, "_pure_chunks", no_work)
+        monkeypatch.setattr(bosonspectra.sampling, "_probabilities_nonresolved", no_work)
         rows = np.eye(6)
         photons = [CoefficientSpectrum(row) for row in rows[:5]]
         photons.append(MixedPhotonSource(((0.5, CoefficientSpectrum(rows[5])),
                                           (0.5, CoefficientSpectrum(np.ones(6) / math.sqrt(6))))))
         with pytest.raises(CapacityError, match=f"6000000 terms, over {STATE_BUDGET}"):
             verify_chunks(make_dft(10), photons, None, "nonresolved")
+
+    def test_summed_engine_work_over_budget_refused_at_the_call(self, monkeypatch):
+        # Two combinations, psi twice (4 multiply-adds) and psi with an
+        # orthogonal photon (8, its pair sum): each fits a budget of 11, not
+        # both. As probability_chunks does, verify_chunks refuses their sum.
+        def no_expansion(*args):
+            raise AssertionError("fock_evolve ran before the work budget was checked")
+
+        monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
+        monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 11)
+        psi = GaussianWavepacket(0.0, 1.0, 0.0)
+        half = MixedPhotonSource(((0.5, psi), (0.5, GaussianWavepacket(40.0, 1.0, 0.0))))
+        with pytest.raises(CapacityError, match="the query's 12 multiply-adds"):
+            verify_chunks(Interferometer(np.eye(30)), [psi, half], None, "nonresolved", (1, 1) + (0,) * 28)
+
+    def test_one_combination_over_budget_refused_before_the_expansion(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("fock_evolve ran before the work budget was checked")
+
+        monkeypatch.setattr(bosonspectra.oracle, "fock_evolve", no_expansion)
+        monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 3)
+        with pytest.raises(CapacityError, match="exceed the work budget 3"):
+            verify_against_oracle(make_beamsplitter_50_50(), hom_lambda(0.5))
 
 
 def bits(x) -> tuple[str, str]:

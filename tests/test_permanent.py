@@ -177,15 +177,15 @@ def test_rows_shared_between_and_repeated_within_outcomes(rng, k):
     assert got.tolist() == [permanent_ryser(joint[r]) for r in rows]
 
 
-@pytest.mark.parametrize("k", range(4, 13))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_outcome_keeps_its_bits_anywhere_in_a_chunk(rng, k):
     # The same outcome alone, and first, in the middle or last among other
-    # outcomes of one chunk, over a joint narrower than k (rows repeat) and
-    # one wider, its permanent and its moduli. Equality rests on the BLAS
-    # property that the permanent module docstring names: each output row
-    # rounded on its own.
+    # outcomes of one chunk, over a joint of k // 2 rows (rows repeat; one
+    # row at k = 1) and one of 3 k, its permanent and its moduli. Equality
+    # rests on the BLAS property that the permanent module docstring names:
+    # each output row rounded on its own.
     step = _stack_chunk(k)
-    for width in (k // 2, 3 * k):
+    for width in (max(1, k // 2), 3 * k):
         joint = _random_complex(rng, width, k)
         rows = rng.integers(0, width, size=(step, k))
         target = rows[0].copy()
@@ -199,20 +199,16 @@ def test_outcome_keeps_its_bits_anywhere_in_a_chunk(rng, k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_moduli_are_the_sum_of_the_terms_moduli(rng, k):
-    # Glynn's terms 2^(1-k) |prod_i sum_j delta_j a[i, j]| for k >= 4, and
-    # the closed forms' |prod_i a[i, sigma(i)]| for k <= 3, over outcomes
+    # Glynn's terms 2^(1-k) |prod_i sum_j delta_j a[i, j]|, over outcomes
     # that share and repeat rows.
     joint = _random_complex(rng, 5, k)
     rows = rng.integers(0, 5, size=(2 * _stack_chunk(k) + 1, k))
     values, moduli = _permanents(rows, joint, moduli=True)
     assert np.array_equal(values, _permanents(rows, joint))
+    deltas = [np.array((1,) + d) for d in itertools.product((1, -1), repeat=k - 1)]
     for pos in (0, len(rows) // 2, -1):
         a = joint[rows[pos]]
-        if k <= 3:
-            terms = [abs(math.prod(a[i, p] for i, p in enumerate(perm))) for perm in itertools.permutations(range(k))]
-        else:
-            deltas = [np.array((1,) + d) for d in itertools.product((1, -1), repeat=k - 1)]
-            terms = [abs(np.prod(a @ d)) / 2 ** (k - 1) for d in deltas]
+        terms = [abs(np.prod(a @ d)) / 2 ** (k - 1) for d in deltas]
         assert moduli[pos] == pytest.approx(math.fsum(terms), rel=1e-13), pos
 
 
@@ -304,7 +300,7 @@ def test_stack_edge_shapes():
 
 
 def test_stack_does_not_alias_input(rng):
-    for k in (1, 4):  # closed form and Glynn's sum
+    for k in (1, 4):  # an empty and a three-column sign block
         rows, joint = _distinct_rows(rng, 3, k)
         got = _permanents(rows, joint, moduli=True)
         joint[:] = 0.0

@@ -434,8 +434,8 @@ class TestResolvedSweep:
         "case", ["generic", "identical", "rank deficient", "permuted inputs", "n = 4", "n = 5"]
     )
     def test_sweep_equals_single_queries_bit_for_bit(self, rng, case):
-        # n = 3 takes the kernel's closed forms; n = 4 and 5 Glynn's sum,
-        # which reduces a lone outcome as it does one among many.
+        # Glynn's sum reduces a lone outcome as it does one among many, at
+        # n = 3 as at n = 4 and 5.
         u = make_random_unitary(4, 23)
         inputs = None
         if case == "identical":
