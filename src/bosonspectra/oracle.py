@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, _Record
 from .network import Interferometer
-from .sampling import _check_work, _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks
+from .sampling import _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks, mixture_lambdas
 from .spectra import LambdaMatrix
 
 AMPLITUDE_PRUNE = 1e-15
@@ -92,8 +92,10 @@ class FockState(_Record):
         sigs = self.occupations[first].reshape(-1, self.m, self.basis_size).sum(axis=2, dtype=np.int64)
         return dict(zip(map(tuple, sigs.tolist()), sums.tolist()))
 
-    def _resolved(self, outcomes) -> list[float]:
-        """|amp|^2 of each resolved n-photon outcome (basis_size parts over m modes); 0.0 if no state."""
+    def _readouts(self, outcomes, detector: str) -> list[float]:
+        """Each signature's marginal, or each resolved outcome's |amp|^2 (basis_size parts); 0.0 if no state has it."""
+        if detector != "resolved":
+            return [self._marginals.get(tuple(o), 0.0) for o in outcomes]
         rows = np.array(outcomes, dtype=np.int64).reshape(-1, self.basis_size, self.m).transpose(0, 2, 1)
         modes = np.repeat(np.tile(np.arange(rows[0].size), len(rows)), rows.ravel()).reshape(len(rows), self.n)
         wanted = (modes << (_BITS * np.arange(self.n - 1, -1, -1))).sum(axis=1)
@@ -221,9 +223,7 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     if detector not in ("resolved", "nonresolved"):
         raise ConfigurationError(f"unknown detector model {detector!r}")
     outcome = _checked_outcome(outcome, detector, state.n, state.m, state.basis_size)
-    if detector == "resolved":
-        return state._resolved([outcome])[0]
-    return float(state._marginals.get(outcome, 0.0))
+    return state._readouts([outcome], detector)[0]
 
 
 def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
@@ -247,11 +247,7 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
         state = fock_evolve(interferometer, lam, input_modes)
         pairs = []
         for outcomes, values in chunks:
-            if detector == "resolved":
-                oracle = state._resolved(outcomes)
-            else:
-                oracle = [float(state._marginals.get(tuple(o), 0.0)) for o in outcomes]
-            pairs.append((outcomes, list(zip(values, oracle))))
+            pairs.append((outcomes, list(zip(values, state._readouts(outcomes, detector)))))
         del state
         yield from pairs
 
@@ -269,14 +265,13 @@ def verify_against_oracle(
     Returns (rows, max_deviation) where each row is
     (outcome, engine_probability, oracle_probability), in sweep order.
     Every check, the engine's work budget included, runs before the Fock
-    expansion.
+    expansion, in verify_chunks' loop at weight 1.0, which keeps the bits.
     """
-    work, chunks = _compared_chunks(interferometer, lam, input_modes, detector)
-    _check_work(work)
+    chunks = _weighted_chunks([(1.0, lam)], lambda lam: _compared_chunks(interferometer, lam, input_modes, detector))
     rows = [
         (outcome, engine_p, oracle_p)
-        for outcomes, pairs in chunks
-        for outcome, (engine_p, oracle_p) in zip(outcomes, pairs)
+        for outcomes, totals in chunks
+        for outcome, (engine_p, oracle_p) in zip(outcomes, totals.tolist())
     ]
     return rows, max([0.0] + [abs(engine_p - oracle_p) for _, engine_p, oracle_p in rows])
 
@@ -294,6 +289,5 @@ def verify_chunks(
     engine checks, then the combinations' total engine work against the
     work budget, are checked at the call, before the first expansion.
     """
-    return _weighted_chunks(
-        photons, detector, lambda lam: _compared_chunks(interferometer, lam, input_modes, detector, outcome)
-    )
+    return _weighted_chunks(mixture_lambdas(photons, detector),
+                            lambda lam: _compared_chunks(interferometer, lam, input_modes, detector, outcome))

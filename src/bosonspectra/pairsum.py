@@ -18,26 +18,27 @@ n 4^(n-1) multiply-adds whatever the basis size r.
 The rows A_eps[k, :] of a call's occupied modes are built STACK_SIZE
 sign vectors at a time, and every (signature, eps) pair is one index
 row into them for the shared kernel (permanent._permanents), at most
-STACK_SIZE rows a call. A signature's terms are summed by math.fsum, so
-its sums do not depend on the other signatures of the call, and a single
-query equals its sweep value bit for bit.
+STACK_SIZE rows a call. A signature's terms and their moduli are summed
+by math.fsum, so its P(M) and kappa do not depend on the other
+signatures of the call, and a single query equals its sweep value bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
-from .permanent import _permanents, _sign_block
-from .sampling import STACK_SIZE
+from .permanent import STACK_SIZE, _permanents, _sign_block
 
 
 def _pair_sums(joint: np.ndarray, r: int, sigs: np.ndarray) -> tuple[list[float], list[float]]:
-    """The sum of the pair sum's terms and the sum of their moduli, for each row of an (outcomes x m) signature array.
+    """P(M) by the pair sum and its kappa, for each row M of an (outcomes x m) signature array.
 
     joint is sampling's joint matrix, row i * m + k equal to
     U[k, T_j] lambda[j, i] in column j. The terms are Glynn's (delta, eps)
     terms: 2^(n-1) (prod eps) Per(A_eps(M)) sums them over delta, and
-    2^(n-1) times the kernel's moduli sums their moduli.
+    2^(n-1) times the kernel's moduli sums their moduli. kappa is the sum
+    of their moduli over |their sum|, inf for an exact zero.
     """
     n = joint.shape[1]
     half = 1 << (n - 1)
@@ -61,4 +62,6 @@ def _pair_sums(joint: np.ndarray, r: int, sigs: np.ndarray) -> tuple[list[float]
             per, modulus = _permanents((picks[part, None] + offsets).reshape(-1, n), a, moduli=True)
             terms[part, block], moduli[part, block] = per.real.reshape(-1, size), modulus.reshape(-1, size)
     terms *= signs.real
-    return tuple([math.ldexp(math.fsum(row), n - 1) for row in sums.tolist()] for sums in (terms, moduli))
+    totals = [math.fsum(row) for row in terms.tolist()]
+    return ([math.ldexp(t, 1 - n) / math.prod(map(math.factorial, sig)) for t, sig in zip(totals, sigs.tolist())],
+            [math.fsum(row) / abs(t) if t else math.inf for t, row in zip(totals, moduli.tolist())])

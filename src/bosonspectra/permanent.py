@@ -63,6 +63,10 @@ BLOCK_BITS = 8
 # just above it took 16 ms instead of 20 us in about half the calls.
 STACK_ELEMENTS = 1 << 13
 
+# Index rows per engine call of _permanents, and outcomes per sweep chunk:
+# bounds working memory on sweeps over thousands of outcomes.
+STACK_SIZE = 256
+
 
 def _as_square(matrix) -> np.ndarray:
     """matrix as a finite complex128 square matrix."""
@@ -145,7 +149,7 @@ def _permanents(rows: np.ndarray, joint: np.ndarray, moduli: bool = False):
     the sum adds, so a caller's condition number is that of the sum it
     gets. An outcome's values do not depend on its chunk (given the BLAS
     property the module docstring names). rows comes first, at most
-    sampling.STACK_SIZE long: perfbench's tracer adds 2^len(first
+    STACK_SIZE long: perfbench's tracer adds 2^len(first
     argument) per call.
     """
     batch, k = rows.shape

@@ -85,15 +85,12 @@ from .network import (
     as_occupation,
     submatrix,
 )
-from .permanent import RYSER_DIMENSION_CAP, _permanents, permanent_ryser
+from .permanent import RYSER_DIMENSION_CAP, STACK_SIZE, _permanents, permanent_ryser
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
 MIXTURE_TERM_CAP = 10**5
 MIXTURE_WEIGHT_TOL = 1e-10
-# Permanents per kernel call, and outcomes per sweep chunk: bounds working
-# memory on sweeps over thousands of outcomes.
-STACK_SIZE = 256
 # The pair sum's accuracy guard: a signature whose (delta, eps) terms have a
 # summation condition number kappa = sum |terms| / |sum of terms| above it
 # takes the split sum; an exact zero has kappa = inf. Against exact values,
@@ -245,29 +242,27 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
         yield block[: len(norms)], norms
 
 
-def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs, costs) -> list[float]:
+def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
     """P(M) for each signature M of sigs, by the pair sum or the split sum.
 
-    costs holds each signature's _costs. A signature takes the pair sum if
-    it costs fewer multiply-adds, and keeps its value if its terms'
-    condition number kappa = sum |terms| / |sum of terms| is at most
-    PAIR_SUM_KAPPA. The rest, fallbacks included, take the split sum:
+    A signature takes the pair sum if its _costs say it costs fewer
+    multiply-adds, and keeps the value _pair_sums gives if its kappa is at
+    most PAIR_SUM_KAPPA. The rest, fallbacks included, take the split sum:
     each the math.fsum of its rows of one _count_blocks stream, so a call
     holds one block of splits. A fallback whose split sum costs more than
     the work budget raises CapacityError first.
     """
     n = joint.shape[1]
+    costs = [_costs(n, r, sig) for sig in sigs]
     values = [None] * len(sigs)
     pair = [i for i, cost in enumerate(costs) if operator.lt(*cost)]
     if pair:
         # Imported here: resolved sweeps and split-sum queries never compile it.
         from .pairsum import _pair_sums
 
-        totals, abs_sums = _pair_sums(joint, r, np.array([sigs[i] for i in pair]))
-        for i, total, abs_sum in zip(pair, totals, abs_sums):
-            kappa = abs_sum / abs(total) if total else math.inf
+        for i, value, kappa in zip(pair, *_pair_sums(joint, r, np.array([sigs[i] for i in pair]))):
             if kappa <= PAIR_SUM_KAPPA:
-                values[i] = total * 0.25 ** (n - 1) / math.prod(map(math.factorial, sigs[i]))
+                values[i] = value
             else:
                 _check_work(costs[i][1], f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > "
                                          f"{PAIR_SUM_KAPPA}) and its split sum's")
@@ -412,9 +407,8 @@ def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mode
         if resolved:
             value = lambda: probability_resolved(interferometer, lam, inputs, checked)
             return _costs(n, nb, ())[1], _chunk(outcome, value)
-        costs = _costs(n, nb, checked)
-        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [checked], [costs])[0]
-        return min(costs), _chunk(outcome, value)
+        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [checked])[0]
+        return min(_costs(n, nb, checked)), _chunk(outcome, value)
     sig_count, outcome_count = math.comb(m + n - 1, n), math.comb(m * nb + n - 1, n)
     count = outcome_count if resolved else sig_count
     if count > DISTRIBUTION_OUTCOME_CAP:
@@ -427,8 +421,7 @@ def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mode
         return outcome_count * permanent, (
             (outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *block)]) for outcomes, block in chunks)
     return min(sig_count * pair, outcome_count * permanent), (
-        (sigs, _probabilities_nonresolved(joint, nb, sigs, [_costs(n, nb, sig) for sig in sigs]))
-        for sigs in _chunks(_occupations(n, m)))
+        (sigs, _probabilities_nonresolved(joint, nb, sigs)) for sigs in _chunks(_occupations(n, m)))
 
 
 def _chunk(outcome, value):
@@ -503,8 +496,8 @@ def mixture_lambdas(photons, detector: str):
             yield weight, lambda_from_photons([spec for _, (_, spec) in combo])
 
 
-def _weighted_chunks(photons, detector: str, chunks_of):
-    """Per outcome, the weighted sum over every mixture combination of its value or values.
+def _weighted_chunks(combinations, chunks_of):
+    """Per outcome, the weighted sum over every (weight, lam) combination of its value or values.
 
     chunks_of(lam) returns one combination's work in multiply-adds and its
     (outcomes, values) chunks, each value a number or a tuple of them. All
@@ -516,8 +509,7 @@ def _weighted_chunks(photons, detector: str, chunks_of):
     would, so pure photons keep their values exactly. Yields (outcomes,
     totals) per chunk, totals a float64 array.
     """
-    weights, works, streams = zip(
-        *[(weight, *chunks_of(lam)) for weight, lam in mixture_lambdas(photons, detector)])
+    weights, works, streams = zip(*[(weight, *chunks_of(lam)) for weight, lam in combinations])
     _check_work(sum(works))
 
     def totals():
@@ -545,8 +537,8 @@ def probability_chunks(
     sweep cap, then the combinations' total work against the work budget
     are checked at the call, before any combination's work starts.
     """
-    return _weighted_chunks(
-        photons, detector, lambda lam: _priced_chunks(interferometer, lam, input_modes, detector, outcome))
+    return _weighted_chunks(mixture_lambdas(photons, detector),
+                            lambda lam: _priced_chunks(interferometer, lam, input_modes, detector, outcome))
 
 
 def probability_mixed(

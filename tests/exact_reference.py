@@ -13,7 +13,8 @@ Blind probabilities come from the tau-sum
 
     P(M) = (1 / prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau])),
 
-G = lambda lambda^dag and B = U_{M,T}, and resolved ones from
+G = lambda lambda^dag (or a Gram matrix given as it is) and B = U_{M,T},
+and resolved ones from
 |Per(A_S)|^2 / prod S_vec!, A[(i, k), j] = U[k, T_j] lambda[j, i], with
 naive permanents throughout. ryser_permanent gives exact permanents of
 sizes past the naive sum's reach. Nothing here uses numpy or the package.
@@ -164,27 +165,36 @@ def _integral(matrix):
     return [[(int(z[0] * d), int(z[1] * d)) for z in row] for row in matrix], d
 
 
-def probability_nonresolved(u, lam, inputs, sig) -> Fraction:
-    """P(M) by the tau-sum; inputs are 1-based modes. Exact, so its imaginary part is 0.
+def gram(lam):
+    """G = lambda lambda^dag, G[j][k] = sum_i lambda[j][i] conj(lambda[k][i])."""
+    return [[_dot(row, [conj(x) for x in other]) for other in lam] for row in lam]
 
-    With U = N / d and lambda = L / c, every tau term carries the same
-    denominator c^(2n) d^(2n), so the sum runs over integers.
+
+def probability_nonresolved(u, lam, inputs, sig) -> Fraction:
+    """P(M) by the tau-sum over lambda's Gram matrix; inputs are 1-based modes."""
+    return probability_nonresolved_gram(u, gram(lam), inputs, sig)
+
+
+def probability_nonresolved_gram(u, g, inputs, sig) -> Fraction:
+    """P(M) by the tau-sum over the Hermitian Gram matrix g itself. Exact, so its imaginary part is 0.
+
+    With U = N / d and g = H / c, every tau term carries the same
+    denominator c^n d^(2n), so the sum runs over integers.
     """
-    n = len(lam)
-    (nu, d), (nl, c) = _integral(u), _integral(lam)
-    gram = [[_dot(nl[j], [conj(x) for x in nl[k]]) for k in range(n)] for j in range(n)]
+    n = len(g)
+    (nu, d), (h, c) = _integral(u), _integral(g)
     b = [[nu[k][t - 1] for t in inputs] for k in _repeat(sig)]
     total = (0, 0)
     for tau in itertools.permutations(range(n)):
         weight = (1, 0)
         for j in range(n):
-            weight = mul(weight, gram[j][tau[j]])
+            weight = mul(weight, h[j][tau[j]])
         if weight == (0, 0):
             continue
         stack = [[mul(row[j], conj(row[tau[j]])) for j in range(n)] for row in b]
         total = add(total, mul(weight, permanent(stack)))
     assert total[1] == 0
-    return Fraction(total[0], (c * d) ** (2 * n) * math.prod(math.factorial(k) for k in sig))
+    return Fraction(total[0], c**n * d ** (2 * n) * math.prod(math.factorial(k) for k in sig))
 
 
 def probability_resolved(u, lam, inputs, outcome) -> Fraction:

@@ -138,6 +138,35 @@ def test_cli_binds_only_public_engine_names():
         assert not name.startswith("_") and hasattr(getattr(bosonspectra, module), name), (module, name)
 
 
+def test_package_imports_form_no_cycle():
+    # Every `from .x import` of the package, those inside functions
+    # included, is an edge; a cycle means two modules each own half of
+    # something.
+    package = Path(bosonspectra.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name] = {
+            node.module or (alias.name if alias.name in modules else "__init__")
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for target in sorted(graph[name]):
+                visit(target)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
 def test_package_imported_from_this_checkout():
     # Tier-1 must test these sources, never an installed copy.
     src = Path(__file__).resolve().parents[1] / "src"

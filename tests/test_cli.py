@@ -29,7 +29,7 @@ from bosonspectra import (
     probability_nonresolved,
     verify_against_oracle,
 )
-from bosonspectra.sampling import DISTRIBUTION_OUTCOME_CAP, STACK_SIZE, _weighted_chunks
+from bosonspectra.sampling import DISTRIBUTION_OUTCOME_CAP, STACK_SIZE, _weighted_chunks, mixture_lambdas
 from bosonspectra.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_INPUT_ERROR,
@@ -788,7 +788,7 @@ class TestVerify:
             return 0, [([row[0] for row in rows[i:i + 7]], [row[1:] for row in rows[i:i + 7]])
                        for i in range(0, len(rows), 7)]
 
-        chunks = list(_weighted_chunks(photons, "nonresolved", chunks_of))
+        chunks = list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), chunks_of))
         assert [len(outcomes) for outcomes, _ in chunks] == [7, 7, 6]
         states = weighted_states(u, photons)
         for outcomes, totals in chunks:
@@ -800,7 +800,7 @@ class TestVerify:
         _, _, photons = mixed_experiment()
         orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [[([(0, 1), (1, 0)], [0.5, 0.5])]] * 3)
         with pytest.raises(RuntimeError):
-            list(_weighted_chunks(photons, "nonresolved", lambda lam: (0, next(orders))))
+            list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), lambda lam: (0, next(orders))))
 
     @pytest.mark.parametrize("later", [
         [([(1, 0)], [0.5]), ([(0, 1)], [0.5])],  # the same outcomes in other chunks
@@ -810,7 +810,7 @@ class TestVerify:
         _, _, photons = mixed_experiment()
         orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [later] * 3)
         with pytest.raises(RuntimeError):
-            list(_weighted_chunks(photons, "nonresolved", lambda lam: (0, next(orders))))
+            list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), lambda lam: (0, next(orders))))
 
     def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()

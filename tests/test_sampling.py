@@ -178,9 +178,8 @@ class TestPaperExpansion:
 
 def pair_sum(u, lam, inputs, sig):
     """sig's pair-sum probability, unguarded, and the kappa of its terms."""
-    totals, abs_sums = _pair_sums(_joint_matrix(u, lam, inputs), lam.basis_size, np.array([sig]))
-    value = totals[0] * 0.25 ** (lam.n - 1) / math.prod(map(math.factorial, sig))
-    return float(value), abs_sums[0] / abs(totals[0]) if totals[0] else math.inf
+    (value,), (kappa,) = _pair_sums(_joint_matrix(u, lam, inputs), lam.basis_size, np.array([sig]))
+    return value, kappa
 
 
 def split_sum(u, lam, inputs, sig):
@@ -355,10 +354,10 @@ class TestBlindSweep:
         sigs = np.array(list(itertools.islice(_occupations(8, 9), 0, None, 300)))
         assert len(sigs) == 43
         joint = _joint_matrix(u, lam, tuple(range(1, 9)))
-        totals, abs_sums = _pair_sums(joint, 8, sigs)
+        values, kappas = _pair_sums(joint, 8, sigs)
         for k, sig in enumerate(sigs):
             alone = _pair_sums(joint, 8, sig[None])
-            assert (totals[k], abs_sums[k]) == (alone[0][0], alone[1][0]), sig
+            assert (values[k], kappas[k]) == (alone[0][0], alone[1][0]), sig
 
     @pytest.mark.parametrize("n,r,sig,pair", [
         (8, 2, (1,) * 8 + (0,) * 4, True),  # two species, the perfbench block: 2^8 splits, 2^7 sign vectors
