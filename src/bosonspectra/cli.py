@@ -280,13 +280,10 @@ class ExperimentConfig(_Record):
     """A parsed config: the engine's inputs and the echo its document prints.
 
     outcome is a single outcome to query, or None for the whole sweep.
-    Unlike the engine's records, a config can be changed and has no hash.
+    Like the engine's records, a config is read-only.
     """
 
     _fields = ("interferometer", "photons", "input_modes", "detector", "outcome", "echo")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, interferometer: "Interferometer", photons: list, input_modes: tuple, detector: str,
                  outcome: tuple | None, echo: dict) -> None:

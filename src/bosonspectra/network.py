@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, _Record
-from .permanent import permanent_ryser
+from .permanent import _count_rows, permanent_ryser
 
 UNITARITY_TOL = 1e-10
 
@@ -71,14 +71,6 @@ def as_occupation(counts, m: int | None = None) -> tuple[int, ...]:
     return occ
 
 
-def _repeat_indices(occ: tuple[int, ...]) -> list[int]:
-    # [2, 0, 1] -> [0, 0, 2], i.e. index p repeated occ[p] times, ascending.
-    out: list[int] = []
-    for p, c in enumerate(occ):
-        out.extend([p] * c)
-    return out
-
-
 def submatrix(interferometer: Interferometer, output_occ, input_occ) -> np.ndarray:
     """The k x k matrix U_{S,T} for output configuration S and input T.
 
@@ -87,16 +79,12 @@ def submatrix(interferometer: Interferometer, output_occ, input_occ) -> np.ndarr
     is irrelevant to permanents but keeps results byte-stable.
     """
     m = interferometer.m
-    return _submatrix(interferometer, as_occupation(output_occ, m), as_occupation(input_occ, m))
-
-
-def _submatrix(interferometer: Interferometer, s: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
-    # s and t are already validated occupations of the interferometer's modes.
+    s, t = as_occupation(output_occ, m), as_occupation(input_occ, m)
     if sum(s) != sum(t):
         raise ConfigurationError(
             f"photon count mismatch: output has {sum(s)}, input has {sum(t)}"
         )
-    return interferometer.matrix[np.ix_(_repeat_indices(s), _repeat_indices(t))]
+    return interferometer.matrix[np.ix_(*_count_rows(np.array([s, t])))]
 
 
 def amplitude_ideal(interferometer: Interferometer, output_occ, input_occ) -> complex:
@@ -109,7 +97,7 @@ def amplitude_ideal(interferometer: Interferometer, output_occ, input_occ) -> co
     m = interferometer.m
     s = as_occupation(output_occ, m)
     t = as_occupation(input_occ, m)
-    per = permanent_ryser(_submatrix(interferometer, s, t))
+    per = permanent_ryser(submatrix(interferometer, s, t))
     norm = math.prod(math.factorial(c) for c in s) * math.prod(math.factorial(c) for c in t)
     return complex(per / math.sqrt(norm))
 

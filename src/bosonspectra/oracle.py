@@ -20,9 +20,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, _Record
+from .errors import CapacityError, _Record
 from .network import Interferometer
-from .sampling import _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks, mixture_lambdas
+from .sampling import (_checked_detector, _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks,
+                       mixture_lambdas)
 from .spectra import LambdaMatrix
 
 AMPLITUDE_PRUNE = 1e-15
@@ -220,9 +221,7 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     up. An outcome that does not hold the state's n photons raises
     ConfigurationError.
     """
-    if detector not in ("resolved", "nonresolved"):
-        raise ConfigurationError(f"unknown detector model {detector!r}")
-    outcome = _checked_outcome(outcome, detector, state.n, state.m, state.basis_size)
+    outcome = _checked_outcome(outcome, _checked_detector(detector), state.n, state.m, state.basis_size)
     return state._readouts([outcome], detector)[0]
 
 
@@ -238,8 +237,7 @@ def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_mo
     dropped once the whole comparison is built, so a mixture's combinations
     hold one at a time.
     """
-    if detector not in ("resolved", "nonresolved"):
-        raise ConfigurationError(f"unknown detector model {detector!r}")
+    _checked_detector(detector)
     _checked_inputs(interferometer, lam, input_modes)
     work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
 

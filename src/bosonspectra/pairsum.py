@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .permanent import STACK_SIZE, _permanents, _sign_block
+from .permanent import STACK_SIZE, _count_rows, _permanents, _sign_block
 
 
 def _pair_sums(joint: np.ndarray, r: int, sigs: np.ndarray) -> tuple[list[float], list[float]]:
@@ -47,7 +47,7 @@ def _pair_sums(joint: np.ndarray, r: int, sigs: np.ndarray) -> tuple[list[float]
     modes = np.flatnonzero(sigs.any(axis=0))
     count = len(modes)
     # Row s: signature s's modes, as positions in modes, each repeated M_k times.
-    picks = np.repeat(np.arange(count * len(sigs)) % count, sigs[:, modes].ravel()).reshape(len(sigs), n)
+    picks = _count_rows(sigs[:, modes])
     cols = joint.reshape(r, -1, n)[:, modes]
     gram = cols.transpose(1, 2, 0) @ cols.conj().transpose(1, 0, 2)
     terms, moduli = np.empty((len(sigs), half)), np.empty((len(sigs), half))

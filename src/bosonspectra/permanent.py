@@ -90,6 +90,14 @@ def _sign_block(b: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, signs
 
 
+def _count_rows(counts: np.ndarray) -> np.ndarray:
+    """Index rows of an (outcomes x width) count matrix: column c repeated counts[o, c] times, ascending.
+
+    Every row must hold the same total, the k of the kernel's index rows.
+    """
+    return np.repeat(np.arange(counts.size) % counts.shape[1], counts.ravel()).reshape(len(counts), -1)
+
+
 def _stack_chunk(k: int) -> int:
     """Outcomes per Glynn pass: a k x 2^b block each, STACK_ELEMENTS entries at most."""
     b = min(BLOCK_BITS, k - 1)

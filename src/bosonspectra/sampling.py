@@ -85,7 +85,7 @@ from .network import (
     as_occupation,
     submatrix,
 )
-from .permanent import RYSER_DIMENSION_CAP, STACK_SIZE, _permanents, permanent_ryser
+from .permanent import RYSER_DIMENSION_CAP, STACK_SIZE, _count_rows, _permanents, permanent_ryser
 from .spectra import LambdaMatrix, lambda_from_photons
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
@@ -144,20 +144,20 @@ def _validated_inputs(input_modes, n: int, m: int) -> tuple[int, ...]:
     return modes
 
 
-def as_resolved_outcome(outcome, m: int, basis_size: int) -> tuple[tuple[int, ...], ...]:
-    """Normalize a resolved outcome to basis_size occupation tuples of length m."""
-    parts = tuple(as_occupation(part, m) for part in outcome)
-    if len(parts) != basis_size:
-        raise ConfigurationError(
-            f"resolved outcome has {len(parts)} spectral parts, expected {basis_size}"
-        )
-    return parts
+def _checked_detector(detector: str) -> str:
+    if detector not in ("resolved", "nonresolved"):
+        raise ConfigurationError(f"unknown detector model {detector!r}")
+    return detector
 
 
 def _checked_outcome(outcome, detector: str, n: int, m: int, basis_size: int):
-    """outcome normalized and holding n photons: a resolved outcome for "resolved", else a signature."""
+    """outcome normalized and holding n photons: for "resolved" basis_size occupation tuples, else a signature."""
+    if outcome is None:
+        raise ConfigurationError("a single-outcome query needs an outcome, got None")
     resolved = detector == "resolved"
-    outcome = as_resolved_outcome(outcome, m, basis_size) if resolved else as_occupation(outcome, m)
+    outcome = tuple(as_occupation(part, m) for part in outcome) if resolved else as_occupation(outcome, m)
+    if resolved and len(outcome) != basis_size:
+        raise ConfigurationError(f"resolved outcome has {len(outcome)} spectral parts, expected {basis_size}")
     total = sum(map(sum, outcome)) if resolved else sum(outcome)
     if total != n:
         raise ConfigurationError(f"{'resolved outcome' if resolved else 'signature'} holds {total} photons, expected {n}")
@@ -184,8 +184,7 @@ def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]
     scalars: numpy's complex / float multiplies by the reciprocal and
     rounds differently.
     """
-    rows = np.repeat(np.arange(counts.size) % counts.shape[1], counts.ravel()).reshape(len(counts), -1)
-    return [per / math.sqrt(norm) for per, norm in zip(_permanents(rows, joint).tolist(), norms)]
+    return [per / math.sqrt(norm) for per, norm in zip(_permanents(_count_rows(counts), joint).tolist(), norms)]
 
 
 def _count_blocks(n: int, m: int, r: int, sigs=None):
@@ -343,32 +342,28 @@ def probability_nonresolved(
     A signature whose cheaper sum costs more than the work budget raises
     CapacityError before any work.
     """
+    if signature is None:
+        raise ConfigurationError("probability_nonresolved needs a signature")
     ((_, (value,)),) = _pure_chunks(interferometer, lam, input_modes, "nonresolved", signature)
     return value
 
 
 def probability_indistinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
-    """|Per(U_{M,T})|^2: the fast path when all photons are identical."""
+    """|Per(U_{M,T})|^2 / (prod M! prod T!): the fast path when all photons are identical."""
     return float(abs(amplitude_ideal(interferometer, signature, input_occ)) ** 2)
 
 
 def probability_distinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
-    """Per(|U_{M,T}|^2): the fast path when all photons are fully distinguishable.
+    """Per(|U_{M,T}|^2) / prod M!: the fast path when all photons are fully distinguishable.
 
-    Restricted to collision-free signatures and inputs; with multiply
-    occupied modes the permanent of the squared-magnitude submatrix
-    overcounts by the occupation factorials, so the general engine must
-    be used instead.
+    Each term of the permanent sends every photon to one output row, a
+    product of single-photon probabilities; the M_k! orders of the rows
+    of mode k name the same event, so prod M! divides. Photons sharing an
+    input port stay distinct columns.
     """
-    m = interferometer.m
-    sig = as_occupation(signature, m)
-    t = as_occupation(input_occ, m)
-    if max(sig, default=0) > 1 or max(t, default=0) > 1:
-        raise ConfigurationError(
-            "distinguishable fast path needs collision-free configurations"
-        )
-    block = np.abs(submatrix(interferometer, sig, t)) ** 2
-    return float(permanent_ryser(block).real)
+    sig = as_occupation(signature, interferometer.m)
+    block = np.abs(submatrix(interferometer, sig, input_occ)) ** 2
+    return float(permanent_ryser(block).real) / math.prod(map(math.factorial, sig))
 
 
 def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
@@ -477,8 +472,7 @@ def mixture_lambdas(photons, detector: str):
     probabilities do not depend on the basis, so for "nonresolved" each
     combination keeps its own, narrower one.
     """
-    if detector not in ("resolved", "nonresolved"):
-        raise ConfigurationError(f"unknown detector model {detector!r}")
+    _checked_detector(detector)
     sources = [_as_mixture(p) for p in photons]
     terms = mixture_terms(sources)
     if terms > MIXTURE_TERM_CAP:

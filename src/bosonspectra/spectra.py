@@ -132,12 +132,17 @@ def gram_matrix(photons) -> np.ndarray:
     return g
 
 
-class LambdaMatrix:
+class LambdaMatrix(_Record):
     """n x N matrix of spectral decomposition coefficients.
 
     Row j is photon j's unit-norm expansion over the orthonormal basis
-    functions xi_1 .. xi_N (columns).
+    functions xi_1 .. xi_N (columns). Rows are checked at construction and
+    the stored matrix is read-only. Two matrices are equal only if they
+    are the same object.
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
@@ -153,7 +158,7 @@ class LambdaMatrix:
                 f"have norms {norms[bad].tolist()}"
             )
         m.setflags(write=False)
-        self.matrix = m
+        vars(self)["matrix"] = m
 
     @property
     def n(self) -> int:

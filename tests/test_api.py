@@ -43,8 +43,10 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.sampling, "_resolved_probability_padded")
     assert not hasattr(bosonspectra.sampling, "_resolved_sweep")
     for name in ("_mixture_terms", "_nonresolved_chunks", "_resolved_chunks", "_pools", "enumerate_partitions",
-                 "_FACTORIALS", "_factorial_products"):
+                 "_FACTORIALS", "_factorial_products", "as_resolved_outcome"):
         assert not hasattr(bosonspectra.sampling, name), name
+    for name in ("_repeat_indices", "_submatrix"):
+        assert not hasattr(bosonspectra.network, name), name
     assert "mixed" not in inspect.signature(bosonspectra.cli.ExperimentConfig).parameters
     assert not hasattr(bosonspectra.cli, "build_parser")
     assert not hasattr(bosonspectra.cli, "_outcome_json")
@@ -58,7 +60,7 @@ def test_removed_names_are_gone():
 
 def test_records_keep_their_dataclass_behaviour(tmp_path):
     # Constructors, repr, ==, hash, read-only fields, copy and pickle, as the
-    # dataclasses these six classes once were gave them.
+    # dataclasses these seven classes once were gave them.
     from bosonspectra import (CoefficientSpectrum, GaussianWavepacket, Interferometer, LambdaMatrix,
                               MixedPhotonSource, fock_evolve, make_dft)
 
@@ -69,7 +71,8 @@ def test_records_keep_their_dataclass_behaviour(tmp_path):
     mixed = MixedPhotonSource(components=((0.25, g), (0.75, c)))
     assert mixed == MixedPhotonSource(((0.25, GaussianWavepacket(0.1, 1.5)), (0.75, CoefficientSpectrum([0.6, 0.8j]))))
     u = Interferometer(matrix=np.eye(2))
-    state = fock_evolve(make_dft(2), LambdaMatrix([[1.0, 0.0], [0.6, 0.8]]))
+    lam = LambdaMatrix([[1.0, 0.0], [0.6, 0.8]])
+    state = fock_evolve(make_dft(2), lam)
     (tmp_path / "c.json").write_text(json.dumps({
         "network": {"preset": "dft", "modes": 2}, "photons": [{"gaussian": {"mu": 0.0, "sigma": 1.0}}],
     }))
@@ -78,6 +81,7 @@ def test_records_keep_their_dataclass_behaviour(tmp_path):
     assert repr(mixed) == ("MixedPhotonSource(components=((0.25, GaussianWavepacket(mu=0.1, sigma=1.5, tau=0.0)), "
                            "(0.75, CoefficientSpectrum())))")
     assert repr(u) == "Interferometer()" and repr(state) == "FockState(m=2, basis_size=2, n=2)"
+    assert repr(lam) == "LambdaMatrix(n=2, basis_size=2)"
     assert repr(cfg) == (
         "ExperimentConfig(interferometer=Interferometer(), photons=[GaussianWavepacket(mu=0.0, sigma=1.0, tau=0.0)], "
         "input_modes=(1,), detector='nonresolved', outcome=None, echo={'network': {'preset': 'dft', 'modes': 2}, "
@@ -89,28 +93,32 @@ def test_records_keep_their_dataclass_behaviour(tmp_path):
         " -> None"
     )
     twins = {id(record): (copy.copy(record), pickle.loads(pickle.dumps(record)))
-             for record in (g, c, mixed, u, state, cfg)}
-    for record in (g, c, mixed, u, state, cfg):
+             for record in (g, c, mixed, u, lam, state, cfg)}
+    for record in (g, c, mixed, u, lam, state, cfg):
         assert all(twin is not record and repr(twin) == repr(record) for twin in twins[id(record)])
     for record in (g, c, mixed):
         assert all(twin == record and hash(twin) == hash(record) for twin in twins[id(record)])
-    # Networks and Fock states are equal only to themselves, so a config's
-    # copy, which shares its network, is equal to it, and its pickle is not.
-    assert all(twin != record for record in (u, state) for twin in twins[id(record)])
+    # Networks, lambda matrices and Fock states are equal only to themselves,
+    # so a config's copy, which shares its network, is equal to it, and its
+    # pickle is not.
+    assert all(twin != record for record in (u, lam, state) for twin in twins[id(record)])
     assert twins[id(cfg)][0] == cfg and twins[id(cfg)][1] != cfg
     twin = pickle.loads(pickle.dumps(state))
     assert dict(twin.amplitudes) == dict(state.amplitudes) and twin.norm_squared() == state.norm_squared()
-    for record, field in ((g, "mu"), (c, "coefficients"), (mixed, "components"), (u, "matrix"), (state, "n")):
+    for record, field in ((g, "mu"), (c, "coefficients"), (mixed, "components"), (u, "matrix"), (lam, "matrix"),
+                          (state, "n"), (cfg, "detector")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
         with pytest.raises(AttributeError):
             record.extra = None
-    # A config stays changeable and unhashable.
+    # A config is read-only like the engine's records; its list and dict
+    # fields leave it unhashable.
     twin = copy.copy(cfg)
-    twin.detector = "resolved"
-    assert twin != cfg and cfg.detector == "nonresolved"
+    with pytest.raises(AttributeError):
+        twin.detector = "resolved"
+    assert twin == cfg and cfg.detector == "nonresolved"
     with pytest.raises(TypeError):
         hash(cfg)
 
@@ -165,6 +173,37 @@ def test_package_imports_form_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_modules_use_every_import():
+    # Every name an import binds is read as a name in its scope: the
+    # function that imports it lazily, or the module. A name in a string
+    # annotation is read; a name in a docstring is not.
+    def imports(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield scope, child
+            yield from imports(child, child if isinstance(child, ast.FunctionDef) else scope)
+
+    def read(scope):
+        names = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        annotations = [node.annotation for node in ast.walk(scope) if isinstance(node, (ast.arg, ast.AnnAssign))]
+        annotations += [node.returns for node in ast.walk(scope) if isinstance(node, ast.FunctionDef)]
+        for text in (node.value for a in annotations if a for node in ast.walk(a) if isinstance(node, ast.Constant)):
+            if isinstance(text, str):
+                names |= read(ast.parse(text, mode="eval"))
+        return names
+
+    package = Path(bosonspectra.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in imports(tree, tree):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read(scope):
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_package_imported_from_this_checkout():

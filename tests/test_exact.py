@@ -26,7 +26,9 @@ from bosonspectra import (
     MixedPhotonSource,
     distribution_nonresolved,
     fock_evolve,
+    gram_matrix,
     lambda_from_photons,
+    make_random_unitary,
     oracle_probability,
     probability_mixed,
     probability_nonresolved,
@@ -139,6 +141,34 @@ def test_bunched_signatures_of_a_haar_sweep(seed):
         if max(sig) >= 2:
             want = ex.probability_nonresolved(u, lam_exact, (1, 2, 3, 4), sig)
             assert relative_error(p, want) <= DOUBLE_INPUT_RTOL, sig
+
+
+# Gaussian photon j of a family has mu, sigma - 1 and tau each j times the
+# family's step.
+FAMILIES = {"generic": (0.2, 0.05, 0.3), "near-identical": (0.05, 0.01, 0.02)}
+
+
+def family_shapes(n):
+    """Collision-free in modes 1..n and 3..n+2, one pair, (.., n - 1, 1) and fully bunched, over n + 2 modes."""
+    return [(1,) * n + (0, 0), (0, 0) + (1,) * n, (2,) + (1,) * (n - 2) + (0, 0, 0), (0,) * n + (n - 1, 1),
+            (n,) + (0,) * (n + 1)]
+
+
+@pytest.mark.parametrize("family,n,m,seed,sigs", [
+    *((family, n, n + 2, seed, None) for family in FAMILIES for n in (3, 4, 5) for seed in (1, 2)),
+    # Bunched signatures on which the engine errs by 4.9e-15 and 5.9e-15.
+    ("generic", 3, 6, 11, [(0, 0, 0, 0, 3, 0)]),
+    ("near-identical", 3, 6, 18, [(1, 0, 0, 2, 0, 0)]),
+])
+def test_gaussian_families_against_their_double_gram(family, n, m, seed, sigs):
+    # The exact value of the double G, so the decomposition's error shows.
+    mu, sigma, tau = FAMILIES[family]
+    photons = [GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j) for j in range(n)]
+    network, lam, inputs = make_random_unitary(m, seed), lambda_from_photons(photons), tuple(range(1, n + 1))
+    u, g = exact_of_doubles(network.matrix), exact_of_doubles(gram_matrix(photons))
+    for sig in sigs or family_shapes(n):
+        want = ex.probability_nonresolved_gram(u, g, inputs, sig)
+        assert relative_error(probability_nonresolved(network, lam, inputs, sig), want) <= DOUBLE_INPUT_RTOL, sig
 
 
 @pytest.mark.parametrize("n,r", CASES)

@@ -784,11 +784,18 @@ class TestLimitFastPaths:
                 assert abs(engine - fast) <= 1e-10
 
     def test_distinguishable_fast_path_needs_collision_free(self):
+        # It does not: Per(|U_{M,T}|^2) / prod M! holds for bunched signatures
+        # and for photons that share an input port.
+        for seed in range(5):
+            u = make_random_unitary(4, seed)
+            lam = LambdaMatrix(np.eye(3))
+            for picks in itertools.combinations_with_replacement(range(4), 3):
+                sig = tuple(picks.count(k) for k in range(4))
+                engine = probability_nonresolved(u, lam, (1, 2, 3), sig)
+                assert abs(engine - probability_distinguishable_fast(u, sig, (1, 1, 1, 0))) <= 1e-15, sig
         bs = make_beamsplitter_50_50()
-        with pytest.raises(ConfigurationError):
-            probability_distinguishable_fast(bs, (2, 0), (1, 1))
-        with pytest.raises(ConfigurationError):
-            probability_distinguishable_fast(bs, (1, 1), (2, 0))
+        got = [probability_distinguishable_fast(bs, sig, (2, 0)) for sig in [(2, 0), (1, 1), (0, 2)]]
+        assert got == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
 
 class TestInvariants:
@@ -966,3 +973,16 @@ class TestProbabilityMixed:
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
         with pytest.raises(ConfigurationError, match="needs an outcome"):
             probability_mixed(bs, [psi, psi])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_single_outcome_calls_need_an_outcome(self, m):
+        # A one-mode sweep has one signature, which used to come back as the
+        # answer; on more modes the sweep failed to unpack into one value.
+        u, lam = Interferometer(np.eye(m)), LambdaMatrix(np.ones((m, 1)))
+        with pytest.raises(ConfigurationError, match="needs a signature"):
+            probability_nonresolved(u, lam)
+        for call in (amplitude_resolved, probability_resolved):
+            with pytest.raises(ConfigurationError, match="needs an outcome"):
+                call(u, lam)
+        with pytest.raises(ConfigurationError, match="needs an outcome"):
+            oracle_probability(fock_evolve(u, lam), None)
