@@ -1,0 +1,246 @@
+"""Before/after benchmark rows for bosonspectra, written as one JSON file.
+
+    python bench_layers.py --base REV --out BENCH_<name>.json [--runs N]
+
+Compares the package at git revision REV, exported with `git archive`
+into a temporary directory, with the package in this working tree. The
+file holds:
+
+* ``machine``: CPU, core count, Python, numpy, the BLAS numpy was built
+  against and ``np.finfo(np.longdouble)``;
+* ``trees``: each side's revision and a digest of its package sources;
+* ``end_to_end``: one row per fixed config. Each run starts one fresh
+  ``python -m bosonspectra.cli`` process per side, the side that goes
+  first alternating from run to run, with ``PYTHONDONTWRITEBYTECODE=1``
+  (every job compiles the package, as a user's first run does). A row
+  gives each side's median and quartiles of wall time (spawn to exit)
+  and of peak RSS (``ru_maxrss`` from ``os.wait4``), how many runs the
+  working tree's RSS was lower and whether both sides wrote the same
+  bytes;
+* ``eigvalsh_fallback``: for the generic and near-identical Gaussian
+  families at n = 2..16, the n at which ``orthonormal_decomposition``
+  called ``np.linalg.eigvalsh`` and the n it refused.
+
+The configs are generic Gaussian photons (photon j: mu = 0.2 j,
+sigma = 1 + 0.05 j, tau = 0.3 j) on ``make_random_unitary(m, 1)``,
+written out as an explicit unitary so that no job runs a QR
+factorisation. This process imports only the standard library: Linux
+carries a parent's resident size into its child's peak at exec, so a
+parent holding numpy would raise every job's reading. numpy runs in
+child processes only.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import select
+import signal
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.abspath(__file__))
+TIMEOUT_S = 120.0
+
+# name -> (subcommand, n, m, detector, query); photons from the generic family.
+ROWS = {
+    "permanent 1x1": ("permanent", 0, 0, None, None),
+    "blind sweep n=4 m=5": ("distribution", 4, 5, "nonresolved", "distribution"),
+    "resolved sweep n=4 m=4": ("distribution", 4, 4, "resolved", "distribution"),
+    "two-species signature n=8 m=12": ("distribution", 8, 12, "nonresolved", {"signature": [1] * 8 + [0] * 4}),
+    "verify n=4 m=4": ("verify", 4, 4, "nonresolved", "distribution"),
+}
+
+MACHINE = """
+import json, platform, sys
+import numpy as np
+blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+ld = np.finfo(np.longdouble)
+print(json.dumps({
+    "python": sys.version.split()[0], "implementation": platform.python_implementation(),
+    "numpy": np.__version__,
+    "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+    "longdouble": {"dtype": str(ld.dtype), "nmant": int(ld.nmant), "eps": str(ld.eps),
+                   "precision": int(ld.precision)},
+}))
+"""
+
+UNITARIES = """
+import json, sys
+from bosonspectra import make_random_unitary
+print(json.dumps({m: [[[z.real, z.imag] for z in row] for row in make_random_unitary(m, 1).matrix.tolist()]
+                  for m in map(int, sys.argv[1:])}))
+"""
+
+FALLBACK = """
+import json
+import numpy as np
+from bosonspectra import BosonSpectraError, GaussianWavepacket, lambda_from_photons
+families = {
+    "generic (mu 0.2j, sigma 1 + 0.05j, tau 0.3j)": (0.2, 0.05, 0.3),
+    "near-identical (mu 0.05j, sigma 1 + 0.01j, tau 0.02j)": (0.05, 0.01, 0.02),
+}
+eigvalsh, calls, out = np.linalg.eigvalsh, [], {}
+np.linalg.eigvalsh = lambda a: calls.append(len(a)) or eigvalsh(a)
+for name, (mu, sigma, tau) in families.items():
+    refused = {}
+    calls.clear()
+    for n in range(2, 17):
+        try:
+            lambda_from_photons([GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j) for j in range(n)])
+        except BosonSpectraError as exc:
+            refused[n] = type(exc).__name__
+    out[name] = {"n": [2, 16], "eigvalsh_at_n": list(calls), "refused": refused}
+print(json.dumps(out))
+"""
+
+
+def _python(code: str, tree: str, *args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), "")
+    except OSError:
+        return platform.processor()
+
+
+def _digest(tree: str) -> str:
+    package = os.path.join(tree, "src", "bosonspectra")
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as f:
+                h.update(name.encode() + b"\0" + f.read())
+    return h.hexdigest()[:16]
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, check=True).stdout
+
+
+def _export(rev: str, into: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+        tar.extractall(into, filter="data")
+
+
+def _configs(tree: str, workdir: str) -> dict:
+    """Each row's CLI arguments after the subcommand, with its input files written to workdir."""
+    unitaries = _python(UNITARIES, tree, *sorted({str(m) for _, _, m, _, _ in ROWS.values() if m}))
+    args = {}
+    for i, (name, (command, n, m, detector, query)) in enumerate(ROWS.items()):
+        path = os.path.join(workdir, f"input{i}.json")
+        if command == "permanent":
+            payload = [[0.5]]
+        else:
+            # The two-species row alternates the family's first two photons.
+            js = [j % 2 for j in range(n)] if name.startswith("two-species") else range(n)
+            payload = {
+                "network": {"unitary": unitaries[str(m)]},
+                "photons": [{"gaussian": {"mu": 0.2 * j, "sigma": 1.0 + 0.05 * j, "tau": 0.3 * j}} for j in js],
+                "detector": detector,
+                "query": query,
+            }
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        args[name] = [command, path] if command == "permanent" else [command, "--config", path]
+    return args
+
+
+def _job(tree: str, args: list[str], output: str) -> tuple[float, int, str]:
+    """(wall seconds, peak RSS in KiB, sha256 of the output) of one CLI process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    if os.path.exists(output):
+        os.remove(output)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "bosonspectra.cli", *args, "--output", output], env=env,
+                            cwd=os.path.dirname(output), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    pidfd, ready = os.pidfd_open(proc.pid), []
+    try:
+        ready, _, _ = select.select([pidfd], [], [], TIMEOUT_S)
+        wall = time.perf_counter() - start
+    finally:
+        os.close(pidfd)
+        if not ready:
+            os.kill(proc.pid, signal.SIGKILL)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if not ready or proc.returncode != 0:
+        raise RuntimeError(f"{args} in {tree} {'timed out' if not ready else f'exited {proc.returncode}'}")
+    with open(output, "rb") as f:
+        return wall, usage.ru_maxrss, hashlib.sha256(f.read()).hexdigest()
+
+
+def _summary(values: list[float], scale: float, digits: int) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {key: round(v * scale, digits) for key, v in (("median", median), ("q1", q1), ("q3", q3))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--runs", type=int, default=10, help="runs per row and side (default 10)")
+    args = parser.parse_args(argv)
+    if args.runs < 4:
+        parser.error("--runs must be at least 4, for quartiles")
+
+    with tempfile.TemporaryDirectory(prefix="bench_layers_") as scratch:
+        base = os.path.join(scratch, "base")
+        os.mkdir(base)
+        _export(args.base, base)
+        trees = {"base": base, "head": ROOT}
+        machine = {"cpu": _cpu(), "cores": os.cpu_count(), **_python(MACHINE, ROOT)}
+        inputs = _configs(ROOT, scratch)
+        samples = {name: {side: [] for side in trees} for name in ROWS}
+        for run in range(args.runs):
+            order = ("base", "head") if run % 2 == 0 else ("head", "base")
+            for name in ROWS:
+                for side in order:
+                    samples[name][side].append(_job(trees[side], inputs[name], os.path.join(scratch, "out.json")))
+        rows = []
+        for name, sides in samples.items():
+            rss = {side: [kib for _, kib, _ in runs] for side, runs in sides.items()}
+            row = {"row": name}
+            for side, runs in sides.items():
+                row[side] = {"wall_s": _summary([w for w, _, _ in runs], 1.0, 4),
+                             "peak_rss_mb": _summary(rss[side], 1 / 1024, 2)}
+            row["head_rss_lower_runs"] = sum(h < b for h, b in zip(rss["head"], rss["base"]))
+            row["same_document"] = len({digest for runs in sides.values() for _, _, digest in runs}) == 1
+            rows.append(row)
+        fallback = {side: _python(FALLBACK, tree) for side, tree in trees.items()}
+        result = {
+            "machine": machine,
+            "trees": {
+                "base": {"rev": _git("rev-parse", args.base).decode().strip(), "sources": _digest(base)},
+                "head": {"rev": "working tree on " + _git("rev-parse", "HEAD").decode().strip(),
+                         "sources": _digest(ROOT)},
+            },
+            "settings": {"runs": args.runs, "env": {"PYTHONDONTWRITEBYTECODE": "1"}, "order": "alternating"},
+            "end_to_end": rows,
+            "eigvalsh_fallback": fallback,
+        }
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+    for row in rows:
+        base, head = row["base"], row["head"]
+        print(f"{row['row']:32} peak RSS {base['peak_rss_mb']['median']:6.2f} -> "
+              f"{head['peak_rss_mb']['median']:6.2f} MB "
+              f"({row['head_rss_lower_runs']}/{args.runs} lower), wall {base['wall_s']['median']:.3f} -> "
+              f"{head['wall_s']['median']:.3f} s, same document: {row['same_document']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,10 +27,18 @@ class _Record:
     __init__ stores the fields in vars(self); repr, == and hash run over
     the names in _fields. Assigning or deleting any attribute raises
     AttributeError, while copy, pickle and functools.cached_property
-    write vars(self) directly and work as on any class.
+    write vars(self) directly and work as on any class. The array fields
+    named in _frozen, which __init__ makes read-only, are made read-only
+    again in every copy and unpickled record.
     """
 
     _fields = ()
+    _frozen = ()
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        for name in self._frozen:
+            state[name].setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -26,6 +26,7 @@ class Interferometer(_Record):
     if they are the same object.
     """
 
+    _frozen = ("matrix",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -60,9 +61,17 @@ def _exact_int(x, what: str) -> int:
     return value
 
 
+def _as_tuple(x, what: str) -> tuple:
+    """tuple(x), or ConfigurationError naming what if x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be a sequence, got {x!r}") from None
+
+
 def as_occupation(counts, m: int | None = None) -> tuple[int, ...]:
     """Normalize an occupation configuration to a tuple of non-negative ints."""
-    counts = tuple(counts)
+    counts = _as_tuple(counts, "occupation counts")
     occ = tuple(_exact_int(c, "occupation counts") for c in counts)
     if any(o < 0 for o in occ):
         raise ConfigurationError(f"occupation counts must be non-negative integers, got {counts!r}")

@@ -80,6 +80,7 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, _Record
 from .network import (
     Interferometer,
+    _as_tuple,
     _exact_int,
     amplitude_ideal,
     as_occupation,
@@ -155,7 +156,10 @@ def _checked_outcome(outcome, detector: str, n: int, m: int, basis_size: int):
     if outcome is None:
         raise ConfigurationError("a single-outcome query needs an outcome, got None")
     resolved = detector == "resolved"
-    outcome = tuple(as_occupation(part, m) for part in outcome) if resolved else as_occupation(outcome, m)
+    if resolved:
+        outcome = tuple(as_occupation(part, m) for part in _as_tuple(outcome, "a resolved outcome"))
+    else:
+        outcome = as_occupation(outcome, m)
     if resolved and len(outcome) != basis_size:
         raise ConfigurationError(f"resolved outcome has {len(outcome)} spectral parts, expected {basis_size}")
     total = sum(map(sum, outcome)) if resolved else sum(outcome)

@@ -41,6 +41,8 @@ class GaussianWavepacket(_Record):
 class CoefficientSpectrum(_Record):
     """Explicit unit-norm coefficient row in a caller-declared orthonormal basis."""
 
+    _frozen = ("coefficients",)
+
     def __init__(self, coefficients: np.ndarray) -> None:
         c = np.array(coefficients, dtype=np.complex128).reshape(-1)
         if c.size == 0 or not np.all(np.isfinite(c)):
@@ -141,6 +143,7 @@ class LambdaMatrix(_Record):
     are the same object.
     """
 
+    _frozen = ("matrix",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -186,39 +189,57 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
     later photon adds a new direction only if its residual norm exceeds
     the rank tolerance, so identical photons collapse onto shared basis
     functions instead of failing. Satisfies lambda @ lambda^dag = G and
-    is lower-triangular up to dropped directions. A Gram matrix too
-    ill-conditioned for that at double precision leaves rows off unit norm
-    by more than ROW_NORM_TOL; CapacityError then names the first one's
-    photon (1-based).
+    is lower-triangular up to dropped directions.
+
+    G must be finite (else DimensionError), Hermitian, unit-diagonal and
+    positive semidefinite down to -GRAM_PSD_TOL (else ConfigurationError).
+    The factor certifies the last check itself: with E = G - lambda
+    lambda^dag and lambda lambda^dag PSD, min eig(G) >= -||E||_2 >=
+    -n max|E_ij|. When n max|E_ij| is at most half of GRAM_PSD_TOL (the
+    other half covers the product's own rounding) the check passes on one
+    matrix product; otherwise np.linalg.eigvalsh decides against the same
+    tolerance. (An eigensolver's first call pages in LAPACK, about 0.9 MB
+    of a process's peak RSS.) Well-separated photons pass on the factor
+    alone; slowly varying ones, whose factor drops directions of rounding
+    size, reach eigvalsh (the Gaussians mu = 0.05 j, sigma = 1 + 0.01 j,
+    tau = 0.02 j from n = 11 on). A Gram matrix too ill-conditioned for
+    the factor at double precision leaves rows off unit norm by more than
+    ROW_NORM_TOL; CapacityError then names the first one's photon
+    (1-based), after the PSD check.
     """
     g = np.asarray(gram, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
         raise DimensionError(f"Gram matrix must be square and non-empty, got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise DimensionError("Gram matrix entries must be finite")
     n = g.shape[0]
     if np.max(np.abs(g - g.conj().T)) > 1e-8:
         raise ConfigurationError("Gram matrix must be Hermitian")
     if np.max(np.abs(np.diag(g) - 1.0)) > 1e-8:
         raise ConfigurationError("Gram matrix must have unit diagonal (normalized photons)")
-    if np.min(np.linalg.eigvalsh(g)) < -GRAM_PSD_TOL:
-        raise ConfigurationError(
-            f"Gram matrix is not positive semidefinite (min eigenvalue "
-            f"{np.min(np.linalg.eigvalsh(g)):.3e})"
-        )
 
     lam = np.zeros((n, n), dtype=np.complex128)
     pivots: list[int] = []
-    for a in range(n):
-        for j, p in enumerate(pivots):
-            lam[a, j] = (g[a, p] - lam[a, :j] @ lam[p, :j].conj()) / lam[p, j].real
-        r = len(pivots)
-        # Diagonal residual of the Cholesky step. A linearly dependent
-        # photon leaves cancellation noise of rounding size here, so the
-        # rank cut must act on the residual itself, not its square root.
-        residual = g[a, a].real - float(np.linalg.norm(lam[a, :r]) ** 2)
-        if residual > RANK_TOL:
-            lam[a, r] = math.sqrt(residual)
-            pivots.append(a)
-    lam = lam[:, : len(pivots)]
+    # A G that is not PSD can grow the factor without bound; its miss is
+    # then inf or nan, and eigvalsh decides.
+    with np.errstate(all="ignore"):
+        for a in range(n):
+            for j, p in enumerate(pivots):
+                lam[a, j] = (g[a, p] - lam[a, :j] @ lam[p, :j].conj()) / lam[p, j].real
+            r = len(pivots)
+            # Diagonal residual of the Cholesky step. A linearly dependent
+            # photon leaves cancellation noise of rounding size here, so the
+            # rank cut must act on the residual itself, not its square root.
+            residual = g[a, a].real - float(np.linalg.norm(lam[a, :r]) ** 2)
+            if residual > RANK_TOL:
+                lam[a, r] = math.sqrt(residual)
+                pivots.append(a)
+        lam = lam[:, : len(pivots)]
+        miss = n * np.max(np.abs(lam @ lam.conj().T - g))
+    if not miss <= GRAM_PSD_TOL / 2:
+        least = np.min(np.linalg.eigvalsh(g))
+        if least < -GRAM_PSD_TOL:
+            raise ConfigurationError(f"Gram matrix is not positive semidefinite (min eigenvalue {least:.3e})")
     norms = np.linalg.norm(lam, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > ROW_NORM_TOL)
     if bad.size:

@@ -123,6 +123,22 @@ def test_records_keep_their_dataclass_behaviour(tmp_path):
         hash(cfg)
 
 
+@pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_record_arrays_stay_read_only_in_copies(twin):
+    # The constructors freeze these arrays after checking them; a copy or an
+    # unpickled record must not hand out a writeable one that skips the checks.
+    from bosonspectra import CoefficientSpectrum, Interferometer, LambdaMatrix
+
+    for record, field in ((LambdaMatrix([[0.6, 0.8j]]), "matrix"), (Interferometer(np.eye(2)), "matrix"),
+                          (CoefficientSpectrum([0.6, 0.8j]), "coefficients")):
+        array = getattr(twin(record), field)
+        assert not array.flags.writeable and np.array_equal(array, getattr(record, field))
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        assert getattr(record, field).flags.writeable is False
+
+
 def test_cli_binds_only_public_engine_names():
     # The CLI reaches the engine through public names only: permanent_ryser
     # at module level, the rest imported inside the functions that use them.

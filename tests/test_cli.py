@@ -122,6 +122,22 @@ def weighted_states(u, photons):
 
 
 class TestDistribution:
+    @pytest.mark.parametrize("command,detector", [("distribution", "resolved"), ("verify", "nonresolved")])
+    def test_engine_jobs_need_no_eigensolver(self, tmp_path, monkeypatch, command, detector):
+        # The Cholesky factor certifies these Gram matrices positive
+        # semidefinite on its own, so np.linalg.eigvalsh never runs.
+        def no_eigensolver(a):
+            raise AssertionError("np.linalg.eigvalsh was called")
+
+        psi = [{"gaussian": {"mu": 0.2 * j, "sigma": 1.0 + 0.05 * j, "tau": 0.3 * j}} for j in range(4)]
+        photons = psi[:3] if command == "distribution" else [
+            {"mixture": [{"probability": 0.3, **psi[0]}, {"probability": 0.7, **psi[3]}]}, psi[1], psi[2]]
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "random", "modes": 4, "seed": 1},
+                                                 "photons": photons, "detector": detector})
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+        code, doc = run(tmp_path, [command, "--config", cfg])
+        assert code == EXIT_OK and doc["outcomes"]
+
     def test_hom_alpha_one_three_outcomes(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", hom_config(1.0))
         code, doc = run(tmp_path, ["distribution", "--config", cfg])
@@ -376,6 +392,17 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: the Gram matrix is too ill-conditioned")
         assert "photon 15's row" in captured.err
+
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    def test_cancelled_gram_is_not_psd_and_exits_2(self, tmp_path, capsys, command):
+        # Centres near 1e8 cancel the closed-form overlaps to |G01| = e: an
+        # input error, caught by the PSD check before the factor's row norms.
+        photons = [{"gaussian": {"mu": 1e8 + d, "sigma": 1.0}} for d in (0.0, 0.3, 0.6)]
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"preset": "dft", "modes": 3}, "photons": photons})
+        assert main([command, "--config", cfg]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Gram matrix is not positive semidefinite (min eigenvalue")
 
 
 class TestArgv:

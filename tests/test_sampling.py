@@ -986,3 +986,12 @@ class TestProbabilityMixed:
                 call(u, lam)
         with pytest.raises(ConfigurationError, match="needs an outcome"):
             oracle_probability(fock_evolve(u, lam), None)
+
+    def test_non_iterable_outcomes_refused(self):
+        # A bare count where a sequence belongs used to escape as TypeError.
+        bs, lam = make_beamsplitter_50_50(), hom_lambda(0.6)
+        for call, outcome, what in ((probability_nonresolved, 2, "occupation counts"),
+                                    (probability_resolved, 2, "a resolved outcome"),
+                                    (probability_resolved, [2], "occupation counts")):
+            with pytest.raises(ConfigurationError, match=f"{what} must be a sequence, got 2"):
+                call(bs, lam, None, outcome)

@@ -8,6 +8,7 @@ from bosonspectra import (
     CapacityError,
     CoefficientSpectrum,
     ConfigurationError,
+    DimensionError,
     GaussianWavepacket,
     LambdaMatrix,
     RepresentationError,
@@ -185,6 +186,66 @@ class TestOrthonormalDecomposition:
     def test_not_hermitian_rejected(self):
         with pytest.raises(ConfigurationError):
             orthonormal_decomposition([[1.0, 0.5], [0.1, 1.0]])
+
+    def test_not_unit_diagonal_rejected(self):
+        with pytest.raises(ConfigurationError, match="must have unit diagonal"):
+            orthonormal_decomposition([[1.0, 0.5], [0.5, 1.1]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gram_rejected_before_any_arithmetic(self, bad):
+        # The suite turns warnings into errors, so an overflow or an invalid
+        # subtraction ahead of the refusal would fail here.
+        with pytest.raises(DimensionError, match="Gram matrix entries must be finite"):
+            orthonormal_decomposition([[1.0, bad], [bad, 1.0]])
+
+    @pytest.mark.parametrize("g,least", [
+        ([[1.0, 1.2], [1.2, 1.0]], "-2.000e-01"),
+        ([[1.0, 1e200], [1e200, 1.0]], "-1.000e[+]200"),
+    ])
+    def test_not_psd_names_the_least_eigenvalue(self, g, least):
+        # The factor's miss is large (or overflows) here, so eigvalsh decides
+        # and its least eigenvalue is the message.
+        with pytest.raises(ConfigurationError, match=f"not positive semidefinite [(]min eigenvalue {least}[)]"):
+            orthonormal_decomposition(g)
+
+    def test_cancelled_gaussian_overlaps_refused_as_not_psd(self):
+        # At centres near 1e8 the closed-form overlap cancels to |G01| = e;
+        # only the PSD check stands between that and a CapacityError.
+        photons = [GaussianWavepacket(1e8 + d, 1.0) for d in (0.0, 0.3, 0.6)]
+        with pytest.raises(ConfigurationError, match="not positive semidefinite"):
+            lambda_from_photons(photons)
+
+    @pytest.mark.parametrize("family", ["generic", "two-species", "identical"])
+    def test_factor_certifies_psd_without_an_eigensolver(self, monkeypatch, family):
+        # n max|lambda lambda^dag - G| <= GRAM_PSD_TOL / 2 bounds min eig(G)
+        # from below, so these families never reach eigvalsh.
+        spec = {
+            "generic": lambda j: GaussianWavepacket(0.2 * j, 1.0 + 0.05 * j, 0.3 * j),
+            "two-species": lambda j: GaussianWavepacket(0.5 * (j % 2), 1.0, 0.3 * (j % 2)),
+            "identical": lambda j: GaussianWavepacket(0.1, 1.2, -0.4),
+        }[family]
+        want = {n: lambda_from_photons([spec(j) for j in range(n)]).matrix for n in range(2, 17)}
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+        for n in range(2, 17):
+            assert np.array_equal(lambda_from_photons([spec(j) for j in range(n)]).matrix, want[n]), n
+
+    def test_slowly_varying_photons_fall_back_to_eigvalsh(self, monkeypatch):
+        # 12 near-identical photons: the Cholesky drops directions of rounding
+        # size and misses G by more than the certificate allows, so eigvalsh
+        # decides, and the basis keeps its 8 functions.
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return np.linalg.eigh(a)[0]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        lam = lambda_from_photons([GaussianWavepacket(0.05 * j, 1.0 + 0.01 * j, 0.02 * j) for j in range(12)])
+        assert len(calls) == 1 and lam.basis_size == 8
+
+
+def _no_eigensolver(a):
+    raise AssertionError("np.linalg.eigvalsh was called")
 
 
 class TestLambdaFromPhotons:
