@@ -17,6 +17,13 @@ file holds:
   and of peak RSS (``ru_maxrss`` from ``os.wait4``), how many runs the
   working tree's RSS was lower and whether both sides wrote the same
   bytes;
+* ``streams``: one row per in-process query stream. Each run starts one
+  child process per side, the side that goes first alternating from run
+  to run; the child reads the whole stream of ``probability_chunks`` or
+  ``verify_chunks`` REPEATS times and reports the best wall time and a
+  digest of the totals' bytes. A row gives each side's median and
+  quartiles of that best time, how many runs the working tree was faster
+  and whether both sides' totals had the same bytes;
 * ``eigvalsh_fallback``: for the generic and near-identical Gaussian
   families at n = 2..16, the n at which ``orthonormal_decomposition``
   called ``np.linalg.eigvalsh`` and the n it refused.
@@ -24,10 +31,12 @@ file holds:
 The configs are generic Gaussian photons (photon j: mu = 0.2 j,
 sigma = 1 + 0.05 j, tau = 0.3 j) on ``make_random_unitary(m, 1)``,
 written out as an explicit unitary so that no job runs a QR
-factorisation. This process imports only the standard library: Linux
-carries a parent's resident size into its child's peak at exec, so a
-parent holding numpy would raise every job's reading. numpy runs in
-child processes only.
+factorisation. In a stream row of n photons, the last few are mixtures:
+photon j with weight 0.4 and the family's photon j + n with weight 0.6.
+This process imports only the standard library: Linux carries a
+parent's resident size into its child's peak at exec, so a parent
+holding numpy would raise every job's reading. numpy runs in child
+processes only.
 """
 
 import argparse
@@ -56,6 +65,33 @@ ROWS = {
     "two-species signature n=8 m=12": ("distribution", 8, 12, "nonresolved", {"signature": [1] * 8 + [0] * 4}),
     "verify n=4 m=4": ("verify", 4, 4, "nonresolved", "distribution"),
 }
+
+# name -> (n, m, mixed photons, detector, stream); each mixed photon doubles the combinations.
+STREAMS = {
+    "pure resolved sweep n=4 m=5": (4, 5, 0, "resolved", "probability_chunks"),
+    "pure blind sweep n=4 m=5": (4, 5, 0, "nonresolved", "probability_chunks"),
+    "mixed resolved sweep n=3 m=4, 4 combinations": (3, 4, 2, "resolved", "probability_chunks"),
+    "mixed resolved sweep n=3 m=5, 8 combinations": (3, 5, 3, "resolved", "probability_chunks"),
+    "mixed blind sweep n=4 m=5, 8 combinations": (4, 5, 3, "nonresolved", "probability_chunks"),
+    "mixed verify n=3 m=4, 4 combinations": (3, 4, 2, "nonresolved", "verify_chunks"),
+}
+REPEATS = 7
+
+STREAM = """
+import hashlib, json, sys, time
+from bosonspectra import GaussianWavepacket, MixedPhotonSource, make_random_unitary, probability_chunks, verify_chunks
+n, m, mixed, detector, stream, repeats = json.loads(sys.argv[1])
+g = lambda j: GaussianWavepacket(0.2 * j, 1.0 + 0.05 * j, 0.3 * j)
+photons = [g(j) if j < n - mixed else MixedPhotonSource(((0.4, g(j)), (0.6, g(j + n)))) for j in range(n)]
+u, run = make_random_unitary(m, 1), {"probability_chunks": probability_chunks, "verify_chunks": verify_chunks}[stream]
+best = float("inf")
+for _ in range(repeats):
+    start = time.perf_counter()
+    chunks = list(run(u, photons, None, detector))
+    best = min(best, time.perf_counter() - start)
+digest = hashlib.sha256(b"".join(totals.tobytes() for _, totals in chunks)).hexdigest()[:16]
+print(json.dumps({"best_s": best, "outcomes": sum(len(outcomes) for outcomes, _ in chunks), "digest": digest}))
+"""
 
 MACHINE = """
 import json, platform, sys
@@ -218,6 +254,20 @@ def main(argv=None) -> int:
             row["head_rss_lower_runs"] = sum(h < b for h, b in zip(rss["head"], rss["base"]))
             row["same_document"] = len({digest for runs in sides.values() for _, _, digest in runs}) == 1
             rows.append(row)
+        streams = {name: {side: [] for side in trees} for name in STREAMS}
+        for run in range(args.runs):
+            order = ("base", "head") if run % 2 == 0 else ("head", "base")
+            for name, spec in STREAMS.items():
+                for side in order:
+                    streams[name][side].append(_python(STREAM, trees[side], json.dumps([*spec, REPEATS])))
+        stream_rows = []
+        for name, sides in streams.items():
+            best = {side: [result["best_s"] for result in runs] for side, runs in sides.items()}
+            row = {"row": name, "outcomes": sides["head"][0]["outcomes"]}
+            row.update((side, {"best_s": _summary(values, 1.0, 6)}) for side, values in best.items())
+            row["head_faster_runs"] = sum(h < b for h, b in zip(best["head"], best["base"]))
+            row["same_totals"] = len({result["digest"] for runs in sides.values() for result in runs}) == 1
+            stream_rows.append(row)
         fallback = {side: _python(FALLBACK, tree) for side, tree in trees.items()}
         result = {
             "machine": machine,
@@ -226,8 +276,10 @@ def main(argv=None) -> int:
                 "head": {"rev": "working tree on " + _git("rev-parse", "HEAD").decode().strip(),
                          "sources": _digest(ROOT)},
             },
-            "settings": {"runs": args.runs, "env": {"PYTHONDONTWRITEBYTECODE": "1"}, "order": "alternating"},
+            "settings": {"runs": args.runs, "env": {"PYTHONDONTWRITEBYTECODE": "1"}, "order": "alternating",
+                         "stream_repeats": REPEATS},
             "end_to_end": rows,
+            "streams": stream_rows,
             "eigvalsh_fallback": fallback,
         }
     with open(args.out, "w") as f:
@@ -239,6 +291,10 @@ def main(argv=None) -> int:
               f"{head['peak_rss_mb']['median']:6.2f} MB "
               f"({row['head_rss_lower_runs']}/{args.runs} lower), wall {base['wall_s']['median']:.3f} -> "
               f"{head['wall_s']['median']:.3f} s, same document: {row['same_document']}")
+    for row in stream_rows:
+        base, head = row["base"]["best_s"], row["head"]["best_s"]
+        print(f"{row['row']:48} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms "
+              f"({row['head_faster_runs']}/{args.runs} faster), same totals: {row['same_totals']}")
     return 0
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, _Record
 from .network import Interferometer
-from .sampling import (_checked_detector, _checked_outcome, _priced_chunks, _validated_inputs, _weighted_chunks,
-                       mixture_lambdas)
+from .sampling import _checked_detector, _checked_outcome, _validated_inputs, _weighted_chunks, mixture_lambdas
 from .spectra import LambdaMatrix
 
 AMPLITUDE_PRUNE = 1e-15
@@ -225,31 +224,33 @@ def oracle_probability(state: FockState, outcome, detector: str = "nonresolved")
     return state._readouts([outcome], detector)[0]
 
 
-def _compared_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
-    """One combination's engine work in multiply-adds and its (outcomes, (engine, oracle) pairs) chunks.
+def _compared_chunks(interferometer: Interferometer, combinations, input_modes, detector: str, outcome=None):
+    """sampling._weighted_chunks' chunks with the oracle's totals, weighted alike, as a second column.
 
-    The chunks hold the combination's sweep, or outcome alone. The
-    detector and the oracle's own bound are checked at the call, then the
-    engine's stream is made and priced by sampling._priced_chunks, which
-    checks the inputs and the outcome or sweep cap; the caller checks the
-    work. The Fock expansion and the engine's work wait for the first
-    chunk. The oracle reads the same outcomes unvalidated, and the state is
-    dropped once the whole comparison is built, so a mixture's combinations
-    hold one at a time.
+    The detector and each combination's oracle bound are checked at the
+    call, before the engine's stream is made with its own checks. The
+    first read runs that whole stream; then each combination in turn
+    expands its Fock state, reads every chunk's outcomes unvalidated and
+    drops it, so one state is held at a time.
     """
     _checked_detector(detector)
-    _checked_inputs(interferometer, lam, input_modes)
-    work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
+    combinations = list(combinations)
+    for _, lam in combinations:
+        _checked_inputs(interferometer, lam, input_modes)
+    engine = _weighted_chunks(interferometer, combinations, input_modes, detector, outcome)
 
     def compared():
-        state = fock_evolve(interferometer, lam, input_modes)
-        pairs = []
-        for outcomes, values in chunks:
-            pairs.append((outcomes, list(zip(values, state._readouts(outcomes, detector)))))
-        del state
-        yield from pairs
+        chunks = list(engine)
+        columns = [0.0] * len(chunks)
+        for weight, lam in combinations:
+            state = fock_evolve(interferometer, lam, input_modes)
+            columns = [column + weight * np.array(state._readouts(outcomes, detector), dtype=float)
+                       for column, (outcomes, _) in zip(columns, chunks)]
+            del state
+        for (outcomes, totals), column in zip(chunks, columns):
+            yield outcomes, np.column_stack((totals, column))
 
-    return work, compared()
+    return compared()
 
 
 def verify_against_oracle(
@@ -263,12 +264,11 @@ def verify_against_oracle(
     Returns (rows, max_deviation) where each row is
     (outcome, engine_probability, oracle_probability), in sweep order.
     Every check, the engine's work budget included, runs before the Fock
-    expansion, in verify_chunks' loop at weight 1.0, which keeps the bits.
+    expansion, in verify_chunks' stream at weight 1.0, which keeps the bits.
     """
-    chunks = _weighted_chunks([(1.0, lam)], lambda lam: _compared_chunks(interferometer, lam, input_modes, detector))
     rows = [
         (outcome, engine_p, oracle_p)
-        for outcomes, totals in chunks
+        for outcomes, totals in _compared_chunks(interferometer, [(1.0, lam)], input_modes, detector)
         for outcome, (engine_p, oracle_p) in zip(outcomes, totals.tolist())
     ]
     return rows, max([0.0] + [abs(engine_p - oracle_p) for _, engine_p, oracle_p in rows])
@@ -279,13 +279,11 @@ def verify_chunks(
 ):
     """Engine and oracle for a whole experiment, as a stream of (outcomes, totals) chunks.
 
-    The stream is the detector's whole sweep, or one chunk holding
-    outcome alone, as in sampling.probability_chunks. totals is an
-    (outcomes x 2) float64 array of the engine's and the oracle's
-    probabilities, each weighted over every mixture combination by the
-    loop behind probability_chunks. Each combination's STATE_BUDGET and
-    engine checks, then the combinations' total engine work against the
-    work budget, are checked at the call, before the first expansion.
+    The chunks are sampling.probability_chunks': the detector's whole
+    sweep, or one chunk holding outcome alone. totals is an (outcomes x 2)
+    float64 array, probability_chunks' totals and the oracle's, weighted
+    alike over every mixture combination. The detector, the mixture cap,
+    each combination's STATE_BUDGET, then the engine's checks and summed
+    work are checked at the call, before the first expansion.
     """
-    return _weighted_chunks(mixture_lambdas(photons, detector),
-                            lambda lam: _compared_chunks(interferometer, lam, input_modes, detector, outcome))
+    return _compared_chunks(interferometer, mixture_lambdas(photons, detector), input_modes, detector, outcome)

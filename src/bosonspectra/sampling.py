@@ -29,13 +29,13 @@ probability is a sum of permanents in one of two closed forms:
   cancel, with kappa = sum |terms| / |sum of terms| above
   PAIR_SUM_KAPPA, falls back to the split sum.
 
-_costs is the one price list. Every stream is priced from it when made,
-without enumerating anything, and refused with CapacityError if its
-multiply-adds exceed the work budget: the work of the largest permanent
-the kernel admits, RYSER_DIMENSION_CAP 2^(RYSER_DIMENSION_CAP - 1),
-about 1.61e10. A mixture's combinations are priced together, before any
-of them runs; a kappa fallback's split sum is checked against the same
-budget when it happens.
+_costs is the one price list. _price prices a query from it, from n, m,
+r and the outcome alone, and the query is refused with CapacityError if
+its multiply-adds exceed the work budget: the work of the largest
+permanent the kernel admits, RYSER_DIMENSION_CAP 2^(RYSER_DIMENSION_CAP - 1),
+about 1.61e10. A mixture's combinations are priced together, before
+anything is built; a kappa fallback's split sum is checked against the
+same budget when it happens.
 
 Mixed photons average over every combination of mixture components
 (mixture_lambdas). Resolved outcomes name basis functions, so there all
@@ -43,12 +43,13 @@ combinations share the basis of every component of every photon, photon
 order then component order. Blind probabilities do not depend on the
 basis, so each combination keeps its own, narrower one.
 
-An experiment's probabilities are one stream, probability_chunks: the
-combinations' chunks walked in lockstep by _weighted_chunks, the one
-loop that adds weight * value. probability_mixed is its one-outcome
-case; oracle.verify_chunks feeds the same loop (engine, oracle) pairs.
-Every stream is checked and priced when made and does its work as it is
-read, a single outcome's included.
+Every query is one stream, _weighted_chunks: checked and priced at the
+call, its outcomes enumerated once, each chunk's values computed by every
+combination and added as weight * value as the stream is read.
+probability_chunks is an experiment's stream and probability_mixed its
+one-outcome case; distribution_*, probability_nonresolved and
+oracle.verify_chunks read the same stream for one pure combination or
+a whole experiment.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
 row of indices into one joint matrix. One stream, _count_blocks, makes
@@ -73,6 +74,7 @@ measurement signatures are single occupation tuples. Input modes are
 
 import itertools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -110,13 +112,17 @@ class MixedPhotonSource(_Record):
     """A photon prepared as a classical mixture of pure spectral states.
 
     components holds (probability, spec) pairs; probabilities must be
-    non-negative and sum to 1.
+    real, non-negative and sum to 1.
     """
 
     _fields = ("components",)
 
     def __init__(self, components: tuple) -> None:
-        comps = tuple((float(p), spec) for p, spec in components)
+        comps = tuple(_as_tuple(c, "a mixture component") for c in _as_tuple(components, "mixture components"))
+        for c in comps:
+            if len(c) != 2 or isinstance(c[0], bool) or not isinstance(c[0], numbers.Real):
+                raise ConfigurationError(f"a mixture component must be a (real probability, spec) pair, got {c!r}")
+        comps = tuple((float(p), spec) for p, spec in comps)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
         if not all(math.isfinite(p) and p >= 0 for p, _ in comps):
@@ -135,7 +141,7 @@ def default_input_modes(n: int) -> tuple[int, ...]:
 def _validated_inputs(input_modes, n: int, m: int) -> tuple[int, ...]:
     if input_modes is None:
         input_modes = default_input_modes(n)
-    modes = tuple(_exact_int(x, "input modes") for x in input_modes)
+    modes = tuple(_exact_int(x, "input modes") for x in _as_tuple(input_modes, "input modes"))
     if len(modes) != n:
         raise ConfigurationError(f"{len(modes)} input modes for {n} photons")
     if any(x < 1 or x > m for x in modes):
@@ -306,6 +312,21 @@ def _check_work(work: int, what: str = "the query's") -> None:
                             f"that of one {RYSER_DIMENSION_CAP} x {RYSER_DIMENSION_CAP} permanent")
 
 
+def _price(n: int, m: int, r: int, detector: str, outcome=None) -> int:
+    """One combination's multiply-adds from _costs; outcome is checked, or None for the sweep.
+
+    An outcome costs its routed sum: one permanent if resolved, else the
+    cheaper of its two sums. A resolved sweep costs its R outcomes'
+    permanents; a blind sweep of N signatures the cheaper of N pair sums
+    and R permanents, at least its routed sums and equal to them at r = 1.
+    """
+    pair, permanent = _costs(n, r, ())
+    if outcome is not None:
+        return permanent if detector == "resolved" else min(_costs(n, r, outcome))
+    outcomes = math.comb(m * r + n - 1, n) * permanent
+    return outcomes if detector == "resolved" else min(math.comb(m + n - 1, n) * pair, outcomes)
+
+
 def _occupations(total: int, parts: int):
     """All occupation tuples of parts counts summing to total, in lex order.
 
@@ -348,8 +369,8 @@ def probability_nonresolved(
     """
     if signature is None:
         raise ConfigurationError("probability_nonresolved needs a signature")
-    ((_, (value,)),) = _pure_chunks(interferometer, lam, input_modes, "nonresolved", signature)
-    return value
+    ((_, totals),) = _weighted_chunks(interferometer, [(1.0, lam)], input_modes, "nonresolved", signature)
+    return float(totals[0])
 
 
 def probability_indistinguishable_fast(interferometer: Interferometer, signature, input_occ) -> float:
@@ -383,75 +404,23 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
         yield from itertools.product(*[pools[k] for k in profile])
 
 
-def _priced_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
-    """One pure combination's work in multiply-adds and its (outcomes, probabilities) chunks.
-
-    The chunks hold outcome alone, or the whole sweep. The inputs, then
-    the outcome or the sweep cap, are checked at the call, and the work is
-    priced from _costs without enumerating anything. A resolved outcome
-    is one permanent, and a blind signature the cheaper of its two sums,
-    the one it is routed to. A resolved sweep is its R outcomes'
-    permanents; a blind sweep of N signatures is priced at the cheaper of
-    N pair sums and R permanents, the splits of every signature together:
-    at least its routed sum, and equal to it at r = 1. No probability is
-    computed until the stream is read. A sweep then runs in sweep order,
-    in chunks of at most STACK_SIZE (a resolved chunk is one kernel call,
-    a blind chunk one _probabilities_nonresolved call).
-    """
-    n, m, nb = lam.n, interferometer.m, lam.basis_size
-    inputs = _validated_inputs(input_modes, n, m)
-    resolved = detector == "resolved"
-    if outcome is not None:
-        checked = _checked_outcome(outcome, detector, n, m, nb)
-        if resolved:
-            value = lambda: probability_resolved(interferometer, lam, inputs, checked)
-            return _costs(n, nb, ())[1], _chunk(outcome, value)
-        value = lambda: _probabilities_nonresolved(_joint_matrix(interferometer, lam, inputs), nb, [checked])[0]
-        return min(_costs(n, nb, checked)), _chunk(outcome, value)
-    sig_count, outcome_count = math.comb(m + n - 1, n), math.comb(m * nb + n - 1, n)
-    count = outcome_count if resolved else sig_count
-    if count > DISTRIBUTION_OUTCOME_CAP:
-        what = "resolved outcomes" if resolved else "output signatures"
-        raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
-    pair, permanent = _costs(n, nb, ())
-    joint = _joint_matrix(interferometer, lam, inputs)
-    if resolved:
-        chunks = zip(_chunks(enumerate_resolved_outcomes(n, m, nb)), _count_blocks(n, m, nb))
-        return outcome_count * permanent, (
-            (outcomes, [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *block)]) for outcomes, block in chunks)
-    return min(sig_count * pair, outcome_count * permanent), (
-        (sigs, _probabilities_nonresolved(joint, nb, sigs)) for sigs in _chunks(_occupations(n, m)))
-
-
-def _chunk(outcome, value):
-    """A single outcome's one chunk, value() taken when it is read."""
-    yield [outcome], [value()]
-
-
-def _pure_chunks(interferometer: Interferometer, lam: LambdaMatrix, input_modes, detector: str, outcome=None):
-    """_priced_chunks' stream, refused at the call if its work exceeds the work budget."""
-    work, chunks = _priced_chunks(interferometer, lam, input_modes, detector, outcome)
-    _check_work(work)
-    return chunks
-
-
 def _gathered(chunks) -> dict:
-    """One dict of every (outcomes, values) chunk's outcome -> value, in stream order."""
-    return {outcome: value for outcomes, values in chunks for outcome, value in zip(outcomes, values)}
+    """One dict of every (outcomes, totals) chunk's outcome -> value, in stream order."""
+    return {outcome: value for outcomes, totals in chunks for outcome, value in zip(outcomes, totals.tolist())}
 
 
 def distribution_nonresolved(
     interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
 ) -> dict[tuple[int, ...], float]:
     """Probability of every signature M with sum(M) = n, in lexicographic order."""
-    return _gathered(_pure_chunks(interferometer, lam, input_modes, "nonresolved"))
+    return _gathered(_weighted_chunks(interferometer, [(1.0, lam)], input_modes, "nonresolved"))
 
 
 def distribution_resolved(
     interferometer: Interferometer, lam: LambdaMatrix, input_modes=None
 ) -> dict[tuple[tuple[int, ...], ...], float]:
     """Probability of every spectrally resolved outcome, in enumerate_resolved_outcomes order."""
-    return _gathered(_pure_chunks(interferometer, lam, input_modes, "resolved"))
+    return _gathered(_weighted_chunks(interferometer, [(1.0, lam)], input_modes, "resolved"))
 
 
 def _as_mixture(photon) -> MixedPhotonSource:
@@ -494,28 +463,47 @@ def mixture_lambdas(photons, detector: str):
             yield weight, lambda_from_photons([spec for _, (_, spec) in combo])
 
 
-def _weighted_chunks(combinations, chunks_of):
-    """Per outcome, the weighted sum over every (weight, lam) combination of its value or values.
+def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, detector: str, outcome=None):
+    """Per outcome, the weighted sum of its probability over (weight, lam) combinations, in chunks.
 
-    chunks_of(lam) returns one combination's work in multiply-adds and its
-    (outcomes, values) chunks, each value a number or a tuple of them. All
-    are made at the call, so every check runs first, and the combinations'
-    total work is then checked against the work budget once. The streams
-    are read in lockstep; every chunk must list the outcomes of the first
-    combination's, or RuntimeError is raised. Totals start at 0.0 and add
-    weight * value in combination order, in float64 as Python floats
-    would, so pure photons keep their values exactly. Yields (outcomes,
-    totals) per chunk, totals a float64 array.
+    The combinations share n and, for "resolved", their basis. The inputs,
+    then the outcome or the sweep cap, then the summed _price against the
+    work budget are checked once, at the call. The outcomes are enumerated
+    once: outcome alone as one chunk, or the sweep in sweep order in chunks
+    of at most STACK_SIZE. Per chunk, each combination makes its joint
+    matrix and values: a resolved chunk in one kernel call, a blind one in
+    one _probabilities_nonresolved call. Totals start at 0.0 and add weight
+    * value in combination order, in float64 as Python floats would, so
+    weight 1.0 keeps a value's bits. Yields (outcomes, float64 totals).
     """
-    weights, works, streams = zip(*[(weight, *chunks_of(lam)) for weight, lam in combinations])
-    _check_work(sum(works))
+    combinations = list(combinations)
+    n, m, r = combinations[0][1].n, interferometer.m, combinations[0][1].basis_size
+    inputs = _validated_inputs(input_modes, n, m)
+    resolved = detector == "resolved"
+    if outcome is not None:
+        checked = _checked_outcome(outcome, detector, n, m, r)
+    else:
+        checked, count = None, math.comb(m * r + n - 1 if resolved else m + n - 1, n)
+        if count > DISTRIBUTION_OUTCOME_CAP:
+            what = "resolved outcomes" if resolved else "output signatures"
+            raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
+    _check_work(sum(_price(n, m, lam.basis_size, detector, checked) for _, lam in combinations))
+    if checked is None:
+        chunks = (zip(_chunks(enumerate_resolved_outcomes(n, m, r)), _count_blocks(n, m, r)) if resolved
+                  else ((sigs, sigs) for sigs in _chunks(_occupations(n, m))))
+    else:
+        row = sum(checked, ()) if resolved else checked
+        chunks = [([outcome], (np.array([row]), [math.prod(map(math.factorial, row))]) if resolved else [row])]
 
     def totals():
-        for chunks in itertools.zip_longest(*streams, fillvalue=(None, None)):
-            outcomes, total = chunks[0][0], 0.0
-            for weight, (chunk_outcomes, values) in zip(weights, chunks):
-                if chunk_outcomes != outcomes:
-                    raise RuntimeError("mixture combinations list different outcomes")
+        for outcomes, rows in chunks:
+            total = 0.0
+            for weight, lam in combinations:
+                joint = _joint_matrix(interferometer, lam, inputs)
+                if resolved:
+                    values = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *rows)]
+                else:
+                    values = _probabilities_nonresolved(joint, lam.basis_size, rows)
                 total = total + weight * np.array(values, dtype=float)
             yield outcomes, total
 
@@ -531,12 +519,11 @@ def probability_chunks(
     stream is the detector's whole sweep in chunks of at most STACK_SIZE,
     or one chunk holding outcome alone; totals, a float64 array, weights
     each probability over every combination from mixture_lambdas. The
-    detector, MIXTURE_TERM_CAP, each combination's inputs and outcome or
-    sweep cap, then the combinations' total work against the work budget
-    are checked at the call, before any combination's work starts.
+    detector, MIXTURE_TERM_CAP, the inputs and the outcome or sweep cap,
+    then the combinations' total work against the work budget are checked
+    at the call, before any joint matrix is built.
     """
-    return _weighted_chunks(mixture_lambdas(photons, detector),
-                            lambda lam: _priced_chunks(interferometer, lam, input_modes, detector, outcome))
+    return _weighted_chunks(interferometer, mixture_lambdas(photons, detector), input_modes, detector, outcome)
 
 
 def probability_mixed(

@@ -43,7 +43,8 @@ def test_removed_names_are_gone():
     assert not hasattr(bosonspectra.sampling, "_resolved_probability_padded")
     assert not hasattr(bosonspectra.sampling, "_resolved_sweep")
     for name in ("_mixture_terms", "_nonresolved_chunks", "_resolved_chunks", "_pools", "enumerate_partitions",
-                 "_FACTORIALS", "_factorial_products", "as_resolved_outcome"):
+                 "_FACTORIALS", "_factorial_products", "as_resolved_outcome", "_priced_chunks", "_chunk",
+                 "_pure_chunks"):
         assert not hasattr(bosonspectra.sampling, name), name
     for name in ("_repeat_indices", "_submatrix"):
         assert not hasattr(bosonspectra.network, name), name

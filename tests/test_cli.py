@@ -12,6 +12,7 @@ import pytest
 
 import bosonspectra.sampling
 from bosonspectra import (
+    CapacityError,
     GaussianWavepacket,
     LambdaMatrix,
     MixedPhotonSource,
@@ -24,12 +25,14 @@ from bosonspectra import (
     make_random_unitary,
     mixture_lambdas,
     oracle_probability,
+    probability_chunks,
     probability_indistinguishable_fast,
     probability_mixed,
     probability_nonresolved,
     verify_against_oracle,
+    verify_chunks,
 )
-from bosonspectra.sampling import DISTRIBUTION_OUTCOME_CAP, STACK_SIZE, _weighted_chunks, mixture_lambdas
+from bosonspectra.sampling import DISTRIBUTION_OUTCOME_CAP, STACK_SIZE, mixture_lambdas
 from bosonspectra.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_INPUT_ERROR,
@@ -805,17 +808,12 @@ class TestVerify:
             oracle = sum(w * oracle_probability(state, sig) for w, state in states)
             assert row["oracle"] == _sig15(oracle)
 
-    def test_mixture_sweep_adds_like_probability_mixed(self):
+    def test_mixture_sweep_adds_like_probability_mixed(self, monkeypatch):
         # Unrounded: the document's 15 digits would hide a change of summation order.
         _, u, photons = mixed_experiment()
-
-        def chunks_of(lam):
-            rows = verify_against_oracle(u, lam)[0]
-            # Chunks of 7 rows, so totals are also taken chunk by chunk.
-            return 0, [([row[0] for row in rows[i:i + 7]], [row[1:] for row in rows[i:i + 7]])
-                       for i in range(0, len(rows), 7)]
-
-        chunks = list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), chunks_of))
+        # Chunks of 7 outcomes, so totals are also taken chunk by chunk.
+        monkeypatch.setattr(bosonspectra.sampling, "STACK_SIZE", 7)
+        chunks = list(verify_chunks(u, photons))
         assert [len(outcomes) for outcomes, _ in chunks] == [7, 7, 6]
         states = weighted_states(u, photons)
         for outcomes, totals in chunks:
@@ -823,21 +821,34 @@ class TestVerify:
                 assert engine == probability_mixed(u, photons, None, sig)
                 assert oracle == sum(w * oracle_probability(state, sig) for w, state in states)
 
-    def test_mixture_sweep_refuses_unaligned_outcomes(self):
-        _, _, photons = mixed_experiment()
-        orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [[([(0, 1), (1, 0)], [0.5, 0.5])]] * 3)
-        with pytest.raises(RuntimeError):
-            list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), lambda lam: (0, next(orders))))
+    def test_mixed_resolved_sweep_enumerates_its_count_rows_once(self, monkeypatch):
+        # 1540 outcomes over 4 combinations: one _count_blocks stream, shared.
+        _, u, photons = mixed_experiment()
+        calls = []
+        count_blocks = bosonspectra.sampling._count_blocks
+        monkeypatch.setattr(bosonspectra.sampling, "_count_blocks", lambda *args: calls.append(args) or
+                            count_blocks(*args))
+        chunks = list(probability_chunks(u, photons, None, "resolved"))
+        assert sum(len(outcomes) for outcomes, _ in chunks) == 1540
+        assert len(calls) == 1
 
-    @pytest.mark.parametrize("later", [
-        [([(1, 0)], [0.5]), ([(0, 1)], [0.5])],  # the same outcomes in other chunks
-        [([(1, 0), (0, 1)], [0.5, 0.5]), ([(1, 1)], [0.0])],  # one chunk more
-    ])
-    def test_mixture_sweep_refuses_unaligned_chunks(self, later):
-        _, _, photons = mixed_experiment()
-        orders = iter([[([(1, 0), (0, 1)], [0.5, 0.5])]] + [later] * 3)
-        with pytest.raises(RuntimeError):
-            list(_weighted_chunks(mixture_lambdas(photons, "nonresolved"), lambda lam: (0, next(orders))))
+    @pytest.mark.parametrize("stream", [probability_chunks, verify_chunks], ids=lambda f: f.__name__)
+    def test_mixture_over_budget_refused_before_any_joint_matrix(self, monkeypatch, stream):
+        def no_joint(*args):
+            raise AssertionError("a joint matrix was built before the work budget was checked")
+
+        _, u, photons = mixed_experiment()
+        monkeypatch.setattr(bosonspectra.sampling, "_joint_matrix", no_joint)
+        monkeypatch.setattr(bosonspectra.sampling, "_WORK_BUDGET", 10)
+        with pytest.raises(CapacityError, match="exceed the work budget 10"):
+            stream(u, photons)
+
+    @pytest.mark.parametrize("detector", ["nonresolved", "resolved"])
+    def test_engine_column_is_probability_chunks(self, detector):
+        _, u, photons = mixed_experiment()
+        engine = [(outcomes, totals.tolist()) for outcomes, totals in probability_chunks(u, photons, None, detector)]
+        verified = [(outcomes, totals[:, 0].tolist()) for outcomes, totals in verify_chunks(u, photons, None, detector)]
+        assert verified == engine
 
     def test_mixed_resolved_verify_passes(self, tmp_path):
         config, _, _ = mixed_experiment()

@@ -290,7 +290,7 @@ class TestVerifyAgainstOracle:
         # outcomes are over the sweep cap.
         ("fock_evolve", 10, True, "resolved", "82598880 resolved outcomes exceed the sweep cap"),
         # Over the state budget: refused before the engine's stream is made.
-        ("_priced_chunks", 8, False, "nonresolved", f"over {STATE_BUDGET}"),
+        ("_weighted_chunks", 8, False, "nonresolved", f"over {STATE_BUDGET}"),
     ])
     def test_every_check_runs_before_any_work(self, monkeypatch, skipped, m, distinguishable, detector, error):
         def no_work(*args):

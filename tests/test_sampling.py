@@ -43,7 +43,7 @@ from bosonspectra.sampling import (
     _count_blocks,
     _joint_matrix,
     _occupations,
-    _priced_chunks,
+    _price,
     _resolved_amplitudes,
     _split_count,
 )
@@ -637,11 +637,10 @@ class TestWorkBudget:
         (4, 5, 4, None),
         (4, 8, 2, None),
     ])
-    def test_price_is_the_routed_work(self, rng, n, m, r, sig):
+    def test_price_is_the_routed_work(self, n, m, r, sig):
         # A signature costs the sum it is routed to; a sweep at least what
         # its signatures' routed sums add up to, and exactly that at r = 1.
-        u, lam = make_random_unitary(m, 7), random_unit_rows(rng, n, r)
-        work, _ = _priced_chunks(u, lam, None, "nonresolved", sig)
+        work = _price(n, m, r, "nonresolved", sig)
         if sig is not None:
             assert work == min(_costs(n, r, sig))
         else:
@@ -678,7 +677,7 @@ class TestWorkBudget:
     def test_generic_fourteen_photons_are_admitted(self):
         # 9.40e8 multiply-adds, under the budget: the stream is made, not read.
         u, photons, sig = Interferometer(np.eye(30)), generic(14), (1,) * 14 + (0,) * 16
-        work, _ = _priced_chunks(u, lambda_from_photons(photons), None, "nonresolved", sig)
+        work = _price(14, 30, lambda_from_photons(photons).basis_size, "nonresolved", sig)
         assert work == 14 * 4**13 < _WORK_BUDGET
         bosonspectra.sampling.probability_chunks(u, photons, None, "nonresolved", sig)
 
@@ -995,3 +994,27 @@ class TestProbabilityMixed:
                                     (probability_resolved, [2], "occupation counts")):
             with pytest.raises(ConfigurationError, match=f"{what} must be a sequence, got 2"):
                 call(bs, lam, None, outcome)
+
+    @pytest.mark.parametrize("call", [
+        lambda bs, lam: probability_nonresolved(bs, lam, 1, (1, 1)),
+        lambda bs, lam: distribution_resolved(bs, lam, 1),
+        lambda bs, lam: fock_evolve(bs, lam, 1),
+    ])
+    def test_non_iterable_input_modes_refused(self, call):
+        # A bare mode number used to escape as TypeError.
+        with pytest.raises(ConfigurationError, match="input modes must be a sequence, got 1"):
+            call(make_beamsplitter_50_50(), LambdaMatrix([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("components,error", [
+        (5, "mixture components must be a sequence, got 5"),
+        (((0.5,),), "pair, got [(]0.5,[)]"),
+        ((("a", GaussianWavepacket(0.0, 1.0)),), "pair, got [(]'a', "),
+        (((None, GaussianWavepacket(0.0, 1.0)),), "pair, got [(]None, "),
+        (((True, GaussianWavepacket(0.0, 1.0)),), "pair, got [(]True, "),
+        (((1.0, GaussianWavepacket(0.0, 1.0), 3),), "pair, got [(]1.0, .*, 3[)]"),
+    ])
+    def test_malformed_mixture_components_refused(self, components, error):
+        # Each used to escape the constructor as TypeError or ValueError, or
+        # (True) to pass as probability 1.0.
+        with pytest.raises(ConfigurationError, match=error):
+            MixedPhotonSource(components)
