@@ -3,8 +3,12 @@
     python bench_layers.py --base REV --out BENCH_<name>.json [--runs N]
 
 Compares the package at git revision REV, exported with `git archive`
-into a temporary directory, with the package in this working tree. The
-file holds:
+into a temporary directory, with the package in this working tree,
+copied beside it, so that both sides' ``PYTHONPATH`` has the same
+length. With the working tree's own, shorter path, the unchanged kernel
+rows at k >= 14 read 12-15 % faster on the working tree's side in 10 of
+10 runs (most likely the environment's size shifting the process's
+memory layout); with equal paths they read within 4 %. The file holds:
 
 * ``machine``: CPU, core count, Python, numpy, the BLAS numpy was built
   against and ``np.finfo(np.longdouble)``;
@@ -24,6 +28,14 @@ file holds:
   digest of the totals' bytes. A row gives each side's median and
   quartiles of that best time, how many runs the working tree was faster
   and whether both sides' totals had the same bytes;
+* ``kernel``: one row per size k of ``permanent_ryser`` on one random
+  complex k x k matrix, k = 8, 10, ..., 22. Each run starts one child
+  process per side, the side that goes first alternating from run to
+  run; the child times every size REPEATS times in process and reports
+  the best wall time and a digest of the result's bytes per size. A row
+  gives each side's median and quartiles of that best time, how many
+  runs the working tree was faster and whether both sides' results had
+  the same bytes;
 * ``eigvalsh_fallback``: for the generic and near-identical Gaussian
   families at n = 2..16, the n at which ``orthonormal_decomposition``
   called ``np.linalg.eigvalsh`` and the n it refused.
@@ -46,6 +58,7 @@ import json
 import os
 import platform
 import select
+import shutil
 import signal
 import statistics
 import subprocess
@@ -91,6 +104,27 @@ for _ in range(repeats):
     best = min(best, time.perf_counter() - start)
 digest = hashlib.sha256(b"".join(totals.tobytes() for _, totals in chunks)).hexdigest()[:16]
 print(json.dumps({"best_s": best, "outcomes": sum(len(outcomes) for outcomes, _ in chunks), "digest": digest}))
+"""
+
+# Sizes of the kernel rows; entry (i, j) of the k x k matrix is complex normal over sqrt(2 k), from seed k.
+KERNEL_SIZES = list(range(8, 23, 2))
+
+KERNEL = """
+import hashlib, json, sys, time
+import numpy as np
+from bosonspectra import permanent_ryser
+sizes, repeats = json.loads(sys.argv[1])
+out = {}
+for k in sizes:
+    rng = np.random.default_rng(k)
+    a = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2 * k)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        value = permanent_ryser(a)
+        best = min(best, time.perf_counter() - start)
+    out[k] = {"best_s": best, "digest": hashlib.sha256(np.complex128(value).tobytes()).hexdigest()[:16]}
+print(json.dumps(out))
 """
 
 MACHINE = """
@@ -235,7 +269,10 @@ def main(argv=None) -> int:
         base = os.path.join(scratch, "base")
         os.mkdir(base)
         _export(args.base, base)
-        trees = {"base": base, "head": ROOT}
+        head = os.path.join(scratch, "head")
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(head, "src"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees = {"base": base, "head": head}
         machine = {"cpu": _cpu(), "cores": os.cpu_count(), **_python(MACHINE, ROOT)}
         inputs = _configs(ROOT, scratch)
         samples = {name: {side: [] for side in trees} for name in ROWS}
@@ -268,18 +305,32 @@ def main(argv=None) -> int:
             row["head_faster_runs"] = sum(h < b for h, b in zip(best["head"], best["base"]))
             row["same_totals"] = len({result["digest"] for runs in sides.values() for result in runs}) == 1
             stream_rows.append(row)
+        kernel = {side: [] for side in trees}
+        for run in range(args.runs):
+            for side in ("base", "head") if run % 2 == 0 else ("head", "base"):
+                kernel[side].append(_python(KERNEL, trees[side], json.dumps([KERNEL_SIZES, REPEATS])))
+        kernel_rows = []
+        for k in map(str, KERNEL_SIZES):
+            best = {side: [result[k]["best_s"] for result in runs] for side, runs in kernel.items()}
+            row = {"row": f"permanent_ryser k={k}", "k": int(k)}
+            row.update((side, {"best_s": _summary(values, 1.0, 6)}) for side, values in best.items())
+            row["head_faster_runs"] = sum(h < b for h, b in zip(best["head"], best["base"]))
+            row["same_result"] = len({result[k]["digest"] for runs in kernel.values() for result in runs}) == 1
+            kernel_rows.append(row)
         fallback = {side: _python(FALLBACK, tree) for side, tree in trees.items()}
         result = {
             "machine": machine,
             "trees": {
                 "base": {"rev": _git("rev-parse", args.base).decode().strip(), "sources": _digest(base)},
                 "head": {"rev": "working tree on " + _git("rev-parse", "HEAD").decode().strip(),
-                         "sources": _digest(ROOT)},
+                         "sources": _digest(head)},
             },
             "settings": {"runs": args.runs, "env": {"PYTHONDONTWRITEBYTECODE": "1"}, "order": "alternating",
-                         "stream_repeats": REPEATS},
+                         "stream_repeats": REPEATS,
+                         "kernel_repeats": REPEATS},
             "end_to_end": rows,
             "streams": stream_rows,
+            "kernel": kernel_rows,
             "eigvalsh_fallback": fallback,
         }
     with open(args.out, "w") as f:
@@ -295,6 +346,10 @@ def main(argv=None) -> int:
         base, head = row["base"]["best_s"], row["head"]["best_s"]
         print(f"{row['row']:48} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms "
               f"({row['head_faster_runs']}/{args.runs} faster), same totals: {row['same_totals']}")
+    for row in kernel_rows:
+        base, head = row["base"]["best_s"], row["head"]["best_s"]
+        print(f"{row['row']:48} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms "
+              f"({row['head_faster_runs']}/{args.runs} faster), same result: {row['same_result']}")
     return 0
 
 

@@ -35,8 +35,19 @@ Every check runs before the first byte goes out, the work budget's
 included; only a kappa fallback whose split sum is over that budget, or
 MemoryError, can stop a sweep midway, leaving a
 partial document on stdout and a file output as it was. The CLI calls
-only public engine names. Exit codes: 0 success, 2 input error, 3
-capacity error or out of memory, 4 verification failure.
+only public engine names. Exit codes: 0 success, 2 input error (a
+failed write to stdout too), 3 capacity error or out of memory, 4
+verification failure.
+
+The process entry point, console_main (the `bosonspectra` script and
+`python -m bosonspectra.cli`), runs main and ends the process with
+os._exit right after its document and stderr are flushed, skipping the
+interpreter's teardown: every output is written, closed or flushed
+inside main, so nothing is left for teardown to do. No job registers an
+atexit callback; a wrapper that does, such as `coverage run -m`, loses
+its own. A run that leaves main by an exception (-h, a usage error, an
+uncaught bug, KeyboardInterrupt) exits the normal way. main(argv)
+returns its exit code for callers in the same process.
 
 _COMMANDS is the argv grammar: each subcommand's options and their
 defaults. An option takes its value as the next argument or after '=',
@@ -59,8 +70,9 @@ argv.
 import itertools
 import json
 import math
+import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -122,10 +134,13 @@ def _parse_int(value, where: str) -> int:
 
 
 def _parse_real(value, where: str) -> float:
-    """A JSON number; strings, lists and booleans are rejected."""
+    """A JSON number; strings, lists, booleans and integers beyond the double range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{where}: a {len(str(abs(value)))}-digit integer overflows a double") from None
 
 
 def _parse_counts(data, where: str) -> tuple[int, ...]:
@@ -572,5 +587,17 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def console_main() -> NoReturn:
+    """Run main on sys.argv and end the process with its exit code, skipping interpreter teardown.
+
+    main has written, closed or flushed every output by the time it
+    returns; stderr is flushed here, and stdout is never flushed again,
+    so a write main already reported cannot fail a second time.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

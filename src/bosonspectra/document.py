@@ -13,7 +13,8 @@ value strict JSON cannot spell, NaN or an infinity, raises ValueError.
 Each chunk is rendered and written before the next is taken, so a
 document never has to be held whole. A file output is written to a
 temporary file beside it and moved into place only once the whole
-document is written, so a run that fails leaves no partial document.
+document is written, so a run that fails leaves no partial document;
+stdout is flushed before the writer returns.
 """
 
 import contextlib
@@ -122,13 +123,19 @@ def _rows_text(chunk: dict) -> str:
 def _output_stream(output: str):
     """A text stream to write a document to: stdout for "-", else the file output names.
 
-    A regular file, or a new one, is written as a temporary file in the
-    same directory and moved over output, keeping its mode, only when
-    the block ends without an exception; on one it is removed, and
-    output is left as it was. A pipe or device is written directly.
+    stdout is flushed when the block ends, with or without an exception,
+    so every byte written is out, or its OSError raised, before the
+    caller returns. A regular file, or a new one, is written as a
+    temporary file in the same directory and moved over output, keeping
+    its mode, only when the block ends without an exception; on one it
+    is removed, and output is left as it was. A pipe or device is
+    written directly.
     """
     if output == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.flush()
         return
     try:
         mode = os.stat(output).st_mode

@@ -122,10 +122,14 @@ class MixedPhotonSource(_Record):
         for c in comps:
             if len(c) != 2 or isinstance(c[0], bool) or not isinstance(c[0], numbers.Real):
                 raise ConfigurationError(f"a mixture component must be a (real probability, spec) pair, got {c!r}")
-        comps = tuple((float(p), spec) for p, spec in comps)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
-        if not all(math.isfinite(p) and p >= 0 for p, _ in comps):
+        try:
+            comps = tuple((float(p), spec) for p, spec in comps)
+            finite = all(math.isfinite(p) and p >= 0 for p, _ in comps)
+        except OverflowError:  # an int beyond the double range
+            finite = False
+        if not finite:
             raise ConfigurationError("mixture weights must be finite and non-negative")
         total = sum(p for p, _ in comps)
         if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
@@ -186,15 +190,17 @@ def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> 
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
 
 
-def _resolved_amplitudes(joint: np.ndarray, counts: np.ndarray, norms: list[int]) -> list[complex]:
-    """Per(A_S) / sqrt(prod S_vec!) for each row S_vec of an (outcomes x basis_size * m) count matrix.
+def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int]) -> list[complex]:
+    """Per(A_S) / sqrt(prod S_vec!) for each count row S_vec, given as its kernel index row.
 
-    norms holds each row's prod S_vec! as a Python int; counts holds at
-    most STACK_SIZE rows, one kernel call. The division runs on Python
+    rows is _count_rows of an (outcomes x basis_size * m) count matrix,
+    made once for every joint matrix that reads the same block. norms
+    holds each row's prod S_vec! as a Python int; rows holds at most
+    STACK_SIZE rows, one kernel call. The division runs on Python
     scalars: numpy's complex / float multiplies by the reciprocal and
     rounds differently.
     """
-    return [per / math.sqrt(norm) for per, norm in zip(_permanents(_count_rows(counts), joint).tolist(), norms)]
+    return [per / math.sqrt(norm) for per, norm in zip(_permanents(rows, joint).tolist(), norms)]
 
 
 def _count_blocks(n: int, m: int, r: int, sigs=None):
@@ -277,7 +283,8 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
                                          f"{PAIR_SUM_KAPPA}) and its split sum's")
     split = [i for i, value in enumerate(values) if value is None]
     blocks = _count_blocks(n, joint.shape[0] // r, r, [sigs[i] for i in split])
-    squares = (abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
+    amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms) for counts, norms in blocks)
+    squares = (abs(amp) ** 2 for block in amplitudes for amp in block)
     for i in split:
         values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
     return values
@@ -349,7 +356,7 @@ def amplitude_resolved(
     inputs = _validated_inputs(input_modes, lam.n, m)
     row = sum(_checked_outcome(outcome, "resolved", lam.n, m, lam.basis_size), ())
     joint = _joint_matrix(interferometer, lam, inputs)
-    return _resolved_amplitudes(joint, np.array([row]), [math.prod(map(math.factorial, row))])[0]
+    return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))])[0]
 
 
 def probability_resolved(
@@ -470,8 +477,9 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
     then the outcome or the sweep cap, then the summed _price against the
     work budget are checked once, at the call. The outcomes are enumerated
     once: outcome alone as one chunk, or the sweep in sweep order in chunks
-    of at most STACK_SIZE. Per chunk, each combination makes its joint
-    matrix and values: a resolved chunk in one kernel call, a blind one in
+    of at most STACK_SIZE; a resolved chunk's kernel index rows are made
+    once and shared. Per chunk, each combination makes its joint matrix
+    and values: a resolved chunk in one kernel call, a blind one in
     one _probabilities_nonresolved call. Totals start at 0.0 and add weight
     * value in combination order, in float64 as Python floats would, so
     weight 1.0 keeps a value's bits. Yields (outcomes, float64 totals).
@@ -488,12 +496,15 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
             what = "resolved outcomes" if resolved else "output signatures"
             raise CapacityError(f"{count} {what} exceed the sweep cap {DISTRIBUTION_OUTCOME_CAP}")
     _check_work(sum(_price(n, m, lam.basis_size, detector, checked) for _, lam in combinations))
-    if checked is None:
-        chunks = (zip(_chunks(enumerate_resolved_outcomes(n, m, r)), _count_blocks(n, m, r)) if resolved
-                  else ((sigs, sigs) for sigs in _chunks(_occupations(n, m))))
-    else:
+    if checked is not None:
         row = sum(checked, ()) if resolved else checked
-        chunks = [([outcome], (np.array([row]), [math.prod(map(math.factorial, row))]) if resolved else [row])]
+        chunks = [([outcome], (_count_rows(np.array([row])), [math.prod(map(math.factorial, row))]) if resolved
+                   else [row])]
+    elif resolved:
+        blocks = ((_count_rows(counts), norms) for counts, norms in _count_blocks(n, m, r))
+        chunks = zip(_chunks(enumerate_resolved_outcomes(n, m, r)), blocks)
+    else:
+        chunks = ((sigs, sigs) for sigs in _chunks(_occupations(n, m)))
 
     def totals():
         for outcomes, rows in chunks:

@@ -31,7 +31,11 @@ class GaussianWavepacket(_Record):
     _fields = ("mu", "sigma", "tau")
 
     def __init__(self, mu: float, sigma: float, tau: float = 0.0) -> None:
-        if not all(map(math.isfinite, (mu, sigma, tau))):
+        try:
+            finite = all(map(math.isfinite, (mu, sigma, tau)))
+        except OverflowError:  # an int beyond the double range
+            finite = False
+        if not finite:
             raise ConfigurationError(f"mu, sigma and tau must be finite, got {mu}, {sigma}, {tau}")
         if not (sigma > 0):
             raise ConfigurationError(f"sigma must be positive, got {sigma}")

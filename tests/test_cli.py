@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -43,6 +45,7 @@ from bosonspectra.cli import (
     _run_hom_scan,
     _run_permanent,
     _run_verify,
+    _usage,
     load_config,
     main,
 )
@@ -464,6 +467,92 @@ class TestArgv:
         assert capsys.readouterr() == from_flag and from_flag.err.startswith("error: ")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+ENTRY = ["-m", "bosonspectra.cli"]
+# The same entry point with verify's tolerance below every deviation, so verify exits 4.
+FAILING_VERIFY = ["-c", "import bosonspectra.cli as cli; cli.VERIFY_TOLERANCE = -1.0; cli.console_main()"]
+
+
+def spawn(args, cwd, stdout=subprocess.PIPE):
+    """A fresh `python ARGS` process, its stdout buffered: PYTHONUNBUFFERED is removed from its environment."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def process_jobs(tmp_path) -> dict:
+    """name -> (interpreter arguments before the subcommand, argv, exit code), inputs written to tmp_path."""
+    mixed, _, _ = mixed_experiment()
+    configs = {
+        "blind sweep": mixed,
+        "signature": {"network": {"preset": "random", "modes": 4, "seed": 3}, "photons": GENERIC[:3],
+                      "query": {"signature": [1, 0, 2, 0]}},
+        "resolved sweep": {**mixed, "detector": "resolved"},
+        "verify": mixed,
+        "failed verify": hom_config(0.5),
+    }
+    paths = {name: write_json(tmp_path / f"{i}.json", config) for i, (name, config) in enumerate(configs.items())}
+    return {
+        "permanent": (ENTRY, ["permanent", write_json(tmp_path / "m.json", [[0.5, 1], [2, [1, 1]]])], EXIT_OK),
+        "blind sweep": (ENTRY, ["distribution", "--config", paths["blind sweep"]], EXIT_OK),
+        "signature": (ENTRY, ["distribution", "--config", paths["signature"]], EXIT_OK),
+        "resolved sweep": (ENTRY, ["distribution", "--config", paths["resolved sweep"]], EXIT_OK),
+        "verify": (ENTRY, ["verify", "--config", paths["verify"]], EXIT_OK),
+        "failed verify": (FAILING_VERIFY, ["verify", "--config", paths["failed verify"]], EXIT_VERIFY_FAILURE),
+        "hom-scan": (ENTRY, ["hom-scan", "--alpha-grid", "0:1:300"], EXIT_OK),
+    }
+
+
+class TestProcess:
+    """The console entry point in fresh processes: main's bytes and exit code, then os._exit."""
+
+    @pytest.mark.parametrize("name", ["permanent", "blind sweep", "signature", "resolved sweep", "verify",
+                                      "failed verify", "hom-scan"])
+    def test_process_writes_what_main_writes(self, tmp_path, capsys, monkeypatch, name):
+        prefix, argv, code = process_jobs(tmp_path)[name]
+        if prefix is FAILING_VERIFY:
+            import bosonspectra.cli as cli_mod
+
+            monkeypatch.setattr(cli_mod, "VERIFY_TOLERANCE", -1.0)
+        assert main(argv + ["--output", str(tmp_path / "main.json")]) == code
+        assert main(argv) == code
+        expected = (tmp_path / "main.json").read_bytes()
+        assert capsys.readouterr() == (expected.decode(), "")
+        to_file = spawn(prefix + argv + ["--output", "process.json"], tmp_path)
+        to_stdout = spawn(prefix + argv, tmp_path)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (code, b"", b"")
+        assert (tmp_path / "process.json").read_bytes() == expected
+        assert (to_stdout.returncode, to_stdout.stdout, to_stdout.stderr) == (code, expected, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("name", ["permanent", "blind sweep", "resolved sweep"])
+    def test_failed_stdout_write_exits_2_with_one_error_line(self, tmp_path, name):
+        # The interpreter's own last flush used to fail again: exit 120 and
+        # "Exception ignored ... OSError" on stderr.
+        prefix, argv, _ = process_jobs(tmp_path)[name]
+        with open("/dev/full", "wb") as full:
+            done = spawn(prefix + argv, tmp_path, stdout=full)
+        assert done.returncode == EXIT_INPUT_ERROR
+        err = done.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0], err
+
+    def test_help_and_usage_errors_exit_as_before(self, tmp_path):
+        helped = spawn(ENTRY + ["-h"], tmp_path)
+        assert helped.returncode == EXIT_OK and helped.stderr == b""
+        assert helped.stdout.decode().startswith(_usage() + "\n")
+        refused = spawn(ENTRY + ["distribution"], tmp_path)
+        assert refused.returncode == EXIT_INPUT_ERROR and refused.stdout == b""
+        assert refused.stderr.decode().splitlines() == [
+            *_usage("distribution").splitlines(), "bosonspectra distribution: error: argument --config is required"]
+
+    def test_console_script_is_the_process_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"bosonspectra": "bosonspectra.cli:console_main"}
+
+
 class TestStrictInputs:
     """Every config value is used exactly as written or rejected with exit 2."""
 
@@ -562,6 +651,23 @@ class TestStrictInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the overlap of GaussianWavepacket"), err
         assert f"{key}={value!r}" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distribution", "permanent"])
+    def test_integers_beyond_the_double_range_exit_2(self, tmp_path, capsys, command):
+        # float() of a 401-digit integer raises OverflowError; it used to end
+        # in a traceback with exit 1.
+        if command == "permanent":
+            where = write_json(tmp_path / "m.json", [[10**400]])
+            argv = [command, where]
+        else:
+            config, _, _ = mixed_experiment()
+            config["photons"][1]["mixture"][0]["probability"] = 10**400
+            argv = [command, "--config", write_json(tmp_path / "cfg.json", config)]
+            where = "photons[1].mixture[0].probability"
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {where}: a 401-digit integer overflows a double\n"
         assert not out.exists()
 
     def test_overflowing_permanent_exits_2(self, tmp_path, capsys):
@@ -828,9 +934,15 @@ class TestVerify:
         count_blocks = bosonspectra.sampling._count_blocks
         monkeypatch.setattr(bosonspectra.sampling, "_count_blocks", lambda *args: calls.append(args) or
                             count_blocks(*args))
+        # Each block's kernel index rows are made once, for all 4 combinations.
+        rows_calls = []
+        count_rows = bosonspectra.sampling._count_rows
+        monkeypatch.setattr(bosonspectra.sampling, "_count_rows", lambda counts: rows_calls.append(len(counts)) or
+                            count_rows(counts))
         chunks = list(probability_chunks(u, photons, None, "resolved"))
         assert sum(len(outcomes) for outcomes, _ in chunks) == 1540
         assert len(calls) == 1
+        assert rows_calls == [len(outcomes) for outcomes, _ in chunks]
 
     @pytest.mark.parametrize("stream", [probability_chunks, verify_chunks], ids=lambda f: f.__name__)
     def test_mixture_over_budget_refused_before_any_joint_matrix(self, monkeypatch, stream):

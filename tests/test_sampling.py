@@ -34,6 +34,7 @@ from bosonspectra import (
 import bosonspectra.pairsum
 import bosonspectra.sampling
 from bosonspectra.pairsum import _pair_sums
+from bosonspectra.permanent import _count_rows
 from bosonspectra.sampling import (
     PAIR_SUM_KAPPA,
     STACK_SIZE,
@@ -186,7 +187,8 @@ def split_sum(u, lam, inputs, sig):
     """sig's split-sum probability: the math.fsum of |amp|^2 over its splits."""
     joint = _joint_matrix(u, lam, inputs)
     blocks = _count_blocks(lam.n, u.m, lam.basis_size, [sig])
-    return math.fsum(abs(amp) ** 2 for block in blocks for amp in _resolved_amplitudes(joint, *block))
+    return math.fsum(abs(amp) ** 2 for counts, norms in blocks
+                     for amp in _resolved_amplitudes(joint, _count_rows(counts), norms))
 
 
 def splits(sig, r):
@@ -272,11 +274,11 @@ class TestBlindSweep:
         for sig in [(2, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0), (0, 2, 0, 0, 2, 0)]:
             value = probability_nonresolved(u, lam, None, sig)
             rows, norms = splits(sig, 4)
-            counts = np.array(rows)
+            picks = _count_rows(np.array(rows))
             sequential = set()
             for _ in range(5):
                 order = rng.permutation(len(norms))
-                squares = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, counts[order], [norms[k] for k in order])]
+                squares = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, picks[order], [norms[k] for k in order])]
                 assert math.fsum(squares) == value, sig
                 sequential.add(sum(squares))
             assert len(sequential) > 1, sig
@@ -497,7 +499,7 @@ class TestResolvedSweep:
         counts = np.array([sum(o, ()) for o in outcomes])
         joint = _joint_matrix(u, lam, (1, 2, 3, 4))
         norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
-        whole = _resolved_amplitudes(joint, counts, norms)
+        whole = _resolved_amplitudes(joint, _count_rows(counts), norms)
         dist = distribution_resolved(u, lam)
         assert list(dist) == outcomes
         assert list(dist.values()) == [abs(amp) ** 2 for amp in whole]
@@ -920,10 +922,12 @@ class TestProbabilityMixed:
         with pytest.raises(ConfigurationError):
             MixedPhotonSource(((-0.1, psi), (1.1, psi)))
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    # An int beyond the double range used to escape float() as OverflowError.
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, pytest.param(10**400, id="huge_int"),
+                                        pytest.param(-(10**400), id="huge_negative_int")])
     def test_non_finite_weights_rejected(self, weight):
         psi = GaussianWavepacket(0.0, 1.0, 0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="must be finite"):
             MixedPhotonSource(((weight, psi), (1.0, psi)))
 
     def test_combination_capacity_guard(self):

@@ -110,8 +110,9 @@ class TestOverlap:
             CoefficientSpectrum([0.5, 0.5])  # norm != 1
         # An infinite width read as orthogonal to every photon; a non-finite
         # center or delay failed later, at the overlap, as out of range.
+        # An int beyond the double range escaped math.isfinite as OverflowError.
         for params in [(0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0, math.nan),
-                       (0.0, 1.0, -math.inf), (0.0, math.nan)]:
+                       (0.0, 1.0, -math.inf), (0.0, math.nan), (10**400, 1.0), (0.0, 10**400), (0.0, 1.0, -(10**400))]:
             with pytest.raises(ConfigurationError, match="must be finite"):
                 GaussianWavepacket(*params)
 
