@@ -36,6 +36,22 @@ memory layout); with equal paths they read within 4 %. The file holds:
   gives each side's median and quartiles of that best time, how many
   runs the working tree was faster and whether both sides' results had
   the same bytes;
+* ``refusal``: the over-budget blind mixture (six photons, each five
+  components alternating two Gaussians, 15625 combinations, on
+  ``make_random_unitary(6, 1)``) that ``probability_chunks`` refuses
+  with ``CapacityError`` at the call. Each run starts one child process
+  per side, alternating, which times one refusal; the row gives each
+  side's median and quartiles and whether both sides' messages agree;
+* ``accuracy``: one row per family, n, m and Haar seed. Each side's
+  child computes every listed signature's ``probability_nonresolved``
+  once and, for the signatures ``sampling._costs`` routes to the pair
+  sum, their kappa (from ``pairsum._pair_sums``, fed what each side's
+  signature asks for). A child of the standard library alone then
+  computes each signature's exact value from the double U and G by
+  ``tests/exact_reference.probability_nonresolved_eps``. A row gives
+  each side's worst and median relative error against those values,
+  its worst error over the values the pair sum gave, its worst kappa
+  and how many signatures fell back to the split sum;
 * ``eigvalsh_fallback``: for the generic and near-identical Gaussian
   families at n = 2..16, the n at which ``orthonormal_decomposition``
   called ``np.linalg.eigvalsh`` and the n it refused.
@@ -43,8 +59,13 @@ memory layout); with equal paths they read within 4 %. The file holds:
 The configs are generic Gaussian photons (photon j: mu = 0.2 j,
 sigma = 1 + 0.05 j, tau = 0.3 j) on ``make_random_unitary(m, 1)``,
 written out as an explicit unitary so that no job runs a QR
-factorisation. In a stream row of n photons, the last few are mixtures:
+factorisation; the two n = 5 stream rows and the accuracy rows also use
+the near-identical family (mu = 0.05 j, sigma = 1 + 0.01 j,
+tau = 0.02 j). In a stream row of n photons, the last few are mixtures:
 photon j with weight 0.4 and the family's photon j + n with weight 0.6.
+The accuracy rows at n = 5, m = 7 take every signature; those at
+n = 6, m = 8 a sample fixed here, before either side runs: every 13th
+signature of the sweep and (0, 0, 1, 1, 1, 1, 1, 1).
 This process imports only the standard library: Linux carries a
 parent's resident size into its child's peak at exec, so a parent
 holding numpy would raise every job's reading. numpy runs in child
@@ -52,9 +73,12 @@ processes only.
 """
 
 import argparse
+import fractions
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import platform
 import select
@@ -79,22 +103,27 @@ ROWS = {
     "verify n=4 m=4": ("verify", 4, 4, "nonresolved", "distribution"),
 }
 
-# name -> (n, m, mixed photons, detector, stream); each mixed photon doubles the combinations.
+# Gaussian photon j of a family: mu, sigma - 1 and tau are j times these steps.
+FAMILIES = {"generic": (0.2, 0.05, 0.3), "near-identical": (0.05, 0.01, 0.02)}
+
+# name -> (n, m, mixed photons, detector, stream, family); each mixed photon doubles the combinations.
 STREAMS = {
-    "pure resolved sweep n=4 m=5": (4, 5, 0, "resolved", "probability_chunks"),
-    "pure blind sweep n=4 m=5": (4, 5, 0, "nonresolved", "probability_chunks"),
-    "mixed resolved sweep n=3 m=4, 4 combinations": (3, 4, 2, "resolved", "probability_chunks"),
-    "mixed resolved sweep n=3 m=5, 8 combinations": (3, 5, 3, "resolved", "probability_chunks"),
-    "mixed blind sweep n=4 m=5, 8 combinations": (4, 5, 3, "nonresolved", "probability_chunks"),
-    "mixed verify n=3 m=4, 4 combinations": (3, 4, 2, "nonresolved", "verify_chunks"),
+    "pure resolved sweep n=4 m=5": (4, 5, 0, "resolved", "probability_chunks", "generic"),
+    "pure blind sweep n=4 m=5": (4, 5, 0, "nonresolved", "probability_chunks", "generic"),
+    "pure blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "generic"),
+    "near-identical blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "near-identical"),
+    "mixed resolved sweep n=3 m=4, 4 combinations": (3, 4, 2, "resolved", "probability_chunks", "generic"),
+    "mixed resolved sweep n=3 m=5, 8 combinations": (3, 5, 3, "resolved", "probability_chunks", "generic"),
+    "mixed blind sweep n=4 m=5, 8 combinations": (4, 5, 3, "nonresolved", "probability_chunks", "generic"),
+    "mixed verify n=3 m=4, 4 combinations": (3, 4, 2, "nonresolved", "verify_chunks", "generic"),
 }
 REPEATS = 7
 
 STREAM = """
 import hashlib, json, sys, time
 from bosonspectra import GaussianWavepacket, MixedPhotonSource, make_random_unitary, probability_chunks, verify_chunks
-n, m, mixed, detector, stream, repeats = json.loads(sys.argv[1])
-g = lambda j: GaussianWavepacket(0.2 * j, 1.0 + 0.05 * j, 0.3 * j)
+n, m, mixed, detector, stream, (mu, sigma, tau), repeats = json.loads(sys.argv[1])
+g = lambda j: GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j)
 photons = [g(j) if j < n - mixed else MixedPhotonSource(((0.4, g(j)), (0.6, g(j + n)))) for j in range(n)]
 u, run = make_random_unitary(m, 1), {"probability_chunks": probability_chunks, "verify_chunks": verify_chunks}[stream]
 best = float("inf")
@@ -124,6 +153,69 @@ for k in sizes:
         value = permanent_ryser(a)
         best = min(best, time.perf_counter() - start)
     out[k] = {"best_s": best, "digest": hashlib.sha256(np.complex128(value).tobytes()).hexdigest()[:16]}
+print(json.dumps(out))
+"""
+
+REFUSAL = """
+import json, time
+from bosonspectra import CapacityError, GaussianWavepacket, MixedPhotonSource, make_random_unitary, probability_chunks
+a, b = GaussianWavepacket(0.0, 1.0, 0.0), GaussianWavepacket(0.7, 1.2, 0.3)
+photon = MixedPhotonSource(tuple((0.2, a if c % 2 == 0 else b) for c in range(5)))
+u = make_random_unitary(6, 1)
+start = time.perf_counter()
+try:
+    probability_chunks(u, [photon] * 6, None, "nonresolved")
+except CapacityError as exc:
+    print(json.dumps({"best_s": time.perf_counter() - start, "message": str(exc)}))
+"""
+
+# name -> (family, n, m, Haar seed, "sample" for the fixed sample or None for every signature); see the
+# module docstring.
+ACCURACY_CASES = {
+    **{f"{family} n=5 m=7 seed={seed}": (family, 5, 7, seed, None)
+       for family in ("near-identical", "generic") for seed in (1, 2)},
+    **{f"{family} n=6 m=8 seed=1, sample": (family, 6, 8, 1, "sample") for family in ("near-identical", "generic")},
+}
+
+ACCURACY = """
+import inspect, json, operator, sys
+import numpy as np
+from bosonspectra import GaussianWavepacket, gram_matrix, lambda_from_photons, make_random_unitary
+from bosonspectra import probability_nonresolved
+from bosonspectra import pairsum, sampling
+out = []
+for (mu, sigma, tau), n, m, seed, sigs in json.loads(sys.stdin.read()):
+    photons = [GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j) for j in range(n)]
+    u, lam = make_random_unitary(m, seed), lambda_from_photons(photons)
+    sigs = [tuple(sig) for sig in sigs]
+    values = [probability_nonresolved(u, lam, None, sig) for sig in sigs]
+    routed = [i for i, sig in enumerate(sigs) if operator.lt(*sampling._costs(n, lam.basis_size, sig))]
+    kappas = []
+    if routed:
+        if next(iter(inspect.signature(pairsum._pair_sums).parameters)) == "joint":
+            args = sampling._joint_matrix(u, lam, tuple(range(1, n + 1))), lam.basis_size
+        else:
+            args = u.matrix[:, :n], lam.gram
+        kappas = pairsum._pair_sums(*args, np.array([sigs[i] for i in routed]))[1]
+    pairs = lambda a: [[z.real, z.imag] for z in a.ravel().tolist()]
+    out.append({"values": values, "kappas": [k if k < float("inf") else None for k in kappas],
+                "kept": [i for i, k in zip(routed, kappas) if k <= sampling.PAIR_SUM_KAPPA],
+                "limit": sampling.PAIR_SUM_KAPPA, "u": pairs(u.matrix[:, :n]), "g": pairs(gram_matrix(photons))})
+print(json.dumps(out))
+"""
+
+# Standard library only: exact values of the double U[:, T] and G, as "p/q" strings.
+EXACT = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+import exact_reference as ex
+out = []
+for u, g, n, m, sigs in json.loads(sys.stdin.read()):
+    exact = lambda pairs, cols: [[(Fraction(re), Fraction(im)) for re, im in pairs[r * cols:(r + 1) * cols]]
+                                 for r in range(len(pairs) // cols)]
+    uu, gg = exact(u, n), exact(g, n)
+    out.append([str(ex.probability_nonresolved_eps(uu, gg, tuple(range(1, n + 1)), tuple(sig))) for sig in sigs])
 print(json.dumps(out))
 """
 
@@ -171,10 +263,46 @@ print(json.dumps(out))
 """
 
 
-def _python(code: str, tree: str, *args: str) -> dict:
+def _python(code: str, tree: str, *args: str, stdin: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, input=stdin, capture_output=True, text=True,
+                          check=True)
     return json.loads(done.stdout)
+
+
+def _signatures(n: int, m: int) -> list[tuple[int, ...]]:
+    """Every signature of n photons over m modes, in the engine's sweep order (lexicographic)."""
+    return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+            for cuts in itertools.combinations_with_replacement(range(n + 1), m - 1)]
+
+
+def _accuracy(trees: dict) -> list[dict]:
+    """The accuracy rows: each side's values and kappas, then exact values of the double U and G."""
+    cases = []
+    for family, n, m, seed, sample in ACCURACY_CASES.values():
+        sigs = _signatures(n, m)
+        if sample:
+            sigs = sorted(set(sigs[::13]) | {(0, 0) + (1,) * n})
+        cases.append((FAMILIES[family], n, m, seed, sigs))
+    sides = {side: _python(ACCURACY, tree, stdin=json.dumps(cases)) for side, tree in trees.items()}
+    inputs = [(row["u"], row["g"], n, m, sigs) for row, (_, n, m, _, sigs) in zip(sides["head"], cases)]
+    same_inputs = all(a["u"] == b["u"] and a["g"] == b["g"] for a, b in zip(sides["base"], sides["head"]))
+    exact = _python(EXACT, trees["head"], os.path.join(ROOT, "tests"), stdin=json.dumps(inputs))
+    rows = []
+    for k, (name, want) in enumerate(zip(ACCURACY_CASES, exact)):
+        want = [fractions.Fraction(w) for w in want]
+        row = {"row": name, "signatures": len(want), "same_double_inputs": same_inputs}
+        for side, results in sides.items():
+            result = results[k]
+            errors = [float(abs(fractions.Fraction(v) - w) / w) for v, w in zip(result["values"], want)]
+            kappas = [math.inf if kappa is None else kappa for kappa in result["kappas"]]
+            row[side] = {"worst_rel": max(errors), "median_rel": statistics.median(errors),
+                         "worst_rel_pair_sum_kept": max((errors[i] for i in result["kept"]), default=0.0),
+                         "worst_kappa": str(max(kappas, default=0.0)),
+                         "pair_sum_routed": len(kappas),
+                         "kappa_fallbacks": sum(kappa > result["limit"] for kappa in kappas)}
+        rows.append(row)
+    return rows
 
 
 def _cpu() -> str:
@@ -296,7 +424,9 @@ def main(argv=None) -> int:
             order = ("base", "head") if run % 2 == 0 else ("head", "base")
             for name, spec in STREAMS.items():
                 for side in order:
-                    streams[name][side].append(_python(STREAM, trees[side], json.dumps([*spec, REPEATS])))
+                    *shape, family = spec
+                    args_json = json.dumps([*shape, FAMILIES[family], REPEATS])
+                    streams[name][side].append(_python(STREAM, trees[side], args_json))
         stream_rows = []
         for name, sides in streams.items():
             best = {side: [result["best_s"] for result in runs] for side, runs in sides.items()}
@@ -317,6 +447,16 @@ def main(argv=None) -> int:
             row["head_faster_runs"] = sum(h < b for h, b in zip(best["head"], best["base"]))
             row["same_result"] = len({result[k]["digest"] for runs in kernel.values() for result in runs}) == 1
             kernel_rows.append(row)
+        refusal = {side: [] for side in trees}
+        for run in range(args.runs):
+            for side in ("base", "head") if run % 2 == 0 else ("head", "base"):
+                refusal[side].append(_python(REFUSAL, trees[side]))
+        best = {side: [result["best_s"] for result in runs] for side, runs in refusal.items()}
+        refusal_row = {"row": "refuse the 15625-combination over-budget blind mixture"}
+        refusal_row.update((side, {"best_s": _summary(values, 1.0, 4)}) for side, values in best.items())
+        refusal_row["head_faster_runs"] = sum(h < b for h, b in zip(best["head"], best["base"]))
+        refusal_row["same_message"] = len({result["message"] for runs in refusal.values() for result in runs}) == 1
+        accuracy = _accuracy(trees)
         fallback = {side: _python(FALLBACK, tree) for side, tree in trees.items()}
         result = {
             "machine": machine,
@@ -331,6 +471,8 @@ def main(argv=None) -> int:
             "end_to_end": rows,
             "streams": stream_rows,
             "kernel": kernel_rows,
+            "refusal": refusal_row,
+            "accuracy": accuracy,
             "eigvalsh_fallback": fallback,
         }
     with open(args.out, "w") as f:
@@ -350,6 +492,14 @@ def main(argv=None) -> int:
         base, head = row["base"]["best_s"], row["head"]["best_s"]
         print(f"{row['row']:48} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms "
               f"({row['head_faster_runs']}/{args.runs} faster), same result: {row['same_result']}")
+    base, head = refusal_row["base"]["best_s"], refusal_row["head"]["best_s"]
+    print(f"{refusal_row['row']:48} {base['median']:8.3f} -> {head['median']:8.3f} s "
+          f"({refusal_row['head_faster_runs']}/{args.runs} faster), same message: {refusal_row['same_message']}")
+    for row in accuracy:
+        print(f"{row['row']:40} worst/median rel {row['base']['worst_rel']:.1e}/{row['base']['median_rel']:.1e} -> "
+              f"{row['head']['worst_rel']:.1e}/{row['head']['median_rel']:.1e}, worst kappa "
+              f"{float(row['base']['worst_kappa']):.3g} -> {float(row['head']['worst_kappa']):.3g}, fallbacks "
+              f"{row['base']['kappa_fallbacks']} -> {row['head']['kappa_fallbacks']} of {row['signatures']}")
     return 0
 
 

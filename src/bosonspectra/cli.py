@@ -52,9 +52,10 @@ returns its exit code for callers in the same process.
 _COMMANDS is the argv grammar: each subcommand's options and their
 defaults. An option takes its value as the next argument or after '=',
 permanent's MATRIX may come before or after --output, and an option is
-never abbreviated. -h/--help prints help to stdout and exits 0; a usage
-error prints the usage and one error line to stderr and exits 2 (both
-by SystemExit, before any other work).
+never abbreviated. -h/--help prints help to stdout, flushed, and exits
+0 (2 with one error line if the write fails); a usage error prints the
+usage and one error line to stderr and exits 2 (both by SystemExit,
+before any other work).
 
 A job imports only what its subcommand runs. At module level this
 file imports document, errors and permanent, all that `permanent`
@@ -197,6 +198,8 @@ def _parse_network(data, seed_flag) -> "tuple[Interferometer, dict]":
     elif preset in ("dft", "random"):
         if modes is None:
             raise ConfigurationError(f"network preset {preset!r} needs 'modes'")
+        if modes > math.isqrt(sys.maxsize // 16):  # the m x m unitary's bytes
+            raise CapacityError(f"network.modes has {len(str(modes))} digits: its unitary exceeds numpy's array size")
         if preset == "dft":
             u = make_dft(modes)
             echo = {"preset": "dft", "modes": u.m}
@@ -512,8 +515,8 @@ def _parse_args(argv: list) -> tuple[str, dict]:
     """The subcommand and its options' values, defaults filled in.
 
     An option's value follows it as the next argument or after '='.
-    -h or --help prints help to stdout and exits 0; a usage error prints
-    the usage and one error line to stderr and exits 2.
+    -h or --help prints help to stdout, flushed, and exits 0; a usage
+    error prints the usage and one error line to stderr and exits 2.
     """
     command = argv[0] if argv else None
     known = command if command in _COMMANDS else None
@@ -524,7 +527,7 @@ def _parse_args(argv: list) -> tuple[str, dict]:
         raise SystemExit(EXIT_INPUT_ERROR)
 
     if command in ("-h", "--help"):
-        print(_help())
+        print(_help(), flush=True)
         raise SystemExit(EXIT_OK)
     if known is None:
         fail("no subcommand" if command is None else f"unknown subcommand {command!r}")
@@ -533,7 +536,7 @@ def _parse_args(argv: list) -> tuple[str, dict]:
     args = iter(argv[1:])
     for arg in args:
         if arg in ("-h", "--help"):
-            print(_help(command))
+            print(_help(command), flush=True)
             raise SystemExit(EXIT_OK)
         if arg.startswith("-") and arg != "-":
             name, has_value, value = arg.partition("=")
@@ -563,9 +566,9 @@ def _parse_args(argv: list) -> tuple[str, dict]:
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code; argv defaults to sys.argv[1:]."""
-    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
-    output = args["--output"]
     try:
+        command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        output = args["--output"]
         if command == "permanent":
             _write_document(_run_permanent(args["MATRIX"]), output)
             return EXIT_OK

@@ -21,8 +21,9 @@ probability is a sum of permanents in one of two closed forms:
   sum P(M) = sum_{S_vec |- M} |amp(S_vec)|^2, its splits a product over
   modes of each M_k's splits, summed by math.fsum;
   or the pair sum (pairsum), Glynn's formula for both permutations of
-  |Per(A_S)|^2 with the splits summed in closed form: one permanent of
-  size n for each of Glynn's 2^(n-1) sign vectors eps. The pair sum
+  |Per(A_S)|^2 with the splits summed in closed form, from U[:, T] and
+  the photons' Gram matrix G (LambdaMatrix.gram), not lambda: one
+  permanent of size n for each of its 2^(n-1) sign vectors. The pair sum
   costs n 4^(n-1) multiply-adds, the split sum n 2^(n-1) for each of its
   prod_k C(M_k + r - 1, r - 1) splits; each signature takes the cheaper,
   the split sum on a tie (_costs). A pair sum whose (delta, eps) terms
@@ -41,7 +42,8 @@ Mixed photons average over every combination of mixture components
 (mixture_lambdas). Resolved outcomes name basis functions, so there all
 combinations share the basis of every component of every photon, photon
 order then component order. Blind probabilities do not depend on the
-basis, so each combination keeps its own, narrower one.
+basis, so each combination of Gaussian photons keeps its own, narrower
+one, decomposed from its part of one Gram matrix over every component.
 
 Every query is one stream, _weighted_chunks: checked and priced at the
 call, its outcomes enumerated once, each chunk's values computed by every
@@ -52,18 +54,19 @@ oracle.verify_chunks read the same stream for one pure combination or
 a whole experiment.
 
 Permanents go to the kernel at most STACK_SIZE at a time, each as a
-row of indices into one joint matrix. One stream, _count_blocks, makes
-every count row in blocks of STACK_SIZE: a resolved sweep's outcomes,
-and split-sum signatures' splits, run across signatures. A sweep is a
-stream of chunks of STACK_SIZE outcomes in sweep order, so nothing held
-grows with the sweep or with a signature's splits. A blind chunk's pair
-sums share the rows of A_eps for its occupied modes, each (signature,
-eps) pair one index row into them (pairsum._pair_sums). Only
-Per / sqrt(prod S_vec!) and its squared modulus run per outcome, on
-Python scalars: numpy's complex division and its ** 2 round
-differently. A split sum or a pair sum is correctly rounded whatever
-its terms' order or block, so a single query's value is the sweep's bit
-for bit.
+row of indices into one matrix: the joint matrix, built only for
+resolved amplitudes and split sums, or A_eps. One stream,
+_count_blocks, makes every count row in blocks of STACK_SIZE: a
+resolved sweep's outcomes, and split-sum signatures' splits, run
+across signatures. A sweep is a stream of chunks of STACK_SIZE
+outcomes in sweep order, so nothing held grows with the sweep or with
+a signature's splits. A blind chunk's pair sums share the rows of
+A_eps for its occupied modes, each (signature, eps) pair one index row
+into them (pairsum._pair_sums). Only Per / sqrt(prod S_vec!) and its
+squared modulus run per outcome, on Python scalars: numpy's complex
+division and its ** 2 round differently. A split sum or a pair sum is
+correctly rounded whatever its terms' order or block, so a single
+query's value is the sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -89,22 +92,21 @@ from .network import (
     submatrix,
 )
 from .permanent import RYSER_DIMENSION_CAP, STACK_SIZE, _count_rows, _permanents, permanent_ryser
-from .spectra import LambdaMatrix, lambda_from_photons
+from .spectra import GaussianWavepacket, LambdaMatrix, gram_matrix, lambda_from_photons, orthonormal_decomposition
 
 DISTRIBUTION_OUTCOME_CAP = 10**6
 MIXTURE_TERM_CAP = 10**5
 MIXTURE_WEIGHT_TOL = 1e-10
 # The pair sum's accuracy guard: a signature whose (delta, eps) terms have a
 # summation condition number kappa = sum |terms| / |sum of terms| above it
-# takes the split sum; an exact zero has kappa = inf. Against exact values,
-# the pair sum erred by at most 2.3e-15 below kappa 32 (388 of 411
-# signatures: the exact reference, n <= 5, and the bunched signatures of
-# Haar sweeps, n = 4, m = 5, double inputs); above it, by up to 2.1e-13
-# (n = 5, r = 5, fully bunched, kappa 1489). On 2840 signatures of two or
-# three Gaussian photons (m = n + 3, 20 Haar seeds), 77 are above 32, and
-# below it one erred by 4.9e-15 (kappa 15, three photons in one mode). A
+# takes the split sum; an exact zero has kappa = inf. Fed the double G, the
+# pair sum erred by at most 3.6e-15 at kappa <= 32 against the same sum in
+# long double (8928 of 11456 signatures: whole sweeps of the generic and
+# near-identical Gaussian families, n = 3..6, m = n + 2, Haar seeds 1-2,
+# of six Haar sweeps n = 4, m = 5 and of perfbench's blind sweeps); above
+# it the error grows as about kappa 2e-16, to 1.8e-13 (kappa 1e3 - 1e4). A
 # kappa over the eps terms alone misses each permanent's own cancellation:
-# it is 4.2 on a Haar signature whose pair sum errs by 2.0e-14 (kappa 207).
+# it is 4.2 on a Haar signature whose pair sum errs by 7.3e-15 (kappa 207).
 PAIR_SUM_KAPPA = 32.0
 
 
@@ -184,10 +186,9 @@ def _chunks(items):
         yield chunk
 
 
-def _joint_matrix(interferometer: Interferometer, lam: LambdaMatrix, inputs) -> np.ndarray:
-    """The (basis_size * m) x n matrix with row i * m + k equal to U[k, T_j] * lambda[j, i]."""
-    cols = interferometer.matrix[:, [x - 1 for x in inputs]]
-    return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, len(inputs))
+def _joint_matrix(cols: np.ndarray, lam: LambdaMatrix) -> np.ndarray:
+    """The (basis_size * m) x n matrix with row i * m + k equal to U[k, T_j] * lambda[j, i]; cols is U[:, T]."""
+    return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, cols.shape[1])
 
 
 def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int]) -> list[complex]:
@@ -257,17 +258,18 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
         yield block[: len(norms)], norms
 
 
-def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
-    """P(M) for each signature M of sigs, by the pair sum or the split sum.
+def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs) -> list[float]:
+    """P(M) for each signature M of sigs, by the pair sum or the split sum; cols is U[:, T].
 
-    A signature takes the pair sum if its _costs say it costs fewer
-    multiply-adds, and keeps the value _pair_sums gives if its kappa is at
-    most PAIR_SUM_KAPPA. The rest, fallbacks included, take the split sum:
-    each the math.fsum of its rows of one _count_blocks stream, so a call
-    holds one block of splits. A fallback whose split sum costs more than
-    the work budget raises CapacityError first.
+    A signature takes the pair sum, fed lam.gram, if its _costs say it
+    costs fewer multiply-adds, and keeps the value _pair_sums gives if its
+    kappa is at most PAIR_SUM_KAPPA. The rest, fallbacks included, take the
+    split sum over lam's joint matrix, built only for them: each the
+    math.fsum of its rows of one _count_blocks stream, so a call holds one
+    block of splits. A fallback whose split sum costs more than the work
+    budget raises CapacityError first.
     """
-    n = joint.shape[1]
+    n, r = lam.n, lam.basis_size
     costs = [_costs(n, r, sig) for sig in sigs]
     values = [None] * len(sigs)
     pair = [i for i, cost in enumerate(costs) if operator.lt(*cost)]
@@ -275,18 +277,19 @@ def _probabilities_nonresolved(joint: np.ndarray, r: int, sigs) -> list[float]:
         # Imported here: resolved sweeps and split-sum queries never compile it.
         from .pairsum import _pair_sums
 
-        for i, value, kappa in zip(pair, *_pair_sums(joint, r, np.array([sigs[i] for i in pair]))):
+        for i, value, kappa in zip(pair, *_pair_sums(cols, lam.gram, np.array([sigs[i] for i in pair]))):
             if kappa <= PAIR_SUM_KAPPA:
                 values[i] = value
             else:
                 _check_work(costs[i][1], f"signature {sigs[i]}: the pair sum cancels (kappa {kappa:.3g} > "
                                          f"{PAIR_SUM_KAPPA}) and its split sum's")
     split = [i for i, value in enumerate(values) if value is None]
-    blocks = _count_blocks(n, joint.shape[0] // r, r, [sigs[i] for i in split])
-    amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms) for counts, norms in blocks)
-    squares = (abs(amp) ** 2 for block in amplitudes for amp in block)
-    for i in split:
-        values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
+    if split:
+        joint, blocks = _joint_matrix(cols, lam), _count_blocks(n, len(cols), r, [sigs[i] for i in split])
+        amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms) for counts, norms in blocks)
+        squares = (abs(amp) ** 2 for block in amplitudes for amp in block)
+        for i in split:
+            values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
     return values
 
 
@@ -355,7 +358,7 @@ def amplitude_resolved(
     m = interferometer.m
     inputs = _validated_inputs(input_modes, lam.n, m)
     row = sum(_checked_outcome(outcome, "resolved", lam.n, m, lam.basis_size), ())
-    joint = _joint_matrix(interferometer, lam, inputs)
+    joint = _joint_matrix(interferometer.matrix[:, [x - 1 for x in inputs]], lam)
     return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))])[0]
 
 
@@ -448,26 +451,27 @@ def mixture_lambdas(photons, detector: str):
     1.0. MIXTURE_TERM_CAP is checked before any work. For "resolved",
     part i of an outcome must name the same xi_i in every combination,
     so each takes its rows from one lambda_from_photons over every
-    component of every photon, photon order then component order. Blind
-    probabilities do not depend on the basis, so for "nonresolved" each
-    combination keeps its own, narrower one.
+    component of every photon, photon order then component order, as
+    explicit rows do for "nonresolved". Blind probabilities do not depend
+    on the basis, so there a combination of Gaussian photons keeps its
+    own, narrower one: the orthonormal_decomposition of its rows and
+    columns of one gram_matrix over every component, in the same order.
     """
     _checked_detector(detector)
     sources = [_as_mixture(p) for p in photons]
     terms = mixture_terms(sources)
     if terms > MIXTURE_TERM_CAP:
         raise CapacityError(f"{terms} mixture combinations exceed cap {MIXTURE_TERM_CAP}")
-    if detector == "resolved":
-        common = lambda_from_photons([spec for s in sources for _, spec in s.components]).matrix
+    specs = [spec for s in sources for _, spec in s.components]
+    blind = detector == "nonresolved" and all(isinstance(spec, GaussianWavepacket) for spec in specs)
+    common = gram_matrix(specs) if blind else lambda_from_photons(specs).matrix
     offsets = itertools.accumulate((len(s.components) for s in sources), initial=0)
     # Each choice is (row of the common matrix, (probability, spec)).
     choices = [enumerate(s.components, offset) for s, offset in zip(sources, offsets)]
     for combo in itertools.product(*choices):
-        weight = math.prod(p for _, (p, _) in combo)
-        if detector == "resolved":
-            yield weight, LambdaMatrix(common[[row for row, _ in combo]])
-        else:
-            yield weight, lambda_from_photons([spec for _, (_, spec) in combo])
+        rows = [row for row, _ in combo]
+        lam = orthonormal_decomposition(common[np.ix_(rows, rows)]) if blind else LambdaMatrix(common[rows])
+        yield math.prod(p for _, (p, _) in combo), lam
 
 
 def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, detector: str, outcome=None):
@@ -476,18 +480,19 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
     The combinations share n and, for "resolved", their basis. The inputs,
     then the outcome or the sweep cap, then the summed _price against the
     work budget are checked once, at the call. The outcomes are enumerated
-    once: outcome alone as one chunk, or the sweep in sweep order in chunks
-    of at most STACK_SIZE; a resolved chunk's kernel index rows are made
-    once and shared. Per chunk, each combination makes its joint matrix
-    and values: a resolved chunk in one kernel call, a blind one in
-    one _probabilities_nonresolved call. Totals start at 0.0 and add weight
-    * value in combination order, in float64 as Python floats would, so
-    weight 1.0 keeps a value's bits. Yields (outcomes, float64 totals).
+    once: outcome alone as one chunk, or the sweep in sweep order in
+    chunks of at most STACK_SIZE; U[:, T] is taken once, and a resolved
+    chunk's kernel index rows are made once and shared. Per chunk, each
+    combination makes its values: a resolved chunk from its joint matrix
+    in one kernel call, a blind one in one _probabilities_nonresolved
+    call. Totals start at 0.0 and add weight * value in combination order,
+    in float64 as Python floats would, so weight 1.0 keeps a value's bits.
+    Yields (outcomes, float64 totals).
     """
     combinations = list(combinations)
     n, m, r = combinations[0][1].n, interferometer.m, combinations[0][1].basis_size
     inputs = _validated_inputs(input_modes, n, m)
-    resolved = detector == "resolved"
+    resolved, cols = detector == "resolved", interferometer.matrix[:, [x - 1 for x in inputs]]
     if outcome is not None:
         checked = _checked_outcome(outcome, detector, n, m, r)
     else:
@@ -510,11 +515,10 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
         for outcomes, rows in chunks:
             total = 0.0
             for weight, lam in combinations:
-                joint = _joint_matrix(interferometer, lam, inputs)
                 if resolved:
-                    values = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, *rows)]
+                    values = [abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(cols, lam), *rows)]
                 else:
-                    values = _probabilities_nonresolved(joint, lam.basis_size, rows)
+                    values = _probabilities_nonresolved(cols, lam, rows)
                 total = total + weight * np.array(values, dtype=float)
             yield outcomes, total
 

@@ -143,11 +143,12 @@ class LambdaMatrix(_Record):
 
     Row j is photon j's unit-norm expansion over the orthonormal basis
     functions xi_1 .. xi_N (columns). Rows are checked at construction and
-    the stored matrix is read-only. Two matrices are equal only if they
-    are the same object.
+    the stored matrix is read-only, as is gram, the photons' Gram matrix G
+    (the matrix orthonormal_decomposition factored, else lambda lambda^dag).
+    Two matrices are equal only if they are the same object.
     """
 
-    _frozen = ("matrix",)
+    _frozen = ("matrix", "gram")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -164,8 +165,10 @@ class LambdaMatrix(_Record):
                 f"photon rows must have unit norm; rows {np.nonzero(bad)[0].tolist()} "
                 f"have norms {norms[bad].tolist()}"
             )
+        g = m @ m.conj().T
         m.setflags(write=False)
-        vars(self)["matrix"] = m
+        g.setflags(write=False)
+        vars(self).update(matrix=m, gram=g)
 
     @property
     def n(self) -> int:
@@ -209,9 +212,9 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
     tau = 0.02 j from n = 11 on). A Gram matrix too ill-conditioned for
     the factor at double precision leaves rows off unit norm by more than
     ROW_NORM_TOL; CapacityError then names the first one's photon
-    (1-based), after the PSD check.
+    (1-based), after the PSD check. The result's gram is a copy of G.
     """
-    g = np.asarray(gram, dtype=np.complex128)
+    g = np.array(gram, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
         raise DimensionError(f"Gram matrix must be square and non-empty, got {g.shape}")
     if not np.all(np.isfinite(g)):
@@ -251,7 +254,10 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
             "the Gram matrix is too ill-conditioned for the rank-revealing Cholesky at double precision: "
             f"photon {bad[0] + 1}'s row has norm {float(norms[bad[0]])!r}"
         )
-    return LambdaMatrix(lam)
+    lam = LambdaMatrix(lam)
+    g.setflags(write=False)
+    vars(lam)["gram"] = g
+    return lam
 
 
 def lambda_from_photons(photons) -> LambdaMatrix:

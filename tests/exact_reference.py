@@ -14,7 +14,13 @@ Blind probabilities come from the tau-sum
     P(M) = (1 / prod M!) sum_tau prod_j G[j, tau(j)] Per(B o conj(B[:, tau])),
 
 G = lambda lambda^dag (or a Gram matrix given as it is) and B = U_{M,T},
-and resolved ones from
+or from the pair sum over Glynn's sign vectors eps (eps_0 = +1)
+
+    P(M) = 2^(1-n) / prod M! sum_eps (prod eps) Per(A_eps),
+    A_eps[k, j] = sum_l eps_l U[k, T_j] conj(U[k, T_l]) G[j, l],
+
+row k repeated M_k times, whose 2^(n-1) permanents of size n reach
+n = 8 where the n! tau-sum does not; resolved ones come from
 |Per(A_S)|^2 / prod S_vec!, A[(i, k), j] = U[k, T_j] lambda[j, i], with
 naive permanents throughout. ryser_permanent gives exact permanents of
 sizes past the naive sum's reach. Nothing here uses numpy or the package.
@@ -195,6 +201,26 @@ def probability_nonresolved_gram(u, g, inputs, sig) -> Fraction:
         total = add(total, mul(weight, permanent(stack)))
     assert total[1] == 0
     return Fraction(total[0], c**n * d ** (2 * n) * math.prod(math.factorial(k) for k in sig))
+
+
+def probability_nonresolved_eps(u, g, inputs, sig) -> Fraction:
+    """P(M) by the pair sum over sign vectors, from U and the Hermitian Gram matrix g. Exact, so real.
+
+    With U = N / d and g = H / c, A_eps = N_eps / (c d^2) over Gaussian
+    integers, so every permanent runs over ints.
+    """
+    n = len(g)
+    (nu, d), (h, c) = _integral(u), _integral(g)
+    b = [[nu[k][t - 1] for t in inputs] for k in _repeat(sig)]
+    total = (0, 0)
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        eps = (1, *signs)
+        rows = [[_dot([mul(row[j], conj(row[l])) for l in range(n)], [mul((e, 0), h[j][l]) for l, e in enumerate(eps)])
+                 for j in range(n)] for row in b]
+        per = ryser_permanent(rows)
+        total = add(total, per if math.prod(eps) > 0 else (-per[0], -per[1]))
+    assert total[1] == 0
+    return Fraction(total[0], 2 ** (n - 1) * (c * d * d) ** n * math.prod(math.factorial(k) for k in sig))
 
 
 def probability_resolved(u, lam, inputs, outcome) -> Fraction:

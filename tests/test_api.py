@@ -129,10 +129,11 @@ def test_records_keep_their_dataclass_behaviour(tmp_path):
 def test_record_arrays_stay_read_only_in_copies(twin):
     # The constructors freeze these arrays after checking them; a copy or an
     # unpickled record must not hand out a writeable one that skips the checks.
-    from bosonspectra import CoefficientSpectrum, Interferometer, LambdaMatrix
+    from bosonspectra import CoefficientSpectrum, Interferometer, LambdaMatrix, orthonormal_decomposition
 
-    for record, field in ((LambdaMatrix([[0.6, 0.8j]]), "matrix"), (Interferometer(np.eye(2)), "matrix"),
-                          (CoefficientSpectrum([0.6, 0.8j]), "coefficients")):
+    lam = LambdaMatrix([[0.6, 0.8j]])
+    for record, field in ((lam, "matrix"), (lam, "gram"), (orthonormal_decomposition([[1, 0.6], [0.6, 1]]), "gram"),
+                          (Interferometer(np.eye(2)), "matrix"), (CoefficientSpectrum([0.6, 0.8j]), "coefficients")):
         array = getattr(twin(record), field)
         assert not array.flags.writeable and np.array_equal(array, getattr(record, field))
         with pytest.raises(ValueError, match="read-only"):

@@ -537,6 +537,17 @@ class TestProcess:
         err = done.stderr.decode().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0], err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "--help"]])
+    def test_help_to_full_stdout_exits_2_with_one_error_line(self, tmp_path, argv):
+        # Help used to leave its text to the interpreter's last flush: exit 120
+        # and "Exception ignored ... OSError" on stderr.
+        with open("/dev/full", "wb") as full:
+            done = spawn(ENTRY + argv, tmp_path, stdout=full)
+        assert done.returncode == EXIT_INPUT_ERROR
+        err = done.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0], err
+
     def test_help_and_usage_errors_exit_as_before(self, tmp_path):
         helped = spawn(ENTRY + ["-h"], tmp_path)
         assert helped.returncode == EXIT_OK and helped.stderr == b""
@@ -668,6 +679,18 @@ class TestStrictInputs:
         out = tmp_path / "out.json"
         assert main(argv + ["--output", str(out)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {where}: a 401-digit integer overflows a double\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset,digits", [("random", 401), ("dft", 31), ("dft", 10)])
+    def test_network_beyond_any_array_exits_3(self, tmp_path, capsys, preset, digits):
+        # numpy refused 10**400 and 10**30 modes with its own wording and exit 2;
+        # these are refused before any array is made, as 10**8 modes run out of memory.
+        config = {"network": {"preset": preset, "modes": 10 ** (digits - 1)}, "photons": GENERIC[:1]}
+        out = tmp_path / "out.json"
+        assert main(["distribution", "--config", write_json(tmp_path / "cfg.json", config), "--output", str(out)]) == (
+            EXIT_CAPACITY_ERROR)
+        err = capsys.readouterr().err
+        assert err == f"error: network.modes has {digits} digits: its unitary exceeds numpy's array size\n"
         assert not out.exists()
 
     def test_overflowing_permanent_exits_2(self, tmp_path, capsys):

@@ -35,7 +35,7 @@ from bosonspectra import (
     probability_resolved,
 )
 from bosonspectra.pairsum import _pair_sums
-from bosonspectra.sampling import PAIR_SUM_KAPPA, _costs, _joint_matrix
+from bosonspectra.sampling import PAIR_SUM_KAPPA, _costs
 
 CASES = [(n, r) for n in (3, 4) for r in (2, 4)]  # m = n
 CASES_5 = [(5, r) for r in (2, 3, 5)]
@@ -159,6 +159,9 @@ def family_shapes(n):
     # Bunched signatures on which the engine errs by 4.9e-15 and 5.9e-15.
     ("generic", 3, 6, 11, [(0, 0, 0, 0, 3, 0)]),
     ("near-identical", 3, 6, 18, [(1, 0, 0, 2, 0, 0)]),
+    # The pair sum fed lambda lambda^dag, which misses G by 2.5e-13 here,
+    # erred by 3.7e-13; fed G, by 2.2e-16.
+    ("near-identical", 6, 8, 1, [(0, 0, 1, 1, 1, 1, 1, 1)]),
 ])
 def test_gaussian_families_against_their_double_gram(family, n, m, seed, sigs):
     # The exact value of the double G, so the decomposition's error shows.
@@ -169,6 +172,17 @@ def test_gaussian_families_against_their_double_gram(family, n, m, seed, sigs):
     for sig in sigs or family_shapes(n):
         want = ex.probability_nonresolved_gram(u, g, inputs, sig)
         assert relative_error(probability_nonresolved(network, lam, inputs, sig), want) <= DOUBLE_INPUT_RTOL, sig
+
+
+@pytest.mark.parametrize("n,r", CASES + CASES_5)
+def test_eps_sum_is_the_tau_sum(n, r):
+    # The two exact references of a blind probability agree on every signature.
+    u, lam, _, _, inputs = exact_case(n, r)
+    g = ex.gram(lam)
+    for sig in itertools.product(range(n + 1), repeat=n):
+        if sum(sig) == n:
+            want = ex.probability_nonresolved_gram(u, g, inputs, sig)
+            assert ex.probability_nonresolved_eps(u, g, inputs, sig) == want, sig
 
 
 @pytest.mark.parametrize("n,r", CASES)
@@ -227,20 +241,21 @@ def test_sylvester_zeros_fall_back_to_the_split_sum():
     # cancel to (nearly) nothing: kappa is past the guard, and the split sum
     # answers (test_exactly_zero_outcomes).
     lam = as_lambda([ex.unit_row(4, 0)] * 4)
-    joint = _joint_matrix(as_network(sylvester_4()), lam, (1, 2, 3, 4))
+    cols = as_network(sylvester_4()).matrix
     for sig in [(0, 1, 3, 0), (1, 0, 0, 3)]:
         pair, split = _costs(4, 4, sig)
         assert pair < split
-        _, kappas = _pair_sums(joint, 4, np.array([sig]))
+        _, kappas = _pair_sums(cols, lam.gram, np.array([sig]))
         assert kappas[0] > PAIR_SUM_KAPPA
 
 
 def test_kappa_counts_each_permanents_own_terms(monkeypatch):
     # The cost rule gives these signatures of Haar seed 1 to the pair sum.
     # Over its 8 outer eps terms kappa is 5.2 and 4.2, which a guard on them
-    # would pass, and the pair sum errs by 8.5e-15 and 2.0e-14 against the
-    # exact value, over DOUBLE_INPUT_RTOL; over every (delta, eps) term, as
-    # the guard counts, kappa is 686 and 207. So both take the split sum.
+    # would pass, and the pair sum errs by 1.3e-14 (over DOUBLE_INPUT_RTOL)
+    # and 7.3e-15 against the same sum in long double; over every (delta,
+    # eps) term, as the guard counts, kappa is 686 and 207. So both take the
+    # split sum.
     network, lam = haar_sweep_case(1)
     sigs = [(0, 0, 0, 0, 4), (0, 0, 1, 0, 3)]
     assert all(operator.lt(*_costs(4, 4, sig)) for sig in sigs)

@@ -24,6 +24,7 @@ from bosonspectra import (
     make_beamsplitter_50_50,
     make_dft,
     make_random_unitary,
+    mixture_lambdas,
     oracle_probability,
     probability_distinguishable_fast,
     probability_indistinguishable_fast,
@@ -33,6 +34,7 @@ from bosonspectra import (
 )
 import bosonspectra.pairsum
 import bosonspectra.sampling
+import bosonspectra.spectra
 from bosonspectra.pairsum import _pair_sums
 from bosonspectra.permanent import _count_rows
 from bosonspectra.sampling import (
@@ -179,13 +181,18 @@ class TestPaperExpansion:
 
 def pair_sum(u, lam, inputs, sig):
     """sig's pair-sum probability, unguarded, and the kappa of its terms."""
-    (value,), (kappa,) = _pair_sums(_joint_matrix(u, lam, inputs), lam.basis_size, np.array([sig]))
+    (value,), (kappa,) = _pair_sums(columns(u, inputs), lam.gram, np.array([sig]))
     return value, kappa
+
+
+def columns(u, inputs):
+    """U[:, T], the input columns of the unitary for 1-based input modes."""
+    return u.matrix[:, [x - 1 for x in inputs]]
 
 
 def split_sum(u, lam, inputs, sig):
     """sig's split-sum probability: the math.fsum of |amp|^2 over its splits."""
-    joint = _joint_matrix(u, lam, inputs)
+    joint = _joint_matrix(columns(u, inputs), lam)
     blocks = _count_blocks(lam.n, u.m, lam.basis_size, [sig])
     return math.fsum(abs(amp) ** 2 for counts, norms in blocks
                      for amp in _resolved_amplitudes(joint, _count_rows(counts), norms))
@@ -270,7 +277,7 @@ class TestBlindSweep:
         # Shuffled splits change a left-to-right sum's last bits, not the split sum's.
         monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
         u, lam = make_random_unitary(6, 59), random_unit_rows(rng, 4, 4)
-        joint = _joint_matrix(u, lam, (1, 2, 3, 4))
+        joint = _joint_matrix(columns(u, (1, 2, 3, 4)), lam)
         for sig in [(2, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0), (0, 2, 0, 0, 2, 0)]:
             value = probability_nonresolved(u, lam, None, sig)
             rows, norms = splits(sig, 4)
@@ -355,10 +362,10 @@ class TestBlindSweep:
         u, lam = make_random_unitary(9, 41), random_unit_rows(rng, 8, 8)
         sigs = np.array(list(itertools.islice(_occupations(8, 9), 0, None, 300)))
         assert len(sigs) == 43
-        joint = _joint_matrix(u, lam, tuple(range(1, 9)))
-        values, kappas = _pair_sums(joint, 8, sigs)
+        cols = columns(u, range(1, 9))
+        values, kappas = _pair_sums(cols, lam.gram, sigs)
         for k, sig in enumerate(sigs):
-            alone = _pair_sums(joint, 8, sig[None])
+            alone = _pair_sums(cols, lam.gram, sig[None])
             assert (values[k], kappas[k]) == (alone[0][0], alone[1][0]), sig
 
     @pytest.mark.parametrize("n,r,sig,pair", [
@@ -497,7 +504,7 @@ class TestResolvedSweep:
         lam = random_unit_rows(rng, 4, 4)
         outcomes = list(enumerate_resolved_outcomes(4, 4, 4))
         counts = np.array([sum(o, ()) for o in outcomes])
-        joint = _joint_matrix(u, lam, (1, 2, 3, 4))
+        joint = _joint_matrix(columns(u, (1, 2, 3, 4)), lam)
         norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
         whole = _resolved_amplitudes(joint, _count_rows(counts), norms)
         dist = distribution_resolved(u, lam)
@@ -883,6 +890,21 @@ class TestProbabilityMixed:
         mixture = MixedPhotonSource(((0.5, other), (0.5, other)))
         mixed = probability_mixed(bs, [psi, mixture], None, (1, 1))
         assert mixed == pytest.approx(pure, abs=1e-15)
+
+    def test_blind_mixture_computes_each_overlap_once(self, monkeypatch):
+        # One gram_matrix over every component, photon order then component
+        # order; each combination decomposes its rows and columns of it, and
+        # gets the lambda and G its own photons give, bit for bit.
+        g = [GaussianWavepacket(0.1 * j, 1.0 + 0.05 * j, 0.3 * j) for j in range(6)]
+        pools = [g[2 * j : 2 * j + 2] for j in range(3)]
+        own = [lambda_from_photons(combo) for combo in itertools.product(*pools)]
+        calls, overlap = [], bosonspectra.spectra.overlap
+        monkeypatch.setattr(bosonspectra.spectra, "overlap", lambda a, b: calls.append((a, b)) or overlap(a, b))
+        combinations = list(mixture_lambdas([MixedPhotonSource(((0.5, a), (0.5, b))) for a, b in pools], "nonresolved"))
+        assert calls == [(g[a], g[b]) for a in range(6) for b in range(a, 6)]
+        assert [w for w, _ in combinations] == [0.125] * 8
+        for (_, lam), want in zip(combinations, own, strict=True):
+            assert np.array_equal(lam.matrix, want.matrix) and np.array_equal(lam.gram, want.gram)
 
     def test_resolved_mixture_parts_match_common_basis(self):
         bs = make_beamsplitter_50_50()

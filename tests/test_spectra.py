@@ -165,6 +165,16 @@ class TestOrthonormalDecomposition:
             assert lam.basis_size <= 3
             assert np.max(np.abs(lam.matrix @ lam.matrix.conj().T - g)) < 1e-9
 
+    def test_gram_is_the_factored_matrix(self, rng):
+        # The pair sum reads G itself: lambda lambda^dag misses it by rounding.
+        g = gram_matrix([GaussianWavepacket(0.05 * j, 1.0 + 0.01 * j, 0.02 * j) for j in range(6)])
+        lam = orthonormal_decomposition(g)
+        assert np.array_equal(lam.gram, g) and not np.shares_memory(lam.gram, g)
+        assert g.flags.writeable and not lam.gram.flags.writeable
+        assert not np.array_equal(lam.matrix @ lam.matrix.conj().T, g)
+        rows = random_unit_rows(rng, 3, 4).matrix
+        assert np.array_equal(LambdaMatrix(rows).gram, rows @ rows.conj().T)
+
     def test_duplicated_photons_collapse_rank(self, rng):
         row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         row /= np.linalg.norm(row)
