@@ -8,19 +8,29 @@ copied beside it, so that both sides' ``PYTHONPATH`` has the same
 length. With the working tree's own, shorter path, the unchanged kernel
 rows at k >= 14 read 12-15 % faster on the working tree's side in 10 of
 10 runs (most likely the environment's size shifting the process's
-memory layout); with equal paths they read within 4 %. The file holds:
+memory layout); with equal paths they read within 4 %. REV must be
+78f2e60 or later: the accuracy child calls
+``pairsum._pair_sums(cols, gram, sigs)``, the form it has from there
+on. The file holds:
 
 * ``machine``: CPU, core count, Python, numpy, the BLAS numpy was built
   against and ``np.finfo(np.longdouble)``;
 * ``trees``: each side's revision and a digest of its package sources;
-* ``end_to_end``: one row per fixed config. Each run starts one fresh
-  ``python -m bosonspectra.cli`` process per side, the side that goes
-  first alternating from run to run, with ``PYTHONDONTWRITEBYTECODE=1``
-  (every job compiles the package, as a user's first run does). A row
-  gives each side's median and quartiles of wall time (spawn to exit)
-  and of peak RSS (``ru_maxrss`` from ``os.wait4``), how many runs the
-  working tree's RSS was lower and whether both sides wrote the same
-  bytes;
+* ``end_to_end``: one row per fixed config. Each run starts fresh
+  ``python -m bosonspectra.cli`` processes per side, the side that goes
+  first alternating from run to run, with ``PYTHONDONTWRITEBYTECODE=1``:
+  one compiles the package, as a user's first run does, and one reads
+  bytecode compiled beforehand (``precompiled``), so that start-up and
+  engine read apart. The bytecode is written once per side and row, by
+  an untimed run of the same job with ``PYTHONPYCACHEPREFIX`` set to a
+  per-side directory under the temporary directory and bytecode writing
+  on, so no tree gets a ``__pycache__``; the timed runs read it with the
+  same prefix. (A prefix hides every installed ``__pycache__``, numpy's
+  too, so it must hold everything a job imports.) A row gives, each
+  way, each side's median and quartiles of wall time (spawn to exit)
+  and of peak RSS (``ru_maxrss`` from ``os.wait4``) and how many runs
+  the working tree's RSS was lower, and whether every run wrote the
+  same bytes;
 * ``streams``: one row per in-process query stream. Each run starts one
   child process per side, the side that goes first alternating from run
   to run; the child reads the whole stream of ``probability_chunks`` or
@@ -109,6 +119,7 @@ FAMILIES = {"generic": (0.2, 0.05, 0.3), "near-identical": (0.05, 0.01, 0.02)}
 # name -> (n, m, mixed photons, detector, stream, family); each mixed photon doubles the combinations.
 STREAMS = {
     "pure resolved sweep n=4 m=5": (4, 5, 0, "resolved", "probability_chunks", "generic"),
+    "pure resolved sweep n=4 m=7": (4, 7, 0, "resolved", "probability_chunks", "generic"),
     "pure blind sweep n=4 m=5": (4, 5, 0, "nonresolved", "probability_chunks", "generic"),
     "pure blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "generic"),
     "near-identical blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "near-identical"),
@@ -178,7 +189,7 @@ ACCURACY_CASES = {
 }
 
 ACCURACY = """
-import inspect, json, operator, sys
+import json, operator, sys
 import numpy as np
 from bosonspectra import GaussianWavepacket, gram_matrix, lambda_from_photons, make_random_unitary
 from bosonspectra import probability_nonresolved
@@ -192,11 +203,7 @@ for (mu, sigma, tau), n, m, seed, sigs in json.loads(sys.stdin.read()):
     routed = [i for i, sig in enumerate(sigs) if operator.lt(*sampling._costs(n, lam.basis_size, sig))]
     kappas = []
     if routed:
-        if next(iter(inspect.signature(pairsum._pair_sums).parameters)) == "joint":
-            args = sampling._joint_matrix(u, lam, tuple(range(1, n + 1))), lam.basis_size
-        else:
-            args = u.matrix[:, :n], lam.gram
-        kappas = pairsum._pair_sums(*args, np.array([sigs[i] for i in routed]))[1]
+        kappas = pairsum._pair_sums(u.matrix[:, :n], lam.gram, np.array([sigs[i] for i in routed]))[1]
     pairs = lambda a: [[z.real, z.imag] for z in a.ravel().tolist()]
     out.append({"values": values, "kappas": [k if k < float("inf") else None for k in kappas],
                 "kept": [i for i, k in zip(routed, kappas) if k <= sampling.PAIR_SUM_KAPPA],
@@ -355,9 +362,20 @@ def _configs(tree: str, workdir: str) -> dict:
     return args
 
 
-def _job(tree: str, args: list[str], output: str) -> tuple[float, int, str]:
-    """(wall seconds, peak RSS in KiB, sha256 of the output) of one CLI process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+def _job(tree: str, args: list[str], output: str, pycache: str | None = None,
+         write: bool = False) -> tuple[float, int, str]:
+    """(wall seconds, peak RSS in KiB, sha256 of the output) of one CLI process.
+
+    With pycache, the process reads bytecode under that PYTHONPYCACHEPREFIX;
+    with write too, it writes there what it compiles, and nowhere else.
+    """
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    if pycache:
+        env["PYTHONPYCACHEPREFIX"] = pycache
+    if not write:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     if os.path.exists(output):
         os.remove(output)
     start = time.perf_counter()
@@ -402,22 +420,29 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         trees = {"base": base, "head": head}
         machine = {"cpu": _cpu(), "cores": os.cpu_count(), **_python(MACHINE, ROOT)}
-        inputs = _configs(ROOT, scratch)
-        samples = {name: {side: [] for side in trees} for name in ROWS}
+        inputs, out = _configs(ROOT, scratch), os.path.join(scratch, "out.json")
+        pycache = {side: os.path.join(scratch, f"pycache_{side}") for side in trees}
+        for name in ROWS:
+            for side, tree in trees.items():
+                _job(tree, inputs[name], out, pycache[side], write=True)
+        ways = {"source": None, "precompiled": pycache}
+        samples = {name: {way: {side: [] for side in trees} for way in ways} for name in ROWS}
         for run in range(args.runs):
             order = ("base", "head") if run % 2 == 0 else ("head", "base")
             for name in ROWS:
                 for side in order:
-                    samples[name][side].append(_job(trees[side], inputs[name], os.path.join(scratch, "out.json")))
+                    for way, prefix in ways.items():
+                        samples[name][way][side].append(_job(trees[side], inputs[name], out, prefix and prefix[side]))
         rows = []
-        for name, sides in samples.items():
-            rss = {side: [kib for _, kib, _ in runs] for side, runs in sides.items()}
+        for name, by_way in samples.items():
             row = {"row": name}
-            for side, runs in sides.items():
-                row[side] = {"wall_s": _summary([w for w, _, _ in runs], 1.0, 4),
-                             "peak_rss_mb": _summary(rss[side], 1 / 1024, 2)}
-            row["head_rss_lower_runs"] = sum(h < b for h, b in zip(rss["head"], rss["base"]))
-            row["same_document"] = len({digest for runs in sides.values() for _, _, digest in runs}) == 1
+            for way, sides in by_way.items():
+                rss = {side: [kib for _, kib, _ in runs] for side, runs in sides.items()}
+                row[way] = {side: {"wall_s": _summary([w for w, _, _ in runs], 1.0, 4),
+                                   "peak_rss_mb": _summary(rss[side], 1 / 1024, 2)} for side, runs in sides.items()}
+                row[way]["head_rss_lower_runs"] = sum(h < b for h, b in zip(rss["head"], rss["base"]))
+            row["same_document"] = len({digest for sides in by_way.values() for runs in sides.values()
+                                        for _, _, digest in runs}) == 1
             rows.append(row)
         streams = {name: {side: [] for side in trees} for name in STREAMS}
         for run in range(args.runs):
@@ -466,6 +491,7 @@ def main(argv=None) -> int:
                          "sources": _digest(head)},
             },
             "settings": {"runs": args.runs, "env": {"PYTHONDONTWRITEBYTECODE": "1"}, "order": "alternating",
+                         "precompiled": "PYTHONPYCACHEPREFIX per side, written by one untimed run of each row's job",
                          "stream_repeats": REPEATS,
                          "kernel_repeats": REPEATS},
             "end_to_end": rows,
@@ -479,11 +505,12 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=1)
         f.write("\n")
     for row in rows:
-        base, head = row["base"], row["head"]
-        print(f"{row['row']:32} peak RSS {base['peak_rss_mb']['median']:6.2f} -> "
-              f"{head['peak_rss_mb']['median']:6.2f} MB "
-              f"({row['head_rss_lower_runs']}/{args.runs} lower), wall {base['wall_s']['median']:.3f} -> "
-              f"{head['wall_s']['median']:.3f} s, same document: {row['same_document']}")
+        for way in ways:
+            base, head = row[way]["base"], row[way]["head"]
+            print(f"{row['row']:32} {way:11} peak RSS {base['peak_rss_mb']['median']:6.2f} -> "
+                  f"{head['peak_rss_mb']['median']:6.2f} MB "
+                  f"({row[way]['head_rss_lower_runs']}/{args.runs} lower), wall {base['wall_s']['median']:.3f} -> "
+                  f"{head['wall_s']['median']:.3f} s, same document: {row['same_document']}")
     for row in stream_rows:
         base, head = row["base"]["best_s"], row["head"]["best_s"]
         print(f"{row['row']:48} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms "

@@ -20,7 +20,8 @@ taken as real)::
     }
 
 Keys outside this schema or given twice, counts that are not integers
-and the literals NaN and Infinity are rejected, at every level.
+and the literals NaN and Infinity are rejected, at every level, by the
+value rules of errors, each value named by its JSON path.
 
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
@@ -79,7 +80,7 @@ import numpy as np
 
 from . import __version__
 from .document import _outcome_column, _repr_column, _sig15, _sig15_column, _write_document
-from .errors import BosonSpectraError, CapacityError, ConfigurationError, _Record
+from .errors import BosonSpectraError, CapacityError, ConfigurationError, _integer, _real, _Record
 from .permanent import permanent_ryser
 
 if TYPE_CHECKING:
@@ -126,35 +127,17 @@ def _check_keys(data: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _parse_int(value, where: str) -> int:
-    """A JSON integer; integral floats such as 2.0 pass, booleans never do."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_real(value, where: str) -> float:
-    """A JSON number; strings, lists, booleans and integers beyond the double range are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{where}: a {len(str(abs(value)))}-digit integer overflows a double") from None
-
-
 def _parse_counts(data, where: str) -> tuple[int, ...]:
     if not isinstance(data, list):
         raise ConfigurationError(f"{where}: expected a list of integers, got {data!r}")
-    return tuple(_parse_int(c, where) for c in data)
+    return tuple(_integer(c, f"{where}[{i}]") for i, c in enumerate(data))
 
 
 def _parse_complex(entry, where: str) -> complex:
     """A real number, or an [re, im] pair of them."""
     if isinstance(entry, list) and len(entry) == 2:
-        return complex(_parse_real(entry[0], where), _parse_real(entry[1], where))
-    return complex(_parse_real(entry, where), 0.0)
+        return complex(_real(entry[0], where), _real(entry[1], where))
+    return complex(_real(entry, where), 0.0)
 
 
 def _complex_pair(z: complex) -> list:
@@ -162,14 +145,10 @@ def _complex_pair(z: complex) -> list:
     return [float(z.real) + 0.0, float(z.imag) + 0.0]
 
 
-def _parse_matrix(data, where: str) -> np.ndarray:
+def _parse_matrix(data, where: str) -> list[list[complex]]:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ConfigurationError(f"{where}: expected a nested array of rows")
-    rows = [[_parse_complex(e, where) for e in r] for r in data]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ConfigurationError(f"{where}: rows have unequal lengths")
-    return np.array(rows, dtype=np.complex128)
+    return [[_parse_complex(e, row) for e in r] for i, r in enumerate(data) for row in [f"{where}[{i}]"]]
 
 
 def _parse_network(data, seed_flag) -> "tuple[Interferometer, dict]":
@@ -185,7 +164,7 @@ def _parse_network(data, seed_flag) -> "tuple[Interferometer, dict]":
     else:
         allowed = {"preset", "modes"}
     _check_keys(data, allowed, "network")
-    modes = _parse_int(data["modes"], "network.modes") if "modes" in data else None
+    modes = _integer(data["modes"], "network.modes", 1) if "modes" in data else None
     if "unitary" in data:
         u = Interferometer(_parse_matrix(data["unitary"], "network.unitary"))
         echo = {
@@ -205,7 +184,7 @@ def _parse_network(data, seed_flag) -> "tuple[Interferometer, dict]":
             echo = {"preset": "dft", "modes": u.m}
         else:
             default = DEFAULT_RANDOM_SEED if seed_flag is None else seed_flag
-            seed = _parse_int(data.get("seed", default), "network.seed")
+            seed = _integer(data.get("seed", default), "network.seed" if "seed" in data else "--seed", 0)
             u = make_random_unitary(modes, seed)
             echo = {"preset": "random", "modes": u.m, "seed": seed}
     else:
@@ -235,7 +214,7 @@ def _parse_pure_spec(data, where: str, extra_keys=()):
             raise ConfigurationError(f"{where}: gaussian spec needs 'mu' and 'sigma'")
         _check_keys(g, {"mu", "sigma", "tau"}, f"{where}.gaussian")
         mu, sigma, tau = (
-            _parse_real(g.get(key, 0.0), f"{where}.gaussian.{key}") for key in ("mu", "sigma", "tau")
+            _real(g.get(key, 0.0), f"{where}.gaussian.{key}") for key in ("mu", "sigma", "tau")
         )
         spec = GaussianWavepacket(mu, sigma, tau)
         echo = {"gaussian": {"mu": spec.mu, "sigma": spec.sigma, "tau": spec.tau}}
@@ -243,8 +222,8 @@ def _parse_pure_spec(data, where: str, extra_keys=()):
     if "coefficients" in data:
         if not isinstance(data["coefficients"], list):
             raise ConfigurationError(f"{where}.coefficients: expected a list")
-        coeffs = [_parse_complex(e, f"{where}.coefficients") for e in data["coefficients"]]
-        spec = CoefficientSpectrum(np.array(coeffs))
+        coeffs = [_parse_complex(e, f"{where}.coefficients[{i}]") for i, e in enumerate(data["coefficients"])]
+        spec = CoefficientSpectrum(coeffs)
         echo = {"coefficients": [_complex_pair(z) for z in spec.coefficients]}
         return spec, echo
     raise ConfigurationError(f"{where}: photon spec needs 'gaussian' or 'coefficients'")
@@ -264,7 +243,7 @@ def _parse_photon(data, where: str):
             if not isinstance(comp, dict) or "probability" not in comp:
                 raise ConfigurationError(f"{where}.mixture[{ci}]: needs 'probability'")
             spec, echo = _parse_pure_spec(comp, f"{where}.mixture[{ci}]", {"probability"})
-            p = _parse_real(comp["probability"], f"{where}.mixture[{ci}].probability")
+            p = _real(comp["probability"], f"{where}.mixture[{ci}].probability")
             parsed.append((p, spec))
             echoes.append({"probability": p, **echo})
         return MixedPhotonSource(tuple(parsed)), {"mixture": echoes}
@@ -417,8 +396,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigurationError(f"--alpha-grid must be start:stop:count, got {text!r}") from exc
-    if count < 1:
-        raise ConfigurationError("--alpha-grid count must be >= 1")
+    start, stop = _real(start, "--alpha-grid start"), _real(stop, "--alpha-grid stop")
+    count = _integer(count, "--alpha-grid count", 1)
     if count > DISTRIBUTION_OUTCOME_CAP:
         raise CapacityError(
             f"--alpha-grid count {count} exceeds the sweep cap {DISTRIBUTION_OUTCOME_CAP}"

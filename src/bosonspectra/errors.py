@@ -1,4 +1,9 @@
-"""Exception hierarchy and the read-only record base shared by all bosonspectra modules."""
+"""Exception hierarchy, read-only record base and value rules (_integer, _real, _complex_array) of bosonspectra."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class BosonSpectraError(Exception):
@@ -60,3 +65,44 @@ class _Record:
 
     def __hash__(self):
         return hash(self._field_values())
+
+
+def _integer(value, what: str, minimum: int | None = None, error=ConfigurationError) -> int:
+    """value as an int if it is one exactly (numpy ints and 2.0 pass; True, "1", 2.5 and inf do not), >= minimum."""
+    try:
+        exact = isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool) and int(value) == value
+    except (ValueError, OverflowError):  # nan, infinities
+        exact = False
+    if not exact:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, error=ConfigurationError) -> float:
+    """value as a finite float, -0.0 read as 0.0; a float skips the type checks, which cost more than the rest."""
+    if value.__class__ is not float and (isinstance(value, bool) or not isinstance(value, (int, numbers.Real))):
+        raise error(f"{what} must be a real number, got {value!r}")
+    try:
+        number = float(value) + 0.0
+    except OverflowError:
+        raise error(f"{what} must be finite: a {len(str(abs(value)))}-digit integer overflows a double") from None
+    if not math.isfinite(number):
+        raise error(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _complex_array(value, what: str, error=DimensionError) -> np.ndarray:
+    """value as a new complex128 array of finite numbers, Fractions too; strings, booleans and ragged rows fail."""
+    try:
+        given = np.asarray(value)
+        if given.dtype.kind not in "iufc" and not (given.dtype.kind == "O" and all(
+                isinstance(x, numbers.Complex) and not isinstance(x, bool) for x in given.flat)):
+            raise TypeError  # strings, booleans, None
+        array = given.astype(np.complex128)
+    except (TypeError, ValueError, OverflowError):  # and ragged rows, or a number beyond the double range
+        raise error(f"{what} must be an array of numbers, got {type(value).__name__}") from None
+    if not np.all(np.isfinite(array)):
+        raise error(f"{what} entries must be finite")
+    return array

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, _Record
+from .errors import ConfigurationError, DimensionError, _complex_array, _integer, _Record
 from .permanent import _count_rows, permanent_ryser
 
 UNITARITY_TOL = 1e-10
@@ -31,11 +31,9 @@ class Interferometer(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, matrix: np.ndarray) -> None:
-        u = np.array(matrix, dtype=np.complex128)
+        u = _complex_array(matrix, "interferometer matrix")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
             raise DimensionError(f"interferometer matrix must be square and non-empty, got {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise DimensionError("interferometer matrix entries must be finite")
         deviation = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
         if deviation > UNITARITY_TOL:
             raise DimensionError(
@@ -50,17 +48,6 @@ class Interferometer(_Record):
         return self.matrix.shape[0]
 
 
-def _exact_int(x, what: str) -> int:
-    """x as an int if it is one exactly (numpy ints and 2.0 pass; True, 1.7, "1" and inf do not)."""
-    try:
-        value = int(x)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if isinstance(x, (bool, np.bool_)) or value is None or value != x:
-        raise ConfigurationError(f"{what} must be integers, got {x!r}")
-    return value
-
-
 def _as_tuple(x, what: str) -> tuple:
     """tuple(x), or ConfigurationError naming what if x is not iterable."""
     try:
@@ -72,7 +59,7 @@ def _as_tuple(x, what: str) -> tuple:
 def as_occupation(counts, m: int | None = None) -> tuple[int, ...]:
     """Normalize an occupation configuration to a tuple of non-negative ints."""
     counts = _as_tuple(counts, "occupation counts")
-    occ = tuple(_exact_int(c, "occupation counts") for c in counts)
+    occ = tuple(_integer(c, "occupation count") for c in counts)
     if any(o < 0 for o in occ):
         raise ConfigurationError(f"occupation counts must be non-negative integers, got {counts!r}")
     if m is not None and len(occ) != m:
@@ -119,8 +106,7 @@ def make_beamsplitter_50_50() -> Interferometer:
 
 def make_dft(m: int) -> Interferometer:
     """Discrete-Fourier-transform network: entry (j,k) = exp(2*pi*i*j*k/m)/sqrt(m)."""
-    if m < 1:
-        raise DimensionError(f"mode count must be >= 1, got {m}")
+    m = _integer(m, "mode count", 1, DimensionError)
     j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     return Interferometer(np.exp(2j * np.pi * j * k / m) / math.sqrt(m))
 
@@ -131,9 +117,8 @@ def make_random_unitary(m: int, seed: int) -> Interferometer:
     QR-orthonormalizes an m x m complex Ginibre matrix and fixes the
     phases of the R diagonal (the standard recipe for Haar sampling).
     """
-    if m < 1:
-        raise DimensionError(f"mode count must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
+    m = _integer(m, "mode count", 1, DimensionError)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

@@ -46,7 +46,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError, DimensionError, _complex_array
 
 # 2^29 sign vectors is the practical desk-scale ceiling; refuse anything larger.
 RYSER_DIMENSION_CAP = 30
@@ -70,11 +70,9 @@ STACK_SIZE = 256
 
 def _as_square(matrix) -> np.ndarray:
     """matrix as a finite complex128 square matrix."""
-    a = np.asarray(matrix, dtype=np.complex128)
+    a = _complex_array(matrix, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"permanent needs a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise DimensionError("matrix entries must be finite (no NaN/Inf)")
     return a
 
 

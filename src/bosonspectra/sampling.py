@@ -64,9 +64,12 @@ a signature's splits. A blind chunk's pair sums share the rows of
 A_eps for its occupied modes, each (signature, eps) pair one index row
 into them (pairsum._pair_sums). Only Per / sqrt(prod S_vec!) and its
 squared modulus run per outcome, on Python scalars: numpy's complex
-division and its ** 2 round differently. A split sum or a pair sum is
-correctly rounded whatever its terms' order or block, so a single
-query's value is the sweep's bit for bit.
+division and its ** 2 round differently. An outcome or split that
+lambda cannot reach, one whose profile no assignment of the photons to
+basis functions along non-zero entries of lambda fills, is a
+structural zero: it reads 0.0 without a kernel call (_reachable). A
+split sum or a pair sum is correctly rounded whatever its terms' order
+or block, so a single query's value is the sweep's bit for bit.
 distribution_resolved and distribution_nonresolved gather one pure
 combination's stream into one dict.
 
@@ -77,16 +80,14 @@ measurement signatures are single occupation tuples. Input modes are
 
 import itertools
 import math
-import numbers
 import operator
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, _Record
+from .errors import CapacityError, ConfigurationError, _integer, _real, _Record
 from .network import (
     Interferometer,
     _as_tuple,
-    _exact_int,
     amplitude_ideal,
     as_occupation,
     submatrix,
@@ -122,17 +123,13 @@ class MixedPhotonSource(_Record):
     def __init__(self, components: tuple) -> None:
         comps = tuple(_as_tuple(c, "a mixture component") for c in _as_tuple(components, "mixture components"))
         for c in comps:
-            if len(c) != 2 or isinstance(c[0], bool) or not isinstance(c[0], numbers.Real):
+            if len(c) != 2:
                 raise ConfigurationError(f"a mixture component must be a (real probability, spec) pair, got {c!r}")
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
-        try:
-            comps = tuple((float(p), spec) for p, spec in comps)
-            finite = all(math.isfinite(p) and p >= 0 for p, _ in comps)
-        except OverflowError:  # an int beyond the double range
-            finite = False
-        if not finite:
-            raise ConfigurationError("mixture weights must be finite and non-negative")
+        comps = tuple((_real(p, "mixture weight"), spec) for p, spec in comps)
+        if any(p < 0 for p, _ in comps):
+            raise ConfigurationError(f"mixture weights must be non-negative, got {[p for p, _ in comps]}")
         total = sum(p for p, _ in comps)
         if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
             raise ConfigurationError(f"mixture weights must sum to 1, got {total!r}")
@@ -141,13 +138,13 @@ class MixedPhotonSource(_Record):
 
 def default_input_modes(n: int) -> tuple[int, ...]:
     """Photon i in spatial mode i, the conventional input arrangement."""
-    return tuple(range(1, n + 1))
+    return tuple(range(1, _integer(n, "photon count", 0) + 1))
 
 
 def _validated_inputs(input_modes, n: int, m: int) -> tuple[int, ...]:
     if input_modes is None:
         input_modes = default_input_modes(n)
-    modes = tuple(_exact_int(x, "input modes") for x in _as_tuple(input_modes, "input modes"))
+    modes = tuple(_integer(x, "input mode") for x in _as_tuple(input_modes, "input modes"))
     if len(modes) != n:
         raise ConfigurationError(f"{len(modes)} input modes for {n} photons")
     if any(x < 1 or x > m for x in modes):
@@ -191,17 +188,68 @@ def _joint_matrix(cols: np.ndarray, lam: LambdaMatrix) -> np.ndarray:
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, cols.shape[1])
 
 
-def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int]) -> list[complex]:
+def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int], lam: LambdaMatrix,
+                         decided: dict) -> list[complex]:
     """Per(A_S) / sqrt(prod S_vec!) for each count row S_vec, given as its kernel index row.
 
     rows is _count_rows of an (outcomes x basis_size * m) count matrix,
-    made once for every joint matrix that reads the same block. norms
-    holds each row's prod S_vec! as a Python int; rows holds at most
-    STACK_SIZE rows, one kernel call. The division runs on Python
-    scalars: numpy's complex / float multiplies by the reciprocal and
-    rounds differently.
+    made once for every joint matrix that reads the same block; joint is
+    lam's. norms holds each row's prod S_vec! as a Python int; rows holds
+    at most STACK_SIZE rows, one kernel call for those lam can reach. A
+    structural zero (_reachable, its profile's answer kept in decided)
+    reads 0j. The division runs on Python scalars: numpy's complex /
+    float multiplies by the reciprocal and rounds differently.
     """
-    return [per / math.sqrt(norm) for per, norm in zip(_permanents(rows, joint).tolist(), norms)]
+    keep = _reachable(lam, rows, len(joint) // lam.basis_size, decided)
+    amplitudes = [0j] * len(norms)
+    for i, per in zip(np.flatnonzero(keep).tolist(), _permanents(rows[keep], joint).tolist()):
+        amplitudes[i] = per / math.sqrt(norms[i])
+    return amplitudes
+
+
+def _reachable(lam: LambdaMatrix, rows: np.ndarray, m: int, decided: dict) -> np.ndarray:
+    """Which resolved outcomes or splits, given as kernel index rows into a joint matrix of m modes, lam reaches.
+
+    Every term of Per(A_S) takes lambda[j, i] for each photon j and the
+    basis function i of the row it is given. So if no assignment of the
+    photons to basis functions, c_i of them to xi_i, uses only non-zero
+    entries of lambda, every term is zero and the outcome is a structural
+    zero: exactly 0.0, where the kernel would leave rounding noise. That
+    depends only on the outcome's profile c, here its rows' basis
+    functions i = row // m in ascending order; decided keeps each
+    profile's answer, one bipartite matching, for the rest of a stream.
+    """
+    basis = rows // m
+    # Each row's basis functions as one bytes key: equal keys, equal profiles.
+    keys = basis.view(np.dtype((np.void, basis.itemsize * basis.shape[1]))).ravel().tolist()
+    if new := set(keys) - decided.keys():
+        options = [np.flatnonzero(row).tolist() for row in lam.matrix]
+        for key in new:
+            profile = [0] * lam.basis_size
+            for i in np.frombuffer(key, basis.dtype).tolist():
+                profile[i] += 1
+            decided[key] = _assignable(options, profile)
+    return np.fromiter(map(decided.__getitem__, keys), bool, len(keys))
+
+
+def _assignable(options: list[list[int]], profile: list[int]) -> bool:
+    """Whether each photon j can take a basis function i of options[j], profile[i] photons each (augmenting paths)."""
+    taken = [[] for _ in profile]
+
+    def place(j, seen):
+        for i in options[j]:
+            if i not in seen:
+                seen.add(i)
+                if len(taken[i]) < profile[i]:
+                    taken[i].append(j)
+                    return True
+                for k, other in enumerate(taken[i]):
+                    if place(other, seen):
+                        taken[i][k] = j
+                        return True
+        return False
+
+    return all(place(j, set()) for j in range(len(options)))
 
 
 def _count_blocks(n: int, m: int, r: int, sigs=None):
@@ -258,7 +306,7 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
         yield block[: len(norms)], norms
 
 
-def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs) -> list[float]:
+def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs, decided: dict) -> list[float]:
     """P(M) for each signature M of sigs, by the pair sum or the split sum; cols is U[:, T].
 
     A signature takes the pair sum, fed lam.gram, if its _costs say it
@@ -266,8 +314,9 @@ def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs) -> lis
     kappa is at most PAIR_SUM_KAPPA. The rest, fallbacks included, take the
     split sum over lam's joint matrix, built only for them: each the
     math.fsum of its rows of one _count_blocks stream, so a call holds one
-    block of splits. A fallback whose split sum costs more than the work
-    budget raises CapacityError first.
+    block of splits; decided keeps their profiles' _reachable answers. A
+    fallback whose split sum costs more than the work budget raises
+    CapacityError first.
     """
     n, r = lam.n, lam.basis_size
     costs = [_costs(n, r, sig) for sig in sigs]
@@ -286,7 +335,7 @@ def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs) -> lis
     split = [i for i, value in enumerate(values) if value is None]
     if split:
         joint, blocks = _joint_matrix(cols, lam), _count_blocks(n, len(cols), r, [sigs[i] for i in split])
-        amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms) for counts, norms in blocks)
+        amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms, lam, decided) for counts, norms in blocks)
         squares = (abs(amp) ** 2 for block in amplitudes for amp in block)
         for i in split:
             values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
@@ -359,7 +408,7 @@ def amplitude_resolved(
     inputs = _validated_inputs(input_modes, lam.n, m)
     row = sum(_checked_outcome(outcome, "resolved", lam.n, m, lam.basis_size), ())
     joint = _joint_matrix(interferometer.matrix[:, [x - 1 for x in inputs]], lam)
-    return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))])[0]
+    return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))], lam, {})[0]
 
 
 def probability_resolved(
@@ -409,6 +458,8 @@ def enumerate_resolved_outcomes(n: int, m: int, basis_size: int):
     itertools.product over pools[k], every tuple of k photons over m
     modes in lex order.
     """
+    n, m = _integer(n, "photon count", 0), _integer(m, "mode count", 1)
+    basis_size = _integer(basis_size, "basis size", 1)
     pools = [tuple(_occupations(k, m)) for k in range(n + 1)]
     for profile in _occupations(n, basis_size):
         yield from itertools.product(*[pools[k] for k in profile])
@@ -511,14 +562,18 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
     else:
         chunks = ((sigs, sigs) for sigs in _chunks(_occupations(n, m)))
 
+    # Per combination, each profile's _reachable answer.
+    decided = [{} for _ in combinations]
+
     def totals():
         for outcomes, rows in chunks:
             total = 0.0
-            for weight, lam in combinations:
+            for (weight, lam), profiles in zip(combinations, decided):
                 if resolved:
-                    values = [abs(amp) ** 2 for amp in _resolved_amplitudes(_joint_matrix(cols, lam), *rows)]
+                    amplitudes = _resolved_amplitudes(_joint_matrix(cols, lam), *rows, lam, profiles)
+                    values = [abs(amp) ** 2 for amp in amplitudes]
                 else:
-                    values = _probabilities_nonresolved(cols, lam, rows)
+                    values = _probabilities_nonresolved(cols, lam, rows, profiles)
                 total = total + weight * np.array(values, dtype=float)
             yield outcomes, total
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DimensionError, RepresentationError, _Record
+from .errors import _complex_array, _real
 
 ROW_NORM_TOL = 1e-10
 GRAM_PSD_TOL = 1e-9
@@ -31,12 +32,7 @@ class GaussianWavepacket(_Record):
     _fields = ("mu", "sigma", "tau")
 
     def __init__(self, mu: float, sigma: float, tau: float = 0.0) -> None:
-        try:
-            finite = all(map(math.isfinite, (mu, sigma, tau)))
-        except OverflowError:  # an int beyond the double range
-            finite = False
-        if not finite:
-            raise ConfigurationError(f"mu, sigma and tau must be finite, got {mu}, {sigma}, {tau}")
+        mu, sigma, tau = _real(mu, "mu"), _real(sigma, "sigma"), _real(tau, "tau")
         if not (sigma > 0):
             raise ConfigurationError(f"sigma must be positive, got {sigma}")
         vars(self).update(mu=mu, sigma=sigma, tau=tau)
@@ -48,9 +44,9 @@ class CoefficientSpectrum(_Record):
     _frozen = ("coefficients",)
 
     def __init__(self, coefficients: np.ndarray) -> None:
-        c = np.array(coefficients, dtype=np.complex128).reshape(-1)
-        if c.size == 0 or not np.all(np.isfinite(c)):
-            raise ConfigurationError("coefficient row must be non-empty and finite")
+        c = _complex_array(coefficients, "coefficient row", ConfigurationError).reshape(-1)
+        if c.size == 0:
+            raise ConfigurationError("coefficient row must be non-empty")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > ROW_NORM_TOL:
             raise ConfigurationError(f"coefficient row must have unit norm, got {norm!r}")
@@ -153,11 +149,9 @@ class LambdaMatrix(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
+        m = _complex_array(matrix, "lambda matrix")
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
             raise DimensionError(f"lambda matrix must be 2-D and non-empty, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DimensionError("lambda matrix entries must be finite")
         norms = np.linalg.norm(m, axis=1)
         bad = np.abs(norms - 1.0) > ROW_NORM_TOL
         if np.any(bad):
@@ -182,7 +176,9 @@ class LambdaMatrix(_Record):
 
     def rotated(self, w) -> "LambdaMatrix":
         """The same photons expressed in a rotated basis: lambda @ W."""
-        w = np.asarray(w, dtype=np.complex128)
+        w = _complex_array(w, "rotation matrix")
+        if w.ndim != 2 or len(w) != self.basis_size:
+            raise DimensionError(f"rotation matrix must have {self.basis_size} rows, got shape {w.shape}")
         return LambdaMatrix(self.matrix @ w)
 
     def __repr__(self):
@@ -214,11 +210,9 @@ def orthonormal_decomposition(gram) -> LambdaMatrix:
     ROW_NORM_TOL; CapacityError then names the first one's photon
     (1-based), after the PSD check. The result's gram is a copy of G.
     """
-    g = np.array(gram, dtype=np.complex128)
+    g = _complex_array(gram, "Gram matrix")
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
         raise DimensionError(f"Gram matrix must be square and non-empty, got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise DimensionError("Gram matrix entries must be finite")
     n = g.shape[0]
     if np.max(np.abs(g - g.conj().T)) > 1e-8:
         raise ConfigurationError("Gram matrix must be Hermitian")

@@ -46,8 +46,10 @@ def test_removed_names_are_gone():
                  "_FACTORIALS", "_factorial_products", "as_resolved_outcome", "_priced_chunks", "_chunk",
                  "_pure_chunks"):
         assert not hasattr(bosonspectra.sampling, name), name
-    for name in ("_repeat_indices", "_submatrix"):
+    for name in ("_repeat_indices", "_submatrix", "_exact_int"):
         assert not hasattr(bosonspectra.network, name), name
+    for name in ("_parse_int", "_parse_real"):
+        assert not hasattr(bosonspectra.cli, name), name
     assert "mixed" not in inspect.signature(bosonspectra.cli.ExperimentConfig).parameters
     assert not hasattr(bosonspectra.cli, "build_parser")
     assert not hasattr(bosonspectra.cli, "_outcome_json")
@@ -297,3 +299,96 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
     assert {name.split(".", 1)[1] for name in modules if name.startswith("bosonspectra.")} == loaded
     # Nor does a job load a standard-library framework to build records or read argv.
     assert modules.isdisjoint({"argparse", "dataclasses", "gettext", "locale", "copy"})
+
+
+def _photons(count: int = 2) -> list:
+    return [{"gaussian": {"mu": 0.0, "sigma": 1.0}}] * count
+
+
+# Each reader of an outside value: (the value's name in its error, the kinds of value it reads, and
+# a call that reads the value). A call that returns (argv, payload) is a CLI job: the payload is
+# written to a JSON file whose path goes at the end of argv.
+READERS = {
+    "make_dft": ("mode count", "count", lambda v: bosonspectra.make_dft(v)),
+    "make_random_unitary modes": ("mode count", "count", lambda v: bosonspectra.make_random_unitary(v, 1)),
+    "make_random_unitary seed": ("seed", "count", lambda v: bosonspectra.make_random_unitary(2, v)),
+    "enumerate_resolved_outcomes n": ("photon count", "integer",
+                                      lambda v: list(bosonspectra.enumerate_resolved_outcomes(v, 2, 1))),
+    "enumerate_resolved_outcomes m": ("mode count", "count",
+                                      lambda v: list(bosonspectra.enumerate_resolved_outcomes(1, v, 1))),
+    "enumerate_resolved_outcomes basis": ("basis size", "integer",
+                                          lambda v: list(bosonspectra.enumerate_resolved_outcomes(1, 2, v))),
+    "default_input_modes": ("photon count", "integer", lambda v: bosonspectra.default_input_modes(v)),
+    "as_occupation": ("occupation count", "integer", lambda v: bosonspectra.as_occupation((v, 1))),
+    "input modes": ("input mode", "integer", lambda v: bosonspectra.probability_nonresolved(
+        bosonspectra.make_beamsplitter_50_50(), bosonspectra.LambdaMatrix(np.eye(2)), (1, v), (1, 1))),
+    "GaussianWavepacket mu": ("mu", "real", lambda v: bosonspectra.GaussianWavepacket(v, 1.0)),
+    "GaussianWavepacket sigma": ("sigma", "real", lambda v: bosonspectra.GaussianWavepacket(0.0, v)),
+    "GaussianWavepacket tau": ("tau", "real", lambda v: bosonspectra.GaussianWavepacket(0.0, 1.0, v)),
+    "MixedPhotonSource": ("mixture weight", "real", lambda v: bosonspectra.MixedPhotonSource(
+        ((v, bosonspectra.GaussianWavepacket(0.0, 1.0)), (1.0, bosonspectra.GaussianWavepacket(0.0, 1.0))))),
+    "Interferometer": ("interferometer matrix", "array", lambda v: bosonspectra.Interferometer(v)),
+    "LambdaMatrix": ("lambda matrix", "array", lambda v: bosonspectra.LambdaMatrix(v)),
+    "LambdaMatrix.rotated": ("rotation matrix", "array", lambda v: bosonspectra.LambdaMatrix(np.eye(2)).rotated(v)),
+    "CoefficientSpectrum": ("coefficient row", "array", lambda v: bosonspectra.CoefficientSpectrum(v[0])),
+    "orthonormal_decomposition": ("Gram matrix", "array", lambda v: bosonspectra.orthonormal_decomposition(v)),
+    "permanent_ryser": ("matrix", "array", lambda v: bosonspectra.permanent_ryser(v)),
+    "permanent_naive": ("matrix", "array", lambda v: bosonspectra.permanent_naive(v)),
+    # The CLI names a value by its JSON path. Strict JSON cannot spell nan or an infinity, and
+    # the config reader refuses those literals before any value is read (test_cli.py), so its
+    # real readers take the other real inputs.
+    "config network.modes": ("network.modes", "count", lambda v: (
+        ["distribution", "--config"], {"network": {"preset": "dft", "modes": v}, "photons": _photons(1)})),
+    "config network.seed": ("network.seed", "count", lambda v: (
+        ["distribution", "--config"],
+        {"network": {"preset": "random", "modes": 2, "seed": v}, "photons": _photons()})),
+    "--seed": ("--seed", "flag", lambda v: (
+        ["distribution", "--seed", str(v), "--config"],
+        {"network": {"preset": "random", "modes": 2}, "photons": _photons()})),
+    "config input_modes": ("input_modes[1]", "integer", lambda v: (
+        ["distribution", "--config"],
+        {"network": {"preset": "beamsplitter"}, "photons": _photons(), "input_modes": [1, v]})),
+    "config query.signature": ("query.signature[0]", "integer", lambda v: (
+        ["distribution", "--config"], {"network": {"preset": "beamsplitter"}, "photons": _photons(),
+                                       "query": {"signature": [v, 1]}})),
+    "config gaussian mu": ("photons[1].gaussian.mu", "json real", lambda v: (
+        ["distribution", "--config"], {"network": {"preset": "beamsplitter"},
+                                       "photons": _photons(1) + [{"gaussian": {"mu": v, "sigma": 1.0}}]})),
+    "config mixture probability": ("photons[0].mixture[1].probability", "json real", lambda v: (
+        ["distribution", "--config"], {"network": {"preset": "beamsplitter"}, "photons": [{"mixture": [
+            {"probability": 1.0, **_photons(1)[0]}, {"probability": v, **_photons(1)[0]}]}]})),
+    "config network.unitary": ("network.unitary[0]", "array", lambda v: (
+        ["distribution", "--config"], {"network": {"unitary": v}, "photons": _photons(1)})),
+    "config coefficients": ("photons[0].coefficients[1]", "array", lambda v: (
+        ["distribution", "--config"], {"network": {"preset": "beamsplitter"}, "photons": [{"coefficients": v[0]}]})),
+    "permanent MATRIX": ("json[0]", "array", lambda v: (["permanent"], v)),
+}
+STRING_MATRIX = [[1, "0"], ["0", 1]]  # numpy would read it as the identity
+VALUES = {
+    "integer": {"True": True, "'1'": "1", "2.5": 2.5},
+    "count": {"True": True, "'1'": "1", "2.5": 2.5, "-1": -1},
+    "flag": {"-1": -1},
+    "real": {"nan": float("nan"), "inf": float("inf"), "10**400": 10**400, "True": True},
+    "json real": {"10**400": 10**400, "True": True},
+    "array": {"strings": STRING_MATRIX},
+}
+
+
+@pytest.mark.parametrize("reader,value", [(reader, value) for reader, (_, kind, _) in READERS.items()
+                                          for value in VALUES[kind]])
+def test_malformed_values_are_refused_by_name(tmp_path, capsys, reader, value):
+    # Each used to pass (True as 1, "1" as 1 where numpy parses strings, 2.5 as a float mode
+    # count), or to fail with numpy's or Python's own error, naming no value.
+    name, kind, read = READERS[reader]
+    try:
+        job = read(VALUES[kind][value])
+    except bosonspectra.BosonSpectraError as exc:
+        assert name in str(exc)
+        return
+    argv, payload = job
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert bosonspectra.cli.main([*argv, str(path), "--output", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and name in err, err
+    assert not (tmp_path / "out.json").exists()

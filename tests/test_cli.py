@@ -458,13 +458,14 @@ class TestArgv:
 
     def test_negative_seed_reaches_the_network(self, tmp_path, capsys):
         # -5 is --seed's value, not an option; the seed check then refuses it
-        # as it refuses the same seed written in the config.
+        # as it refuses the same seed written in the config, each naming where
+        # the seed came from (both used to print numpy's "expected non-negative integer").
         cfg = write_json(tmp_path / "cfg.json", hom_config(0.5, network={"preset": "random", "modes": 2}))
         assert main(["distribution", "--config", cfg, "--seed", "-5"]) == EXIT_INPUT_ERROR
-        from_flag = capsys.readouterr()
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
         cfg = write_json(tmp_path / "seeded.json", hom_config(0.5, network={"preset": "random", "modes": 2, "seed": -5}))
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr() == from_flag and from_flag.err.startswith("error: ")
+        assert capsys.readouterr().err == "error: network.seed must be >= 0, got -5\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -599,6 +600,20 @@ class TestStrictInputs:
         cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["distribution", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    def test_no_document_prints_negative_zero(self, tmp_path):
+        # A config's -0.0 and the alpha grid's start used to be echoed as -0.0.
+        config = {"network": {"preset": "beamsplitter"}, "photons": [
+            {"gaussian": {"mu": -0.0, "sigma": 1.0, "tau": -0.0}},
+            {"mixture": [{"probability": 1.0, "gaussian": {"mu": 0.5, "sigma": 1.0}},
+                         {"probability": -0.0, "gaussian": {"mu": 0.0, "sigma": 1.0}}]},
+        ]}
+        assert "-0.0" in json.dumps(config)
+        out = tmp_path / "out.json"
+        for argv in (["distribution", "--config", write_json(tmp_path / "cfg.json", config)],
+                     ["hom-scan", "--alpha-grid=-0.0:-0.0:1"], ["hom-scan", "--alpha-grid=-0.0:1:3"]):
+            assert main(argv + ["--output", str(out)]) == EXIT_OK
+            assert re.search(r"-0\.0(?![0-9])", out.read_text()) is None, argv
+
     @pytest.mark.parametrize("network", [
         # 'modes' used to be ignored beside an explicit unitary or the beamsplitter.
         {"unitary": [[1.0, 0.0], [0.0, 1.0]], "modes": 7},
@@ -669,8 +684,8 @@ class TestStrictInputs:
         # float() of a 401-digit integer raises OverflowError; it used to end
         # in a traceback with exit 1.
         if command == "permanent":
-            where = write_json(tmp_path / "m.json", [[10**400]])
-            argv = [command, where]
+            argv = [command, write_json(tmp_path / "m.json", [[10**400]])]
+            where = argv[1] + "[0]"
         else:
             config, _, _ = mixed_experiment()
             config["photons"][1]["mixture"][0]["probability"] = 10**400
@@ -678,7 +693,7 @@ class TestStrictInputs:
             where = "photons[1].mixture[0].probability"
         out = tmp_path / "out.json"
         assert main(argv + ["--output", str(out)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == f"error: {where}: a 401-digit integer overflows a double\n"
+        assert capsys.readouterr().err == f"error: {where} must be finite: a 401-digit integer overflows a double\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("preset,digits", [("random", 401), ("dft", 31), ("dft", 10)])

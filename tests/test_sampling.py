@@ -195,7 +195,7 @@ def split_sum(u, lam, inputs, sig):
     joint = _joint_matrix(columns(u, inputs), lam)
     blocks = _count_blocks(lam.n, u.m, lam.basis_size, [sig])
     return math.fsum(abs(amp) ** 2 for counts, norms in blocks
-                     for amp in _resolved_amplitudes(joint, _count_rows(counts), norms))
+                     for amp in _resolved_amplitudes(joint, _count_rows(counts), norms, lam, {}))
 
 
 def splits(sig, r):
@@ -285,7 +285,8 @@ class TestBlindSweep:
             sequential = set()
             for _ in range(5):
                 order = rng.permutation(len(norms))
-                squares = [abs(amp) ** 2 for amp in _resolved_amplitudes(joint, picks[order], [norms[k] for k in order])]
+                amplitudes = _resolved_amplitudes(joint, picks[order], [norms[k] for k in order], lam, {})
+                squares = [abs(amp) ** 2 for amp in amplitudes]
                 assert math.fsum(squares) == value, sig
                 sequential.add(sum(squares))
             assert len(sequential) > 1, sig
@@ -327,15 +328,21 @@ class TestBlindSweep:
     def test_kernel_calls_take_at_most_a_stack(self, rng, monkeypatch, case):
         # Resolved outcomes and split sums reach the kernel through one
         # stream of count blocks, full but for the last, and pair sums
-        # through blocks of (signature, eps) rows.
-        sizes = []
-        kernel = bosonspectra.sampling._permanents
+        # through blocks of (signature, eps) rows. A block's kernel call
+        # leaves out its structural zeros, so only the blocks need be full.
+        sizes, blocks = [], []
+        kernel, reachable = bosonspectra.sampling._permanents, bosonspectra.sampling._reachable
 
         def counted(rows, joint, **moduli):
             sizes.append(len(rows))
             return kernel(rows, joint, **moduli)
 
+        def counted_block(lam, rows, m, decided):
+            blocks.append(len(rows))
+            return reachable(lam, rows, m, decided)
+
         monkeypatch.setattr(bosonspectra.sampling, "_permanents", counted)
+        monkeypatch.setattr(bosonspectra.sampling, "_reachable", counted_block)
         monkeypatch.setattr(bosonspectra.pairsum, "_permanents", counted)
         if case == "pair sum":
             # One generic n = 10 signature: 512 sign vectors.
@@ -354,7 +361,7 @@ class TestBlindSweep:
             else:
                 u, lam, sig = large_fallback()
                 probability_nonresolved(u, lam, None, sig)
-        assert max(sizes) == STACK_SIZE
+        assert max(sizes) <= STACK_SIZE and max(blocks or sizes) == STACK_SIZE
 
     def test_pair_sums_of_a_row_do_not_depend_on_the_others(self, rng):
         # n = 8, r = 8: 43 signatures of 128 sign vectors each, 22 kernel
@@ -464,6 +471,29 @@ class TestResolvedSweep:
         for outcome, p in dist.items():
             assert p == probability_resolved(u, lam, inputs, outcome), outcome
 
+    @pytest.mark.parametrize("n,m,seed", [(3, 6, 1), (4, 4, 2)])
+    def test_structurally_impossible_outcomes_are_exact_zeros(self, n, m, seed):
+        # Generic Gaussians: lambda, their Cholesky factor, is zero above its
+        # diagonal. An outcome whose profile no assignment of the photons to
+        # basis functions reaches along non-zero entries of lambda has only
+        # zero terms; the kernel's sum of them used to leave up to 1e-34.
+        photons = [GaussianWavepacket(0.2 * j, 1 + 0.05 * j, 0.3 * j) for j in range(n)]
+        u, lam = make_random_unitary(m, seed), lambda_from_photons(photons)
+        r, support = lam.basis_size, lam.matrix != 0
+        reachable = {tuple(v.count(i) for i in range(r)) for v in itertools.product(range(r), repeat=n)
+                     if all(support[j, i] for j, i in enumerate(v))}
+        state, impossible = fock_evolve(u, lam), 0
+        for outcome, p in distribution_resolved(u, lam).items():
+            assert p == probability_resolved(u, lam, None, outcome) == probability_mixed(
+                u, photons, None, outcome, "resolved"), outcome
+            if tuple(map(sum, outcome)) not in reachable:
+                impossible += 1
+                assert p == 0.0 == oracle_probability(state, outcome, "resolved"), outcome
+                assert amplitude_resolved(u, lam, None, outcome) == 0j
+            else:
+                assert p > 0.0, outcome
+        assert impossible > 0
+
     def test_sweep_matches_single_queries_on_glynn_stacks(self, rng):
         # Four generic photons in stacks of 256: every outcome's value is the
         # one it has alone, whichever chunk and position it sits in.
@@ -506,7 +536,7 @@ class TestResolvedSweep:
         counts = np.array([sum(o, ()) for o in outcomes])
         joint = _joint_matrix(columns(u, (1, 2, 3, 4)), lam)
         norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
-        whole = _resolved_amplitudes(joint, _count_rows(counts), norms)
+        whole = _resolved_amplitudes(joint, _count_rows(counts), norms, lam, {})
         dist = distribution_resolved(u, lam)
         assert list(dist) == outcomes
         assert list(dist.values()) == [abs(amp) ** 2 for amp in whole]
@@ -1034,9 +1064,9 @@ class TestProbabilityMixed:
     @pytest.mark.parametrize("components,error", [
         (5, "mixture components must be a sequence, got 5"),
         (((0.5,),), "pair, got [(]0.5,[)]"),
-        ((("a", GaussianWavepacket(0.0, 1.0)),), "pair, got [(]'a', "),
-        (((None, GaussianWavepacket(0.0, 1.0)),), "pair, got [(]None, "),
-        (((True, GaussianWavepacket(0.0, 1.0)),), "pair, got [(]True, "),
+        ((("a", GaussianWavepacket(0.0, 1.0)),), "mixture weight must be a real number, got 'a'"),
+        (((None, GaussianWavepacket(0.0, 1.0)),), "mixture weight must be a real number, got None"),
+        (((True, GaussianWavepacket(0.0, 1.0)),), "mixture weight must be a real number, got True"),
         (((1.0, GaussianWavepacket(0.0, 1.0), 3),), "pair, got [(]1.0, .*, 3[)]"),
     ])
     def test_malformed_mixture_components_refused(self, components, error):
