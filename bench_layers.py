@@ -37,9 +37,16 @@ times' quartiles lay up to 47 % apart. The file holds:
   way, each side's median and quartiles of wall time (spawn to exit)
   and of peak RSS (``ru_maxrss`` from ``os.wait4``) and how many runs
   the working tree's RSS was lower, and whether every run wrote the
-  same bytes;
+  same bytes. Judge peak RSS on the ``precompiled`` rows: a ``source``
+  row also measures the compiler's heap, and in ``BENCH_41.json`` the
+  ``source`` rows moved 0.2-0.4 MB on a change to ``cli.py`` alone,
+  while the ``precompiled`` rows read equal;
 * ``streams``: one row per in-process query stream, the whole stream of
   ``probability_chunks`` or ``verify_chunks``;
+* ``queries``: one row per family, every signature of n = 5, m = 7
+  asked by its own ``probability_nonresolved`` call, all on one lambda
+  that each timed call builds first, so that no repeat finds answers
+  cached on the lambda of an earlier one;
 * ``kernel``: one row per size k of ``permanent_ryser`` on one random
   complex k x k matrix, k = 8, 10, ..., 22;
 * ``refusal``: the over-budget blind mixture (six photons, each five
@@ -62,21 +69,25 @@ times' quartiles lay up to 47 % apart. The file holds:
   called ``np.linalg.eigvalsh`` and the n it refused, counted per side
   in one paired child.
 
-In each run's paired child, a stream, kernel or refusal row calls each
-side REPEATS times, alternating sides call by call (which side goes
-first alternates from run to run), and keeps each side's best wall time
-and a digest of its result (the refusal's message). A row gives each
-side's median and quartiles of that best time, those of each run's
-ratio head/base, how many runs the working tree was faster and whether
-every result had the same bytes.
+In each run's paired child, a stream, query, kernel or refusal row
+calls each side REPEATS times, alternating sides call by call (which
+side goes first alternates from run to run), and keeps each side's best
+wall time and a digest of its result (the refusal's message). A row
+gives each side's median and quartiles of that best time, those of each
+run's ratio head/base, how many runs the working tree was faster and
+whether every result had the same bytes.
 
 The configs are generic Gaussian photons (photon j: mu = 0.2 j,
 sigma = 1 + 0.05 j, tau = 0.3 j) on ``make_random_unitary(m, 1)``,
 written out as an explicit unitary so that no job runs a QR
-factorisation; the two n = 5 stream rows and the accuracy rows also use
-the near-identical family (mu = 0.05 j, sigma = 1 + 0.01 j,
-tau = 0.02 j). In a stream row of n photons, the last few are mixtures:
-photon j with weight 0.4 and the family's photon j + n with weight 0.6.
+factorisation; one n = 5 stream row, one query row and the accuracy
+rows also use the near-identical family (mu = 0.05 j,
+sigma = 1 + 0.01 j, tau = 0.02 j). A two-species row, end-to-end or
+stream, alternates the family's first two photons; the identical stream
+row repeats its first (r = 1, so every blind signature takes the split
+sum, one split per signature). In a stream row of
+n photons, the last few are mixtures: photon j with weight 0.4 and the
+family's photon j + n with weight 0.6.
 The accuracy rows at n = 5, m = 7 take every signature; those at
 n = 6, m = 8 a sample fixed here, before either side runs: every 13th
 signature of the sweep and (0, 0, 1, 1, 1, 1, 1, 1).
@@ -131,7 +142,11 @@ STREAMS = {
     "mixed resolved sweep n=3 m=5, 8 combinations": (3, 5, 3, "resolved", "probability_chunks", "generic"),
     "mixed blind sweep n=4 m=5, 8 combinations": (4, 5, 3, "nonresolved", "probability_chunks", "generic"),
     "mixed verify n=3 m=4, 4 combinations": (3, 4, 2, "nonresolved", "verify_chunks", "generic"),
+    "two-species blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "generic"),
+    "identical blind sweep n=5 m=7": (5, 7, 0, "nonresolved", "probability_chunks", "generic"),
 }
+# name -> (n, m, family): every signature asked by its own probability_nonresolved call, on one lambda per call.
+QUERIES = {f"{family} signatures n=5 m=7, one query each": (5, 7, family) for family in ("generic", "near-identical")}
 REPEATS = 7
 
 # Sizes of the kernel rows; entry (i, j) of the k x k matrix is complex normal over sqrt(2 k), from seed k.
@@ -154,14 +169,27 @@ PAIRED = """
 import hashlib, importlib, json, operator, sys, time
 import numpy as np
 
-def stream(bs, n, m, mixed, detector, stream, family):
+def gaussian(bs, family, j):
     mu, sigma, tau = family
-    g = lambda j: bs.GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j)
-    photons = [g(j) if j < n - mixed else bs.MixedPhotonSource(((0.4, g(j)), (0.6, g(j + n)))) for j in range(n)]
+    return bs.GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j)
+
+def stream(bs, js, m, mixed, detector, stream, family):
+    n, g = len(js), lambda j: gaussian(bs, family, j)
+    photons = [g(j) if k < n - mixed else bs.MixedPhotonSource(((0.4, g(j)), (0.6, g(j + n))))
+               for k, j in enumerate(js)]
     u, run = bs.make_random_unitary(m, 1), getattr(bs, stream)
     return lambda: list(run(u, photons, None, detector)), lambda chunks: {
         "outcomes": sum(len(outcomes) for outcomes, _ in chunks),
         "digest": hashlib.sha256(b"".join(totals.tobytes() for _, totals in chunks)).hexdigest()[:16]}
+
+def queries(bs, n, m, family, sigs):
+    photons, u = [gaussian(bs, family, j) for j in range(n)], bs.make_random_unitary(m, 1)
+    sigs = [tuple(sig) for sig in sigs]
+    def call():
+        lam = bs.lambda_from_photons(photons)
+        return [bs.probability_nonresolved(u, lam, None, sig) for sig in sigs]
+    return call, lambda values: {"outcomes": len(values),
+                                 "digest": hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]}
 
 def kernel(bs, k):
     rng = np.random.default_rng(k)
@@ -185,8 +213,8 @@ def accuracy(bs, cases):
     pairs = lambda a: [[z.real, z.imag] for z in a.ravel().tolist()]
     def call():
         out = []
-        for (mu, sigma, tau), n, m, seed, sigs in cases:
-            photons = [bs.GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j) for j in range(n)]
+        for family, n, m, seed, sigs in cases:
+            photons = [gaussian(bs, family, j) for j in range(n)]
             u, lam = bs.make_random_unitary(m, seed), bs.lambda_from_photons(photons)
             sigs = [tuple(sig) for sig in sigs]
             values = [bs.probability_nonresolved(u, lam, None, sig) for sig in sigs]
@@ -206,13 +234,12 @@ def fallback(bs, families):
         eigvalsh, calls, out = np.linalg.eigvalsh, [], {}
         np.linalg.eigvalsh = lambda a: calls.append(len(a)) or eigvalsh(a)
         try:
-            for name, (mu, sigma, tau) in families.items():
+            for name, family in families.items():
                 refused = {}
                 calls.clear()
                 for n in range(2, 17):
                     try:
-                        bs.lambda_from_photons([bs.GaussianWavepacket(mu * j, 1.0 + sigma * j, tau * j)
-                                                for j in range(n)])
+                        bs.lambda_from_photons([gaussian(bs, family, j) for j in range(n)])
                     except bs.BosonSpectraError as exc:
                         refused[n] = type(exc).__name__
                 out[name] = {"n": [2, 16], "eigvalsh_at_n": list(calls), "refused": refused}
@@ -305,6 +332,14 @@ def _timed_row(runs: list[dict], name: str, same: str, **fields) -> dict:
     return row
 
 
+def _species(name: str, n: int) -> list[int]:
+    """Each photon's index in its family: a two-species row alternates its first two photons, an identical row repeats
+    its first."""
+    if name.startswith("identical"):
+        return [0] * n
+    return [j % 2 for j in range(n)] if name.startswith("two-species") else list(range(n))
+
+
 def _signatures(n: int, m: int) -> list[tuple[int, ...]]:
     """Every signature of n photons over m modes, in the engine's sweep order (lexicographic)."""
     return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
@@ -377,11 +412,10 @@ def _configs(workdir: str) -> dict:
         if command == "permanent":
             payload = [[0.5]]
         else:
-            # The two-species row alternates the family's first two photons.
-            js = [j % 2 for j in range(n)] if name.startswith("two-species") else range(n)
             payload = {
                 "network": {"unitary": unitaries[str(m)]},
-                "photons": [{"gaussian": {"mu": 0.2 * j, "sigma": 1.0 + 0.05 * j, "tau": 0.3 * j}} for j in js],
+                "photons": [{"gaussian": {"mu": 0.2 * j, "sigma": 1.0 + 0.05 * j, "tau": 0.3 * j}}
+                            for j in _species(name, n)],
                 "detector": detector,
                 "query": query,
             }
@@ -475,12 +509,15 @@ def main(argv=None) -> int:
             row["same_document"] = len({digest for sides in by_way.values() for runs in sides.values()
                                         for _, _, digest in runs}) == 1
             rows.append(row)
-        tasks = {name: ["stream", *shape, FAMILIES[family]] for name, (*shape, family) in STREAMS.items()}
+        tasks = {name: ["stream", _species(name, n), *shape, FAMILIES[family]]
+                 for name, (n, *shape, family) in STREAMS.items()}
+        tasks.update((name, ["queries", n, m, FAMILIES[family], _signatures(n, m)])
+                     for name, (n, m, family) in QUERIES.items())
         tasks.update((f"permanent_ryser k={k}", ["kernel", k]) for k in KERNEL_SIZES)
         tasks[REFUSAL_ROW] = ["refusal"]
         timed = [_paired(paired, tasks, REPEATS, run) for run in range(args.runs)]
-        stream_rows = [_timed_row(timed, name, "same_totals", outcomes=timed[0][name]["head"]["outcomes"])
-                       for name in STREAMS]
+        stream_rows, query_rows = ([_timed_row(timed, name, "same_totals", outcomes=timed[0][name]["head"]["outcomes"])
+                                    for name in names] for names in (STREAMS, QUERIES))
         kernel_rows = [_timed_row(timed, f"permanent_ryser k={k}", "same_result", k=k) for k in KERNEL_SIZES]
         refusal_row = _timed_row(timed, REFUSAL_ROW, "same_message")
         accuracy = _accuracy(paired)
@@ -500,6 +537,7 @@ def main(argv=None) -> int:
                          "repeats": REPEATS},
             "end_to_end": rows,
             "streams": stream_rows,
+            "queries": query_rows,
             "kernel": kernel_rows,
             "refusal": refusal_row,
             "accuracy": accuracy,
@@ -515,7 +553,7 @@ def main(argv=None) -> int:
                   f"{head['peak_rss_mb']['median']:6.2f} MB "
                   f"({row[way]['head_rss_lower_runs']}/{args.runs} lower), wall {base['wall_s']['median']:.3f} -> "
                   f"{head['wall_s']['median']:.3f} s, same document: {row['same_document']}")
-    for row in [*stream_rows, *kernel_rows, refusal_row]:
+    for row in [*stream_rows, *query_rows, *kernel_rows, refusal_row]:
         base, head = row["base"]["best_s"], row["head"]["best_s"]
         same = ", ".join(f"{key}: {value}" for key, value in row.items() if key.startswith("same_"))
         print(f"{row['row']:55} best {base['median'] * 1e3:8.2f} -> {head['median'] * 1e3:8.2f} ms, head/base "

@@ -24,9 +24,9 @@ malformed values are rejected at every level by the value rules of
 errors, each value named by its JSON path. A key given twice, the
 literals NaN and Infinity and numbers that overflow a double are
 refused while the JSON is read (_unique_keys and _finite_float), which
-names the key or the number's text but no path. The --seed flag and
-the --alpha-grid count are read as JSON too, then by errors._integer,
-so they accept and refuse what a config's integers do.
+names the key or the number's text but no path. --seed and the
+--alpha-grid start, stop and count are read as JSON too, then by
+errors._integer or _real, as a config's numbers are.
 
 Results documents echo the fully resolved config (defaults
 materialized), carry engine metadata, and list outcomes with
@@ -398,7 +398,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigurationError(f"--alpha-grid must be start:stop:count, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), json.loads(parts[2])
+        start, stop, count = map(json.loads, parts)
     except ValueError as exc:
         raise ConfigurationError(f"--alpha-grid must be start:stop:count, got {text!r}") from exc
     start, stop = _real(start, "--alpha-grid start"), _real(stop, "--alpha-grid stop")

@@ -66,12 +66,12 @@ into them (pairsum._pair_sums). Only Per / sqrt(prod S_vec!) and its
 squared modulus run per outcome, on Python scalars: numpy's complex
 division and its ** 2 round differently. An outcome or split that
 lambda cannot reach, one whose profile no assignment of the photons to
-basis functions along non-zero entries of lambda fills, is a
-structural zero: it reads 0.0 without a kernel call (_reachable). A
-split sum or a pair sum is correctly rounded whatever its terms' order
-or block, so a single query's value is the sweep's bit for bit.
-distribution_resolved and distribution_nonresolved gather one pure
-combination's stream into one dict.
+basis functions along non-zero entries of lambda fills, is a structural
+zero: it reads 0.0 without a kernel call (_reachable, once per profile
+and LambdaMatrix). A split sum or a pair sum is correctly rounded
+whatever its terms' order or block, so a single query's value is the
+sweep's bit for bit. distribution_resolved and distribution_nonresolved
+gather one pure combination's stream into one dict.
 
 Resolved outcomes are sequences of basis_size occupation tuples;
 measurement signatures are single occupation tuples. Input modes are
@@ -188,26 +188,25 @@ def _joint_matrix(cols: np.ndarray, lam: LambdaMatrix) -> np.ndarray:
     return (lam.matrix.T[:, None, :] * cols[None, :, :]).reshape(-1, cols.shape[1])
 
 
-def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int], lam: LambdaMatrix,
-                         decided: dict) -> list[complex]:
+def _resolved_amplitudes(joint: np.ndarray, rows: np.ndarray, norms: list[int], lam: LambdaMatrix) -> list[complex]:
     """Per(A_S) / sqrt(prod S_vec!) for each count row S_vec, given as its kernel index row.
 
     rows is _count_rows of an (outcomes x basis_size * m) count matrix,
     made once for every joint matrix that reads the same block; joint is
     lam's. norms holds each row's prod S_vec! as a Python int; rows holds
     at most STACK_SIZE rows, one kernel call for those lam can reach. A
-    structural zero (_reachable, its profile's answer kept in decided)
-    reads 0j. The division runs on Python scalars: numpy's complex /
-    float multiplies by the reciprocal and rounds differently.
+    structural zero (_reachable) reads 0j. The division runs on Python
+    scalars: numpy's complex / float multiplies by the reciprocal and
+    rounds differently.
     """
-    keep = _reachable(lam, rows, len(joint) // lam.basis_size, decided)
+    keep = _reachable(lam, rows, len(joint) // lam.basis_size)
     amplitudes = [0j] * len(norms)
     for i, per in zip(np.flatnonzero(keep).tolist(), _permanents(rows[keep], joint).tolist()):
         amplitudes[i] = per / math.sqrt(norms[i])
     return amplitudes
 
 
-def _reachable(lam: LambdaMatrix, rows: np.ndarray, m: int, decided: dict) -> np.ndarray:
+def _reachable(lam: LambdaMatrix, rows: np.ndarray, m: int) -> np.ndarray:
     """Which resolved outcomes or splits, given as kernel index rows into a joint matrix of m modes, lam reaches.
 
     Every term of Per(A_S) takes lambda[j, i] for each photon j and the
@@ -215,21 +214,22 @@ def _reachable(lam: LambdaMatrix, rows: np.ndarray, m: int, decided: dict) -> np
     photons to basis functions, c_i of them to xi_i, uses only non-zero
     entries of lambda, every term is zero and the outcome is a structural
     zero: exactly 0.0, where the kernel would leave rounding noise. That
-    depends only on the outcome's profile c, here its rows' basis
-    functions i = row // m in ascending order; decided keeps each
-    profile's answer, one bipartite matching, for the rest of a stream.
+    depends only on lambda's zeros and the outcome's profile c, here its
+    rows' basis functions i = row // m in ascending order, whatever m is.
+    So each profile's answer, one bipartite matching, is kept in
+    lam._reached for lam's lifetime.
     """
-    basis = rows // m
+    basis, reached = rows // m, lam._reached
     # Each row's basis functions as one bytes key: equal keys, equal profiles.
     keys = basis.view(np.dtype((np.void, basis.itemsize * basis.shape[1]))).ravel().tolist()
-    if new := set(keys) - decided.keys():
+    if new := set(keys) - reached.keys():
         options = [np.flatnonzero(row).tolist() for row in lam.matrix]
         for key in new:
             profile = [0] * lam.basis_size
             for i in np.frombuffer(key, basis.dtype).tolist():
                 profile[i] += 1
-            decided[key] = _assignable(options, profile)
-    return np.fromiter(map(decided.__getitem__, keys), bool, len(keys))
+            reached[key] = _assignable(options, profile)
+    return np.fromiter(map(reached.__getitem__, keys), bool, len(keys))
 
 
 def _assignable(options: list[list[int]], profile: list[int]) -> bool:
@@ -306,7 +306,7 @@ def _count_blocks(n: int, m: int, r: int, sigs=None):
         yield block[: len(norms)], norms
 
 
-def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs, decided: dict) -> list[float]:
+def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs) -> list[float]:
     """P(M) for each signature M of sigs, by the pair sum or the split sum; cols is U[:, T].
 
     A signature takes the pair sum, fed lam.gram, if its _costs say it
@@ -314,9 +314,8 @@ def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs, decide
     kappa is at most PAIR_SUM_KAPPA. The rest, fallbacks included, take the
     split sum over lam's joint matrix, built only for them: each the
     math.fsum of its rows of one _count_blocks stream, so a call holds one
-    block of splits; decided keeps their profiles' _reachable answers. A
-    fallback whose split sum costs more than the work budget raises
-    CapacityError first.
+    block of splits. A fallback whose split sum costs more than the work
+    budget raises CapacityError first.
     """
     n, r = lam.n, lam.basis_size
     costs = [_costs(n, r, sig) for sig in sigs]
@@ -335,7 +334,7 @@ def _probabilities_nonresolved(cols: np.ndarray, lam: LambdaMatrix, sigs, decide
     split = [i for i, value in enumerate(values) if value is None]
     if split:
         joint, blocks = _joint_matrix(cols, lam), _count_blocks(n, len(cols), r, [sigs[i] for i in split])
-        amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms, lam, decided) for counts, norms in blocks)
+        amplitudes = (_resolved_amplitudes(joint, _count_rows(counts), norms, lam) for counts, norms in blocks)
         squares = (abs(amp) ** 2 for block in amplitudes for amp in block)
         for i in split:
             values[i] = math.fsum(itertools.islice(squares, _split_count(sigs[i], r)))
@@ -408,7 +407,7 @@ def amplitude_resolved(
     inputs = _validated_inputs(input_modes, lam.n, m)
     row = sum(_checked_outcome(outcome, "resolved", lam.n, m, lam.basis_size), ())
     joint = _joint_matrix(interferometer.matrix[:, [x - 1 for x in inputs]], lam)
-    return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))], lam, {})[0]
+    return _resolved_amplitudes(joint, _count_rows(np.array([row])), [math.prod(map(math.factorial, row))], lam)[0]
 
 
 def probability_resolved(
@@ -562,18 +561,15 @@ def _weighted_chunks(interferometer: Interferometer, combinations, input_modes, 
     else:
         chunks = ((sigs, sigs) for sigs in _chunks(_occupations(n, m)))
 
-    # Per combination, each profile's _reachable answer.
-    decided = [{} for _ in combinations]
-
     def totals():
         for outcomes, rows in chunks:
             total = 0.0
-            for (weight, lam), profiles in zip(combinations, decided):
+            for weight, lam in combinations:
                 if resolved:
-                    amplitudes = _resolved_amplitudes(_joint_matrix(cols, lam), *rows, lam, profiles)
+                    amplitudes = _resolved_amplitudes(_joint_matrix(cols, lam), *rows, lam)
                     values = [abs(amp) ** 2 for amp in amplitudes]
                 else:
-                    values = _probabilities_nonresolved(cols, lam, rows, profiles)
+                    values = _probabilities_nonresolved(cols, lam, rows)
                 total = total + weight * np.array(values, dtype=float)
             yield outcomes, total
 

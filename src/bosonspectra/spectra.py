@@ -10,6 +10,7 @@ xi_1, xi_2, ... naming of the basis functions.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class LambdaMatrix(_Record):
     functions xi_1 .. xi_N (columns). Rows are checked at construction and
     the stored matrix is read-only, as is gram, the photons' Gram matrix G
     (the matrix orthonormal_decomposition factored, else lambda lambda^dag).
-    Two matrices are equal only if they are the same object.
+    Two matrices are equal only if they are the same object. _reached caches
+    its structural zeros for its lifetime; copies and pickles carry it.
     """
 
     _frozen = ("matrix", "gram")
@@ -163,6 +165,11 @@ class LambdaMatrix(_Record):
         m.setflags(write=False)
         g.setflags(write=False)
         vars(self).update(matrix=m, gram=g)
+
+    @cached_property
+    def _reached(self) -> dict:
+        """Whether lambda reaches each profile, by its bytes key; filled in by sampling._reachable."""
+        return {}
 
     @property
     def n(self) -> int:

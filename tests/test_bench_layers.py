@@ -57,7 +57,17 @@ def test_package_imports_itself_only_relatively(path):
 
 
 def test_paired_stream_row(paired):
-    tasks = {"tiny": ["stream", 3, 4, 0, "nonresolved", "probability_chunks", bench.FAMILIES["generic"]]}
+    tasks = {"tiny": ["stream", [0, 1, 2], 4, 0, "nonresolved", "probability_chunks", bench.FAMILIES["generic"]]}
+    runs = [bench._paired(str(paired), tasks, 2, run) for run in (0, 1)]
+    row = bench._timed_row(runs, "tiny", "same_totals")
+    assert runs[0]["tiny"]["head"]["outcomes"] == 20
+    assert row["same_totals"]
+    assert all(math.isfinite(value) and value > 0 for value in row["head_base_ratio"].values())
+
+
+def test_paired_query_row(paired):
+    # Every signature of n = 3, m = 4 asked alone, on a lambda each call builds.
+    tasks = {"tiny": ["queries", 3, 4, bench.FAMILIES["near-identical"], bench._signatures(3, 4)]}
     runs = [bench._paired(str(paired), tasks, 2, run) for run in (0, 1)]
     row = bench._timed_row(runs, "tiny", "same_totals")
     assert runs[0]["tiny"]["head"]["outcomes"] == 20

@@ -913,6 +913,18 @@ class TestHomScan:
             assert main(["hom-scan", "--alpha-grid", f"0:1:{count}"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.splitlines()[1] == "error: --alpha-grid count must be an integer, got True"
 
+    def test_grid_ends_read_reals_as_the_config_does(self, tmp_path, capsys):
+        # Start and stop used to go through float(), which took +1 and 0_1.
+        whole, written = tmp_path / "whole.json", tmp_path / "written.json"
+        assert main(["hom-scan", "--alpha-grid", "0:1:3", "--output", str(whole)]) == EXIT_OK
+        assert main(["hom-scan", "--alpha-grid", "0:1e0:3", "--output", str(written)]) == EXIT_OK
+        assert written.read_bytes() == whole.read_bytes()
+        for grid in ("0:+1:3", "0:0_1:3"):
+            assert main(["hom-scan", "--alpha-grid", grid]) == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        assert main(["hom-scan", "--alpha-grid", "true:1:3"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: --alpha-grid start must be a real number, got True\n"
+
     @pytest.mark.parametrize("count", [DISTRIBUTION_OUTCOME_CAP + 1, 10**18])
     def test_grid_over_the_cap_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys, count):
         def refuse(*args, **kwargs):
@@ -1128,6 +1140,8 @@ def stream_configs():
         "257 outcomes": (one_gaussian(257), STACK_SIZE + 1),
         "mixed resolved sweep": ({**config, "detector": "resolved"}, 1540),
         "mixed blind sweep": (config, 20),
+        "one mode resolved": (one_gaussian(1), 1),
+        "one mode blind": ({**one_gaussian(1), "detector": "nonresolved"}, 1),
     }
 
 

@@ -195,7 +195,7 @@ def split_sum(u, lam, inputs, sig):
     joint = _joint_matrix(columns(u, inputs), lam)
     blocks = _count_blocks(lam.n, u.m, lam.basis_size, [sig])
     return math.fsum(abs(amp) ** 2 for counts, norms in blocks
-                     for amp in _resolved_amplitudes(joint, _count_rows(counts), norms, lam, {}))
+                     for amp in _resolved_amplitudes(joint, _count_rows(counts), norms, lam))
 
 
 def splits(sig, r):
@@ -285,7 +285,7 @@ class TestBlindSweep:
             sequential = set()
             for _ in range(5):
                 order = rng.permutation(len(norms))
-                amplitudes = _resolved_amplitudes(joint, picks[order], [norms[k] for k in order], lam, {})
+                amplitudes = _resolved_amplitudes(joint, picks[order], [norms[k] for k in order], lam)
                 squares = [abs(amp) ** 2 for amp in amplitudes]
                 assert math.fsum(squares) == value, sig
                 sequential.add(sum(squares))
@@ -337,9 +337,9 @@ class TestBlindSweep:
             sizes.append(len(rows))
             return kernel(rows, joint, **moduli)
 
-        def counted_block(lam, rows, m, decided):
+        def counted_block(lam, rows, m):
             blocks.append(len(rows))
-            return reachable(lam, rows, m, decided)
+            return reachable(lam, rows, m)
 
         monkeypatch.setattr(bosonspectra.sampling, "_permanents", counted)
         monkeypatch.setattr(bosonspectra.sampling, "_reachable", counted_block)
@@ -494,6 +494,26 @@ class TestResolvedSweep:
                 assert p > 0.0, outcome
         assert impossible > 0
 
+    def test_each_profile_is_decided_once_per_lambda(self, monkeypatch):
+        # Which profiles lambda reaches depends on lambda alone. A resolved
+        # sweep decides all ten of three generic photons; later queries on
+        # the same lambda, split sums on another network too, decide none
+        # again, while a fresh lambda of the same photons does.
+        calls, assignable = [], bosonspectra.sampling._assignable
+        monkeypatch.setattr(bosonspectra.sampling, "_assignable",
+                            lambda options, profile: calls.append(profile) or assignable(options, profile))
+        u, lam = make_random_unitary(4, 23), lambda_from_photons(generic(3))
+        dist = distribution_resolved(u, lam)
+        assert len(calls) == len({tuple(map(sum, outcome)) for outcome in dist}) == math.comb(3 + 2, 3)
+        calls.clear()
+        outcome = next(o for o, p in dist.items() if p > 0.0)
+        assert probability_resolved(u, lam, None, outcome) == dist[outcome]
+        monkeypatch.setattr(bosonspectra.sampling, "_costs", lambda n, r, sig: (1, 0))
+        assert probability_nonresolved(make_random_unitary(5, 3), lam, None, (1, 1, 1, 0, 0)) > 0.0
+        assert calls == []
+        assert probability_resolved(u, lambda_from_photons(generic(3)), None, outcome) == dist[outcome]
+        assert calls == [list(map(sum, outcome))]
+
     def test_sweep_matches_single_queries_on_glynn_stacks(self, rng):
         # Four generic photons in stacks of 256: every outcome's value is the
         # one it has alone, whichever chunk and position it sits in.
@@ -536,7 +556,7 @@ class TestResolvedSweep:
         counts = np.array([sum(o, ()) for o in outcomes])
         joint = _joint_matrix(columns(u, (1, 2, 3, 4)), lam)
         norms = [math.prod(map(math.factorial, row)) for row in counts.tolist()]
-        whole = _resolved_amplitudes(joint, _count_rows(counts), norms, lam, {})
+        whole = _resolved_amplitudes(joint, _count_rows(counts), norms, lam)
         dist = distribution_resolved(u, lam)
         assert list(dist) == outcomes
         assert list(dist.values()) == [abs(amp) ** 2 for amp in whole]
